@@ -10,6 +10,7 @@ damping curves it induces.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -26,82 +27,128 @@ ORDER_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# sparse integer multi-index polynomial algebra
+# graded integer series engine
 # ---------------------------------------------------------------------------
 
-def _poly_mul(p1, p2, K):
-    """Product of two scalar polynomials {multi-index: coeff}, truncated at
-    total order K."""
-    out = {}
-    for m1, c1 in p1.items():
-        o1 = sum(m1)
-        for m2, c2 in p2.items():
-            if o1 + sum(m2) > K:
-                continue
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, 0.0) + c1 * c2
-    return {m: c for m, c in out.items() if abs(c) > COEFF_DROP}
+class _Basis:
+    """Every monomial y^m of n variables with |m| <= K, in graded order. A
+    vector series is a coefficient matrix with one row per component and
+    one column per monomial: column r holds y^exps[r], degree d spans
+    ``blocks[d]``, and y^exps[r] = y^exps[parent[r]] * y_var[r]."""
+
+    def __init__(self, n, K):
+        if (K + 1) ** (n + 1) >= 2 ** 63:
+            raise InputError(f"order-{K} series in {n} variables too large")
+        self.n, self.order = n, K
+        exps = np.array([np.bincount(c, minlength=n) for d in range(K + 1)
+                         for c in itertools.combinations_with_replacement(
+                             range(n), d)], dtype=np.int64).reshape(-1, n)
+        # degree-major base-(K+1) codes add as exponents add and sort in
+        # graded order; within a degree, by the last variable present
+        self._unit = (K + 1) ** np.arange(n, dtype=np.int64) + (K + 1) ** n
+        self.exps = exps[np.argsort(exps @ self._unit)]
+        self._codes = self.exps @ self._unit
+        self.size = len(self.exps)
+        self.index = {tuple(map(int, m)): r for r, m in enumerate(self.exps)}
+        start = np.searchsorted(self.exps.sum(axis=1), np.arange(K + 2))
+        self.blocks = [slice(int(a), int(b))
+                       for a, b in zip(start[:-1], start[1:])]
+        self.width = np.diff(start)
+        self.var = n - 1 - np.argmax(self.exps[:, ::-1] > 0, axis=1)
+        self.parent = np.searchsorted(self._codes,
+                                      self._codes - self._unit[self.var])
+        # shift[da, db][j, i]: position in block da + db of monomial i of
+        # block da times monomial j of block db
+        self._shift = {(da, db): np.searchsorted(
+            self._codes, self._codes[self.blocks[db], None]
+            + self._codes[self.blocks[da]]) - start[da + db]
+            for da in range(K + 1) for db in range(K + 1 - da)}
+
+    def matrix(self, terms):
+        """Coefficient matrix of {multi-index: vector}, dropping order > K."""
+        C = np.zeros((self.n, self.size), dtype=complex)
+        for m, v in terms.items():
+            if sum(m) <= self.order:
+                C[:, self.index[tuple(m)]] += v
+        return C
+
+    def to_dict(self, C):
+        """{multi-index: vector} of a coefficient matrix, with components of
+        modulus <= COEFF_DROP zeroed and all-zero monomials left out."""
+        C = np.where(np.abs(C) > COEFF_DROP, C, 0.0).T.copy()
+        return {tuple(map(int, self.exps[r])): C[r]
+                for r in np.flatnonzero(C.any(axis=1))}
+
+    def block_product(self, A, b, da, db, out):
+        """Add to out the degree-(da + db) block of the products of the
+        series with degree-da blocks A (rows) and the one with degree-db
+        block b; one monomial of b maps monomials one-to-one."""
+        shift = self._shift[da, db]
+        for j in np.flatnonzero(b):
+            out[:, shift[j]] += A * b[j]
+
+    def chain_rule_block(self, H, F, k):
+        """Degree-k block of Dh(y) f(y) for the series H and F."""
+        out = np.zeros((H.shape[0], self.width[k]), dtype=complex)
+        for i in range(self.n):
+            rows = np.flatnonzero(self.exps[:, i])
+            dH = np.zeros_like(H)
+            lower = np.searchsorted(self._codes,
+                                    self._codes[rows] - self._unit[i])
+            dH[:, lower] = H[:, rows] * self.exps[rows, i]
+            for da in range(k):
+                self.block_product(dH[:, self.blocks[da]],
+                                   F[i, self.blocks[k - da]], da, k - da, out)
+        return out
+
+    def compose(self, C, X, out):
+        """Add C(X(y)) to out degree by degree, raising X only to the
+        monomials C uses and their parents; neither has a constant term.
+        Degree k reads X through degree k - 1 (k only where C is linear),
+        so out may be X itself: that is series reversion."""
+        need = C.any(axis=0)
+        for d in range(self.order, 1, -1):
+            blk = self.blocks[d]
+            need[self.parent[blk][need[blk]]] = True
+        # needed monomials by degree, hence sorted by var
+        groups = [np.flatnonzero(need[blk]) + blk.start for blk in self.blocks]
+        pos = np.zeros(self.size, dtype=np.int64)    # row within its group
+        pos[np.concatenate(groups)] = np.concatenate(
+            [np.arange(len(g)) for g in groups])
+        # powers[s][d]: degree-d block of X^m for the needed m of degree s;
+        # products read blocks below K, and below k of the degree-1 ones
+        powers = [{} for _ in self.blocks]
+        for k in range(1, self.order + 1):
+            blk = self.blocks[k]
+            powers[1][k - 1] = X[self.var[groups[1]], self.blocks[k - 1]]
+            out[:, blk] += C[:, groups[1]] @ X[self.var[groups[1]], blk]
+            for s in range(2, k + 1):
+                rows = groups[s]
+                block = np.zeros((len(rows), self.width[k]), dtype=complex)
+                cuts = np.searchsorted(self.var[rows], np.arange(self.n + 1))
+                for v in range(self.n):
+                    run = slice(cuts[v], cuts[v + 1])
+                    parents = self.parent[rows[run]]
+                    for da in range(s - 1, k):
+                        self.block_product(powers[s - 1][da][pos[parents]],
+                                           X[v, self.blocks[k - da]], da,
+                                           k - da, block[run])
+                if k < self.order:
+                    powers[s][k] = block
+                out[:, blk] += C[:, rows] @ block
+        return out
 
 
-def _poly_pow(p, k, n, K):
-    out = {tuple([0] * n): 1.0 + 0.0j}
-    for _ in range(k):
-        out = _poly_mul(out, p, K)
-    return out
+_basis = functools.lru_cache(maxsize=16)(_Basis)
 
 
-def _subst_linear(terms, V, Vinv, K):
-    """Rewrite vector polynomial terms {m: coeff vector} under x = V y:
-    returns terms of Vinv f(V y)."""
-    n = V.shape[0]
-    rows = [{tuple(int(i == j) for i in range(n)): V[row, j]
-             for j in range(n) if V[row, j] != 0.0}
-            for row in range(n)]
-    out = {}
-    for m, cvec in terms.items():
-        mono = {tuple([0] * n): 1.0 + 0.0j}
-        for i, k in enumerate(m):
-            if k:
-                mono = _poly_mul(mono, _poly_pow(rows[i], k, n, K), K)
-        tvec = Vinv @ np.asarray(cvec, dtype=complex)
-        for mm, q in mono.items():
-            acc = out.setdefault(mm, np.zeros(n, dtype=complex))
-            acc += q * tvec
-    return {m: v for m, v in out.items() if np.max(np.abs(v)) > COEFF_DROP}
-
-
-def _compose_vector(terms, subst, n, K):
-    """Vector polynomial composed with x_i = y_i + subst_i(y), truncated."""
-    base = [{tuple(int(t == i) for t in range(n)): 1.0 + 0.0j}
-            for i in range(n)]
-    for i in range(n):
-        for m, c in subst[i].items():
-            base[i][m] = base[i].get(m, 0.0) + c
-    out = {}
-    cache = {}
-    for m, cvec in terms.items():
-        mono = {tuple([0] * n): 1.0 + 0.0j}
-        for i, k in enumerate(m):
-            if k:
-                key = (i, k)
-                if key not in cache:
-                    cache[key] = _poly_pow(base[i], k, n, K)
-                mono = _poly_mul(mono, cache[key], K)
-        for mm, q in mono.items():
-            acc = out.setdefault(mm, np.zeros(n, dtype=complex))
-            acc += q * np.asarray(cvec, dtype=complex)
-    return {m: v for m, v in out.items() if np.max(np.abs(v)) > COEFF_DROP}
-
-
-def _eval_poly_vector(terms, n, points):
+def _near_identity(terms, n, points):
+    """y + s(y) at each row y of points, for a {multi-index: vector} s."""
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    out = np.zeros((pts.shape[0], n), dtype=complex)
-    for m, cvec in terms.items():
-        mono = np.ones(pts.shape[0], dtype=complex)
-        for i, k in enumerate(m):
-            if k:
-                mono = mono * pts[:, i] ** k
-        out += mono[:, None] * np.asarray(cvec, dtype=complex)[None, :]
+    basis = _basis(n, max((sum(m) for m in terms), default=1))
+    C, out = basis.matrix(terms), pts.copy()
+    for r in np.flatnonzero(C.any(axis=0)):     # memory O(points) per term
+        out += np.prod(pts ** basis.exps[r], axis=1)[:, None] * C[:, r]
     return out
 
 
@@ -157,26 +204,24 @@ class PolySystem:
         w, V = np.linalg.eig(A)
         order = _canonical_eig_order(w, kind)
         w, V = w[order], V[:, order]
-        Vinv = np.linalg.inv(V)
-        terms = _subst_linear(nonlinear_terms, V, Vinv, K)
+        basis = _basis(len(w), K)
+        C = np.linalg.inv(V) @ basis.matrix(nonlinear_terms)
+        X = np.zeros_like(C)
+        X[:, basis.blocks[1]] = V
+        terms = basis.to_dict(basis.compose(C, X, np.zeros_like(C)))
         return cls(eigenvalues=tuple(w), terms=terms), V
 
     def conjugate_symmetry_error(self):
         """Largest violation of the real-system symmetry: the coefficient at
         the conjugate-permuted index equals the conjugate coefficient."""
-        n = self.dimension
         lam = np.asarray(self.eigenvalues)
-        perm = np.arange(n)
-        for i in range(n):
-            j = int(np.argmin(np.abs(lam - np.conj(lam[i]))))
-            perm[i] = j
-        worst = 0.0
-        for m, cvec in self.terms.items():
-            mc = tuple(np.asarray(m)[perm])
-            other = self.terms.get(mc, np.zeros(n, dtype=complex))
-            worst = max(worst, float(np.max(np.abs(
-                np.conj(np.asarray(cvec))[perm] - np.asarray(other)))))
-        return worst
+        perm = np.argmin(np.abs(lam[None, :] - np.conj(lam)[:, None]), axis=1)
+        basis = _basis(self.dimension,
+                       max((sum(m) for m in self.terms), default=1))
+        C = basis.matrix(self.terms)
+        mirrored = [basis.index[tuple(m)] for m in basis.exps[:, perm]]
+        return float(np.max(np.abs(np.conj(C[perm]) - C[:, mirrored]),
+                            initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -199,29 +244,24 @@ class LinearizingTransform:
         return len(self.eigenvalues)
 
     def apply(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        return pts + _eval_poly_vector(self.coefficients, self.dimension, pts)
+        return _near_identity(self.coefficients, self.dimension, points)
 
     def inverse_coefficients(self):
         """Series G with x = y + G(y), the formal inverse of y = x + h(x)."""
         if self._inverse is None:
-            n, K = self.dimension, self.order
-            G = [dict() for _ in range(n)]
-            for _ in range(max(K - 1, 1)):
-                comp = _compose_vector(self.coefficients, G, n, K)
-                G = [{m: -v[j] for m, v in comp.items()
-                      if abs(v[j]) > COEFF_DROP} for j in range(n)]
-            merged = {}
-            for j in range(n):
-                for m, c in G[j].items():
-                    merged.setdefault(m, np.zeros(n, dtype=complex))[j] = c
-            self._inverse = merged
+            # reversion order by order: x = y - h(x) gives
+            # G_k = -[h(y + G_{<k})]_k, which needs G only below order k
+            basis = _basis(self.dimension, self.order)
+            X = np.zeros((self.dimension, basis.size), dtype=complex)
+            X[:, basis.blocks[1]] = np.eye(self.dimension)
+            basis.compose(-basis.matrix(self.coefficients), X, out=X)
+            X[:, basis.blocks[1]] -= np.eye(self.dimension)
+            self._inverse = basis.to_dict(X)
         return self._inverse
 
     def inverse_apply(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        return pts + _eval_poly_vector(self.inverse_coefficients(),
-                                       self.dimension, pts)
+        return _near_identity(self.inverse_coefficients(), self.dimension,
+                              points)
 
     def to_json(self, path=None):
         doc = {
@@ -241,10 +281,6 @@ class LinearizingTransform:
         return text
 
 
-def _order_terms(terms, k):
-    return {m: v for m, v in terms.items() if sum(m) == k}
-
-
 def linearize(sys, K, drop_resonant=False):
     """Solve the homological equations order by order for y = x + h(x) with
     ydot = diag(eigenvalues) y up to order K.
@@ -254,77 +290,42 @@ def linearize(sys, K, drop_resonant=False):
     the term is skipped (approximate conjugacy) and logged.
     """
     lam = np.asarray(sys.eigenvalues, dtype=complex)
-    n = sys.dimension
+    basis = _basis(sys.dimension, K)
     scale = np.linalg.norm(lam)
-    h = {}
+    F = basis.matrix(sys.terms)
+    H = np.zeros_like(F)
+    denom = lam[:, None] - basis.exps @ lam
     log = []
     for k in range(2, K + 1):
-        g = {m: np.array(v, dtype=complex)
-             for m, v in _order_terms(sys.terms, k).items()}
-        # chain-rule cross terms Dh . f from lower-order h
-        for mh, hv in h.items():
-            for mf, fv in sys.terms.items():
-                if sum(mh) + sum(mf) - 1 != k:
-                    continue
-                fv = np.asarray(fv, dtype=complex)
-                for i in range(n):
-                    if mh[i] == 0 or abs(fv[i]) <= COEFF_DROP:
-                        continue
-                    m = list(mh)
-                    m[i] -= 1
-                    m = tuple(a + b for a, b in zip(m, mf))
-                    acc = g.setdefault(m, np.zeros(n, dtype=complex))
-                    acc += mh[i] * fv[i] * hv
-        for m, gv in g.items():
-            hv = np.zeros(n, dtype=complex)
-            mdot = np.dot(m, lam)
-            for j in range(n):
-                if abs(gv[j]) <= COEFF_DROP:
-                    continue
-                denom = lam[j] - mdot
-                if abs(denom) < SMALL_DIVISOR_FACTOR * scale:
-                    log.append((m, j, denom))
-                    if not drop_resonant:
-                        raise SmallDivisor(
-                            f"resonant divisor {abs(denom):.3e} at index {m},"
-                            f" component {j}")
-                    continue
-                hv[j] = gv[j] / denom
-            if np.max(np.abs(hv)) > 0.0:
-                h[m] = hv
+        blk = basis.blocks[k]
+        # chain-rule cross terms Dh . f come from the lower-order h
+        g = F[:, blk] + basis.chain_rule_block(H, F, k)
+        live = np.abs(g) > COEFF_DROP
+        small = live & (np.abs(denom[:, blk]) < SMALL_DIVISOR_FACTOR * scale)
+        for r, j in np.argwhere(small.T) + [blk.start, 0]:
+            m = tuple(map(int, basis.exps[r]))
+            log.append((m, int(j), denom[j, r]))
+            if not drop_resonant:
+                raise SmallDivisor(
+                    f"resonant divisor {abs(denom[j, r]):.3e} at index {m},"
+                    f" component {j}")
+        np.divide(g, denom[:, blk], out=H[:, blk], where=live & ~small)
     return LinearizingTransform(order=K, eigenvalues=tuple(lam),
-                                coefficients=h, small_divisor_log=log)
+                                coefficients=basis.to_dict(H),
+                                small_divisor_log=log)
 
 
 def conjugacy_residual(transform, sys):
     """Largest coefficient of order <= K left after the conjugacy; round-off
     sized when the homological solve is exact."""
     lam = np.asarray(sys.eigenvalues, dtype=complex)
-    n = sys.dimension
-    K = transform.order
-    resid = {m: np.array(v, dtype=complex) for m, v in sys.terms.items()
-             if sum(m) <= K}
-    for mh, hv in transform.coefficients.items():
-        mdot = np.dot(mh, lam)
-        acc = resid.setdefault(mh, np.zeros(n, dtype=complex))
-        acc += (mdot - lam) * hv
-        for mf, fv in sys.terms.items():
-            if sum(mh) + sum(mf) - 1 > K:
-                continue
-            fv = np.asarray(fv, dtype=complex)
-            for i in range(n):
-                if mh[i] == 0 or abs(fv[i]) <= COEFF_DROP:
-                    continue
-                m = list(mh)
-                m[i] -= 1
-                m = tuple(a + b for a, b in zip(m, mf))
-                acc = resid.setdefault(m, np.zeros(n, dtype=complex))
-                acc += mh[i] * fv[i] * hv
-    worst = 0.0
-    for m, v in resid.items():
-        if 2 <= sum(m) <= K:
-            worst = max(worst, float(np.max(np.abs(v))))
-    return worst
+    basis = _basis(sys.dimension, transform.order)
+    F = basis.matrix(sys.terms)
+    H = basis.matrix(transform.coefficients)
+    resid = F + (basis.exps @ lam - lam[:, None]) * H
+    return max((float(np.max(np.abs(resid[:, basis.blocks[k]]
+                                    + basis.chain_rule_block(H, F, k))))
+                for k in range(2, transform.order + 1)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +348,9 @@ def pullback_graph(transform, spec, coeffs, master_grid, radius=np.inf):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         v, w = linear_graph_eval(spec, coeffs, (u, z))
-        y = list(u)
-        for zz in z:
-            y += [zz, np.conj(zz)]
-        y += list(np.atleast_1d(v))
-        for ww in np.atleast_1d(w):
-            y += [ww, np.conj(ww)]
-        y = np.asarray(y, dtype=complex)
+        w = np.atleast_1d(w)
+        y = np.concatenate([u, np.ravel([z, z.conj()], order="F"),
+                            np.atleast_1d(v), np.ravel([w, w.conj()], "F")])
         if len(y) != transform.dimension:
             raise WrongShape("graph sample dimension does not match transform")
         if np.max(np.abs(y)) > radius:
@@ -585,10 +582,9 @@ def extended_normalform_2d(reduced, spec, drop_resonant=True):
         orders = sorted({_forder(k) for k in F
                          if _forder(k) > 1.0 + ORDER_TOL
                          and _forder(k) <= K + ORDER_TOL})
-        target = None
         for o in orders:
             batch = {}
-            for k, c in F.items():
+            for k, c in list(F.items()):
                 if abs(_forder(k) - o) > ORDER_TOL:
                     continue
                 a, b = _funpack(k)
@@ -603,14 +599,15 @@ def extended_normalform_2d(reduced, spec, drop_resonant=True):
                             f"divisor {abs(denom):.3e} at exponents "
                             f"({a}, {b})")
                     continue
+                if abs(c / denom) <= COEFF_DROP:
+                    del F[k]              # removal below round-off: drop
+                    continue
                 batch[k] = c / denom
             if batch:
-                target = (o, batch)
                 break
-        if target is None:
+        else:
             break
-        o, delta = target
-        F = _ftransform_field(F, delta, K, o)
+        F = _ftransform_field(F, batch, K, o)
 
     survivors = []
     for k, c in sorted(F.items(), key=lambda kv: _forder(kv[0])):

@@ -5,7 +5,7 @@ Run with ``pytest -v tests/test_acceptance.py``; each test prints its own
 [PASS]/[FAIL] line as well. Criteria 1 and 6 encode reference values that
 are mutually inconsistent with exact identities satisfied by this
 implementation; they are kept at their stated tolerances and are expected
-to fail (see the repository notes for the analysis).
+to fail (see docs/criteria-1-and-6.md for the analysis).
 """
 
 import itertools

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ssmfrac import dictionary, dynamics, fit, normalform, spectrum
 from ssmfrac.errors import InputError, OutOfRadius, SmallDivisor, WrongShape
@@ -90,6 +92,63 @@ def test_inverse_round_trip():
     back = tr.inverse_apply(tr.apply(pts))
     # formal inverse truncated at order 5: error O(|z|^6)
     assert np.max(np.abs(back - pts)) < 10 * 0.05 ** 6
+
+
+def _mul_reference(p, q, K):
+    """Product of scalar {multi-index: coeff} series truncated at order K,
+    by plain loops over the terms."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            if sum(m1) + sum(m2) <= K:
+                m = tuple(a + b for a, b in zip(m1, m2))
+                out[m] = out.get(m, 0.0) + c1 * c2
+    return out
+
+
+def _compose_reference(series, subst, K):
+    """Vector series {m: coeff vector} at x_i = subst[i], truncated at K."""
+    n = len(subst)
+    out = {}
+    for m, cvec in series.items():
+        mono = {(0,) * n: 1.0}
+        for i, k in enumerate(m):
+            for _ in range(k):
+                mono = _mul_reference(mono, subst[i], K)
+        for mm, q in mono.items():
+            out[mm] = out.get(mm, 0.0) + q * np.asarray(cvec)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), K=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_inverse_series_composes_to_identity(n, K, seed):
+    """x + h(x) substituted into the inverse y + G(y) gives back x through
+    order K: every coefficient of h(x) + G(x + h(x)) vanishes."""
+    rng = np.random.default_rng(seed)
+    lam = -rng.uniform(0.5, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    monomials = [m for m in itertools.product(range(K + 1), repeat=n)
+                 if 2 <= sum(m) <= K]
+    divisors = [abs(lam[j] - np.dot(m, lam)) for m in monomials
+                for j in range(n)]
+    assume(min(divisors) > 0.1)
+    terms = {m: 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+             for m in monomials if rng.random() < 0.5}
+    sys = normalform.PolySystem(eigenvalues=tuple(lam), terms=terms)
+    tr = normalform.linearize(sys, K)
+    h = tr.coefficients
+    forward = [{tuple(int(t == i) for t in range(n)): 1.0} for i in range(n)]
+    for m, v in h.items():
+        for i in range(n):
+            forward[i][m] = forward[i].get(m, 0.0) + v[i]
+    back = _compose_reference(tr.inverse_coefficients(), forward, K)
+    for m, v in h.items():
+        back[m] = back.get(m, 0.0) + v
+    # the terms that cancel reach about scale**2, and so does round-off
+    scale = max([1.0] + [float(np.max(np.abs(v))) for v in h.values()])
+    assert all(np.max(np.abs(v)) <= 1e-12 * scale ** 2
+               for v in back.values())
 
 
 def test_from_real_system_conjugate_symmetry():
@@ -244,6 +303,21 @@ def test_normalform_fractional_survivor_extracted():
             if abs(complex(*t["a"]) + complex(*t["b"])) > 1.0 + 1e-9]
     assert frac
     assert nf.P1 > 0.0
+
+
+def test_normalform_drops_term_whose_removal_is_below_round_off():
+    """A non-resonant term whose removal coefficient |c / denom| is at most
+    COEFF_DROP is dropped, not substituted, so the sweep terminates and the
+    resonant cubic is untouched."""
+    c = 2e-14                      # above COEFF_DROP; c / |GAMMA| is not
+    assert c > normalform.COEFF_DROP >= c / abs(GAMMA)
+    model = reduced_model({(1, 0, 0, 0): GAMMA,
+                           (2, 1, 0, 0): 0.3 - 0.7j,
+                           (2, 0, 0, 0): c})
+    nf = normalform.extended_normalform_2d(model, spec_2d())
+    assert [(t["a"], t["b"]) for t in nf.resonant_terms] == \
+        [([1.0, 0.0], [0.0, 0.0]), ([2.0, 0.0], [1.0, 0.0])]
+    assert (nf.A, nf.B) == (0.3, -0.7)
 
 
 def test_normalform_ratio_out_of_range_disables_polar():
