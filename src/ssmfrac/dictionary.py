@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,42 +75,11 @@ class FractionalMonomial:
 
     def eval_real(self, u):
         """Value at real master samples u (1D family)."""
-        u = np.atleast_1d(np.asarray(u))
-        if u.dtype != np.longdouble:
-            u = u.astype(float)
-        frac = self.amp_exponents[0] if self.amp_exponents else 0.0
-        k1 = self.k1[0] if self.k1 else 0
-        au = np.abs(u)
-        out = np.zeros_like(u)
-        ok = au > TINY_AMPLITUDE
-        if self.branch == "positive_only" and np.any(u < -TINY_AMPLITUDE):
-            raise DomainError("positive-only monomial evaluated at negative u")
-        with np.errstate(divide="ignore"):
-            out[ok] = np.sign(u[ok]) ** k1 * au[ok] ** (k1 + frac)
-        if k1 == 0 and frac == 0.0:
-            out[~ok] = 1.0
-        return out
+        return _evaluate(_samples(u, False), _compile((self,)))[:, 0]
 
     def eval_complex(self, z):
         """Value at complex master samples z (2D family)."""
-        z = np.atleast_1d(np.asarray(z))
-        if z.dtype != np.clongdouble:
-            z = z.astype(complex)
-        k2 = self.k2[0] if self.k2 else 0
-        k3 = self.k3[0] if self.k3 else 0
-        frac = self.amp_exponents[0] if self.amp_exponents else 0.0
-        az = np.abs(z)
-        out = np.zeros(z.shape, dtype=complex)
-        ok = az > TINY_AMPLITUDE
-        zo = z[ok]
-        out = out.astype(z.dtype)
-        val = zo ** k2 * np.conj(zo) ** k3 * az[ok] ** frac
-        if self.phase_coeff != 0.0:
-            val = val * np.exp(1j * self.phase_coeff * np.log(az[ok]))
-        out[ok] = val
-        if k2 == 0 and k3 == 0 and frac == 0.0:
-            out[~ok] = 1.0
-        return out
+        return _evaluate(_samples(z, True), _compile((self,)))[:, 0]
 
     def to_dict(self):
         return {
@@ -123,6 +94,73 @@ class FractionalMonomial:
 
 def _canonical_sort(monomials):
     return tuple(sorted(monomials, key=lambda m: (m.order, m.multi_index)))
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+# ---------------------------------------------------------------------------
+
+EVAL_BLOCK_ROWS = 4096      # bounds the (samples, terms) temporaries
+
+
+def _compile(monomials):
+    """Exponent arrays, one entry per column: powers k1, k2, k3 of u, z and
+    zbar, fractional |.| exponent, phase coefficient of log|.|, and value
+    where |.| <= TINY_AMPLITUDE (1 for the constant term); plus the distinct
+    |.| exponents and phase coefficients, each with its column map."""
+    table = np.array([[(m.k1 or (0,))[0], (m.k2 or (0,))[0],
+                       (m.k3 or (0,))[0], (m.amp_exponents or (0.0,))[0],
+                       m.phase_coeff] for m in monomials]).reshape(-1, 5)
+    k1, k2, k3 = table[:, :3].T.astype(np.int64)
+    fracs, frac_col = np.unique(table[:, 3], return_inverse=True)
+    phases, phase_col = np.unique(table[:, 4], return_inverse=True)
+    return SimpleNamespace(
+        k1=k1, k2=k2, k3=k3, frac=table[:, 3], fracs=fracs,
+        frac_col=frac_col, phases=phases, phase_col=phase_col,
+        kmax=int(max(k2.max(initial=0), k3.max(initial=0))),
+        const=np.all(table[:, :4] == 0, axis=1).astype(float),
+        positive_only=any(m.branch == "positive_only" for m in monomials))
+
+
+def _samples(points, complex_):
+    """Flat float samples, or complex ones for 2D families, where a real
+    (n, 2) array is read as columns (Re z, Im z); long double is kept."""
+    x = np.asarray(points)
+    if not complex_:
+        return np.ravel(x if x.dtype == np.longdouble else x.astype(float))
+    if x.ndim == 2 and x.shape[1] == 2 and not np.iscomplexobj(x):
+        x = x[:, 0] + 1j * x[:, 1]
+    return np.ravel(x if x.dtype == np.clongdouble else x.astype(complex))
+
+
+def _evaluate(x, ex):
+    """Columns at real samples u, sign(u)^{k1} |u|^{k1 + frac}, or at
+    complex samples z, z^{k2} zbar^{k3} |z|^{frac} e^{i phase log|z|};
+    computed EVAL_BLOCK_ROWS samples at a time."""
+    if ex.positive_only and np.any(x < -TINY_AMPLITUDE):
+        raise DomainError("positive-only monomial evaluated at negative u")
+    out = np.empty((len(x), len(ex.const)), dtype=x.dtype)
+    for lo in range(0, len(x), EVAL_BLOCK_ROWS):
+        xb, blk = x[lo:lo + EVAL_BLOCK_ROWS], out[lo:lo + EVAL_BLOCK_ROWS]
+        amp = np.abs(xb)
+        ok = amp > TINY_AMPLITUDE
+        amp = np.where(ok, amp, 1.0)[:, None]
+        if np.iscomplexobj(xb):
+            # z^k by repeated multiplication; conjugated, the zbar^k table
+            powers = np.empty((len(xb), ex.kmax + 1), dtype=x.dtype)
+            powers[:, 0] = 1.0
+            powers[:, 1:] = xb[:, None]
+            np.cumprod(powers, axis=1, out=powers)
+            np.multiply(powers[:, ex.k2], powers.conj()[:, ex.k3], out=blk)
+            blk *= (amp ** ex.fracs)[:, ex.frac_col]
+            if ex.phases.any():
+                blk *= np.exp(1j * (np.log(amp) * ex.phases))[:, ex.phase_col]
+        else:
+            np.multiply(np.sign(xb)[:, None] ** ex.k1,
+                        amp ** (ex.k1 + ex.frac), out=blk)
+        if not ok.all():
+            blk[~ok] = ex.const
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +196,10 @@ class Dictionary:
     def orders(self):
         return [m.order for m in self.monomials]
 
+    @cached_property
+    def _exponents(self):
+        return _compile(self.monomials)
+
     def evaluate(self, points):
         """Monomial values at master samples: (n_samples, n_monomials).
 
@@ -165,20 +207,8 @@ class Dictionary:
         (n, 2) real arrays read as columns (Re z, Im z)) and return complex
         values.
         """
-        if self.family.endswith("2d"):
-            pts = np.asarray(points)
-            if pts.ndim == 2 and pts.shape[1] == 2 and not np.iscomplexobj(pts):
-                pts = pts[:, 0] + 1j * pts[:, 1]
-            if pts.dtype != np.clongdouble:
-                pts = pts.astype(complex)
-            pts = np.atleast_1d(pts)
-            return np.column_stack([m.eval_complex(pts) for m in self.monomials]) \
-                if self.monomials else np.zeros((len(pts), 0), dtype=complex)
-        pts = np.atleast_1d(np.asarray(points))
-        if pts.dtype != np.longdouble:
-            pts = pts.astype(float)
-        return np.column_stack([m.eval_real(pts) for m in self.monomials]) \
-            if self.monomials else np.zeros((len(pts), 0))
+        return _evaluate(_samples(points, self.family.endswith("2d")),
+                         self._exponents)
 
     def to_json(self, path=None):
         entries = [m.to_dict() for m in self.monomials]
@@ -284,6 +314,16 @@ def _enumerate_k4(ratios, budget):
 # dictionary generators
 # ---------------------------------------------------------------------------
 
+def _library(spec, K, family, include_linear, build, *args):
+    """Dictionary of ``family`` with the monomials of build(spec, K,
+    include_linear, *args); spec must be of the family's kind."""
+    kind = family.split("_")[0]
+    if spec.kind != kind:
+        raise WrongShape(f"{kind} dictionary on a {spec.kind} spectrum")
+    return Dictionary(build(spec, K, include_linear, *args), spec, float(K),
+                      family, metadata={"include_linear": include_linear})
+
+
 def _build_1d(spec, K, include_linear, branch, flag_tol):
     rhos = _ratios_1d(spec)
     weights = [(rho, rho > 0) for rho in rhos]
@@ -310,21 +350,13 @@ def dictionary_flow_1d(spec, K, include_linear=True, branch="symmetric",
                        flag_tol=NEAR_INTEGER_FLAG_TOL):
     """Truncated term library u^{k1} |u|^{sum k4_l kappa_l/lambda_1} for a
     flow with one real master direction."""
-    if spec.kind != "flow":
-        raise WrongShape("flow dictionary on a map spectrum")
-    monos = _build_1d(spec, K, include_linear, branch, flag_tol)
-    return Dictionary(monos, spec, float(K), "flow_1d",
-                      metadata={"include_linear": include_linear})
+    return _library(spec, K, "flow_1d", include_linear, _build_1d, branch, flag_tol)
 
 
 def dictionary_map_1d(spec, K, include_linear=True, branch="positive_only",
                       flag_tol=NEAR_INTEGER_FLAG_TOL):
     """Map analogue with log-ratio exponents log kappa_l / log |lambda_1|."""
-    if spec.kind != "map":
-        raise WrongShape("map dictionary on a flow spectrum")
-    monos = _build_1d(spec, K, include_linear, branch, flag_tol)
-    return Dictionary(monos, spec, float(K), "map_1d",
-                      metadata={"include_linear": include_linear})
+    return _library(spec, K, "map_1d", include_linear, _build_1d, branch, flag_tol)
 
 
 def _build_2d(spec, K, include_linear, flag_tol):
@@ -362,22 +394,14 @@ def dictionary_flow_2d(spec, K, include_linear=True,
                        flag_tol=NEAR_INTEGER_FLAG_TOL):
     """Library z^{k2} zbar^{k3} |z|^{sum (k5+k6) beta_m/alpha_1}
     e^{i sum (k5-k6) (nu_m/alpha_1) log|z|} for one complex master pair."""
-    if spec.kind != "flow":
-        raise WrongShape("flow dictionary on a map spectrum")
-    monos = _build_2d(spec, K, include_linear, flag_tol)
-    return Dictionary(monos, spec, float(K), "flow_2d",
-                      metadata={"include_linear": include_linear})
+    return _library(spec, K, "flow_2d", include_linear, _build_2d, flag_tol)
 
 
 def dictionary_map_2d(spec, K, include_linear=True,
                       flag_tol=NEAR_INTEGER_FLAG_TOL):
     """Map analogue using Xi (log-modulus quotients) and Gamma
     (arctan(nu/beta) / log-modulus) exponents."""
-    if spec.kind != "map":
-        raise WrongShape("map dictionary on a flow spectrum")
-    monos = _build_2d(spec, K, include_linear, flag_tol)
-    return Dictionary(monos, spec, float(K), "map_2d",
-                      metadata={"include_linear": include_linear})
+    return _library(spec, K, "map_2d", include_linear, _build_2d, flag_tol)
 
 
 def integer_dictionary(n_vars, K, spec=None, kind="flow"):
@@ -412,14 +436,6 @@ class IntegerMonomial:
     def is_integer(self):
         return True
 
-    def eval_multi(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.ones(X.shape[0])
-        for j, k in enumerate(self.powers):
-            if k:
-                out = out * X[:, j] ** k
-        return out
-
     def to_dict(self):
         return {"multi_index": list(self.powers), "amp_exponent": [],
                 "phase_coeff": 0.0, "order": self.order,
@@ -428,11 +444,21 @@ class IntegerMonomial:
 
 @dataclass(frozen=True)
 class IntegerDictionary(Dictionary):
+    @cached_property
+    def _exponents(self):
+        """(n_monomials, n_vars) integer power matrix."""
+        return np.array([m.powers for m in self.monomials], dtype=np.int64)
+
     def evaluate(self, points):
+        """(n_samples, n_monomials) values at (n_samples, n_vars) rows."""
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        if X.shape[1] != len(self.monomials[0].powers):
+        powers = self._exponents
+        if powers.size and X.shape[1] != powers.shape[1]:
             X = X.T
-        return np.column_stack([m.eval_multi(X) for m in self.monomials])
+        out = np.ones((X.shape[0], len(powers)))
+        for j, column in enumerate(powers.T):
+            out *= X[:, j, None] ** column
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -516,28 +542,21 @@ def _graph_exponents(spec):
     if spec.kind == "flow":
         den_u = list(spec.lam)
         den_z = [a for a, _ in spec.alpha_omega]
-        kv_u = [[k / d for d in den_u] for k in spec.kappa]
-        kv_z = [[k / d for d in den_z] for k in spec.kappa]
-        ke_u = [[b / d for d in den_u] for b, _ in spec.beta_nu]
-        ke_z = [[b / d for d in den_z] for b, _ in spec.beta_nu]
-        phase_u = [[nu / d for d in den_u] for _, nu in spec.beta_nu]
-        phase_z = [[nu / d for d in den_z] for _, nu in spec.beta_nu]
-        return kv_u, kv_z, ke_u, ke_z, phase_u, phase_z
-    # map kind
-    if any(k <= 0 for k in spec.kappa):
-        raise WrongShape("map graph families require kappa_l > 0")
-    den_u = [math.log(abs(l)) for l in spec.lam]
-    den_z = [math.log(math.hypot(a, w)) for a, w in spec.alpha_omega]
-    kv_u = [[math.log(k) / d for d in den_u] for k in spec.kappa]
-    kv_z = [[math.log(k) / d for d in den_z] for k in spec.kappa]
-    mod = [math.log(math.hypot(b, nu)) for b, nu in spec.beta_nu]
-    ke_u = [[m / d for d in den_u] for m in mod]
-    ke_z = [[m / d for d in den_z] for m in mod]
-    pq = spec.p + spec.q
-    ang = [math.atan2(nu, b) / pq for b, nu in spec.beta_nu]
-    phase_u = [[a / d for d in den_u] for a in ang]
-    phase_z = [[a / d for d in den_z] for a in ang]
-    return kv_u, kv_z, ke_u, ke_z, phase_u, phase_z
+        num_v = list(spec.kappa)
+        num_e = [b for b, _ in spec.beta_nu]
+        num_phase = [nu for _, nu in spec.beta_nu]
+    else:
+        if any(k <= 0 for k in spec.kappa):
+            raise WrongShape("map graph families require kappa_l > 0")
+        den_u = [math.log(abs(l)) for l in spec.lam]
+        den_z = [math.log(math.hypot(a, w)) for a, w in spec.alpha_omega]
+        num_v = [math.log(k) for k in spec.kappa]
+        num_e = [math.log(math.hypot(b, nu)) for b, nu in spec.beta_nu]
+        num_phase = [math.atan2(nu, b) / (spec.p + spec.q)
+                     for b, nu in spec.beta_nu]
+    return tuple([[n / d for d in den] for n in num]
+                 for num in (num_v, num_e, num_phase)
+                 for den in (den_u, den_z))
 
 
 def linear_graph_eval(spec, coeffs, point):
@@ -555,11 +574,6 @@ def linear_graph_eval(spec, coeffs, point):
         raise InputError("point shape does not match the partition")
     kv_u, kv_z, ke_u, ke_z, phase_u, phase_z = _graph_exponents(spec)
 
-    def kcoef(table, neg_table, ch, j, uval):
-        if neg_table is not None and uval <= 0:
-            return neg_table[ch][j]
-        return table[ch][j]
-
     def pow_abs(x, e):
         ax = abs(x)
         if ax <= TINY_AMPLITUDE:
@@ -568,41 +582,27 @@ def linear_graph_eval(spec, coeffs, point):
             raise DomainError("zero amplitude with nonpositive exponent")
         return ax ** e
 
+    def terms(ch, on_u, neg_u, exp_u, on_z, exp_z):
+        """c |x|^e for each master x whose coefficient c is nonzero and
+        whose exponent e is positive; on_u/neg_u hold u > 0 / u <= 0."""
+        pairs = [(neg_u[ch][j] if neg_u is not None and u[j] <= 0
+                  else on_u[ch][j], u[j], exp_u[ch][j]) for j in range(spec.p)]
+        pairs += [(on_z[ch][k] if on_z else 0.0, z[k], exp_z[ch][k])
+                  for k in range(spec.q)]
+        return [c * pow_abs(x, e) for c, x, e in pairs if c and e > 0]
+
     v = np.zeros(spec.r)
     for ell in range(spec.r):
-        acc = 0.0
-        for j in range(spec.p):
-            c = kcoef(coeffs.K, coeffs.K_neg, ell, j, u[j])
-            if c and kv_u[ell][j] > 0:
-                acc += c * pow_abs(u[j], kv_u[ell][j])
-        for k in range(spec.q):
-            c = coeffs.L[ell][k] if coeffs.L else 0.0
-            if c and kv_z[ell][k] > 0:
-                acc += c * pow_abs(z[k], kv_z[ell][k])
-        v[ell] = acc
+        v[ell] = sum(terms(ell, coeffs.K, coeffs.K_neg, kv_u, coeffs.L, kv_z),
+                     0.0)
 
     w = np.zeros(spec.s, dtype=complex)
+    masters = list(u) + list(z)
     for m in range(spec.s):
-        amp = 0.0 + 0.0j
-        any_nonzero = False
-        for j in range(spec.p):
-            c = kcoef(coeffs.O, coeffs.O_neg, m, j, u[j])
-            if c and ke_u[m][j] > 0:
-                amp += c * pow_abs(u[j], ke_u[m][j])
-                any_nonzero = True
-        for k in range(spec.q):
-            c = coeffs.Q[m][k] if coeffs.Q else 0.0
-            if c and ke_z[m][k] > 0:
-                amp += c * pow_abs(z[k], ke_z[m][k])
-                any_nonzero = True
-        if not any_nonzero:
-            continue
-        theta = 0.0
-        for j in range(spec.p):
-            if abs(u[j]) > TINY_AMPLITUDE:
-                theta += phase_u[m][j] * math.log(abs(u[j]))
-        for k in range(spec.q):
-            if abs(z[k]) > TINY_AMPLITUDE:
-                theta += phase_z[m][k] * math.log(abs(z[k]))
-        w[m] = amp * np.exp(1j * theta)
+        active = terms(m, coeffs.O, coeffs.O_neg, ke_u, coeffs.Q, ke_z)
+        if active:
+            theta = sum((ph * math.log(abs(x)) for ph, x in
+                         zip(phase_u[m] + phase_z[m], masters)
+                         if abs(x) > TINY_AMPLITUDE), 0.0)
+            w[m] = sum(active, 0.0 + 0.0j) * np.exp(1j * theta)
     return v, w

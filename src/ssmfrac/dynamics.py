@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import lambertw
 
 from .errors import (BadParams, InputError, NoConvergence, NonFinite,
                      NotPeriodic, OutOfDomain, OutOfRange, StepUnderflow,
@@ -66,7 +67,7 @@ def integrate(sys, ic, t_span, tol=1e-9, t_eval=None, max_step=np.inf):
 
     def f(t, x):
         dx = np.asarray(sys.f(t, x), dtype=float)
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             saw_bad[0] = True
         return dx
 
@@ -369,75 +370,55 @@ _BRANCH_POINT = -1.0 / math.e
 
 
 def lambert_w0(zval):
-    """Principal real Lambert branch by Halley iteration.
+    """Principal real Lambert branch W0 on [-1/e, inf), from scipy.
 
-    Initial guesses: branch-point series near -1/e, the w ~ z series near 0,
-    log-based for large arguments.
+    The branch point is special-cased: float(-1/e) lies just below the true
+    -1/e, where scipy's branch-point series returns NaN, so arguments at or
+    within 1e-14 below it map to W = -1 exactly.
     """
     z = np.asarray(zval, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if np.any(z < _BRANCH_POINT - 1e-14):
+    if (z < _BRANCH_POINT - 1e-14).any():
         raise OutOfDomain("argument below -1/e")
-    z = np.clip(z, _BRANCH_POINT, None)
-
-    w = np.empty_like(z)
-    near_branch = z < _BRANCH_POINT + 0.25
-    small = (~near_branch) & (z < math.e)
-    large = ~(near_branch | small)
-    # series about the branch point: w = -1 + sqrt(2(ez+1)) - ...
-    pbr = np.sqrt(2.0 * (math.e * z[near_branch] + 1.0))
-    w[near_branch] = -1.0 + pbr - pbr ** 2 / 3.0
-    # moderate arguments: log(1+z) tracks W well enough for Halley
-    w[small] = np.log1p(z[small])
-    # asymptotic log expansion
-    lz = np.log(z[large])
-    w[large] = lz - np.log(lz)
-
-    for _ in range(100):
-        ew = np.exp(w)
-        err = w * ew - z
-        # Halley update; nudge w+1 away from zero at the branch point
-        wp1 = np.where(np.abs(w + 1.0) < 1e-12, w + 1.0 + 1e-12, w + 1.0)
-        step = err / (ew * wp1 - (w + 2.0) * err / (2.0 * wp1))
-        w = w - step
-        if np.all(np.abs(step) <= 1e-16 * (1.0 + np.abs(w))):
-            break
+    w = np.where(z <= _BRANCH_POINT, -1.0, lambertw(z, 0).real)
     resid = np.abs(w * np.exp(w) - z)
-    if np.any(resid > 1e-13 * np.maximum(1.0, np.abs(z))):
-        raise NoConvergence("Halley iteration did not meet tolerance")
-    return float(w[0]) if scalar else w
+    if (resid > 1e-13 * np.maximum(1.0, np.abs(z))).any():
+        raise NoConvergence("Lambert W residual above tolerance")
+    return float(w) if w.ndim == 0 else w
 
 
 def planar_saddle_constant(a, b, c):
-    """Integration constant selecting the graph through the saddle (a, b)."""
-    return b * math.log(b * math.exp(-1.0) * a ** (-c * a / b)) + c * a / b
+    """Integration constant selecting the graph through the saddle (a, b):
+    the level set y - b log y + C = c x - c a log x that contains it."""
+    return b * math.log(b * math.exp(-1.0) * a ** (-c * a / b)) + c * a
+
+
+def _graph_constant(a, b, c, C):
+    if isinstance(C, str):
+        if C != "through-saddle":
+            raise InputError(f"unknown constant selector {C!r}")
+        return planar_saddle_constant(a, b, c)
+    return C
 
 
 def exact_graph_planar(a, b, c, C, x):
     """Closed-form slaved coordinate h(x) of the planar invariant graph
     family; C = "through-saddle" picks the member containing the saddle."""
-    if isinstance(C, str):
-        if C != "through-saddle":
-            raise InputError(f"unknown constant selector {C!r}")
-        C = planar_saddle_constant(a, b, c)
+    C = _graph_constant(a, b, c, C)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < 0):
+    if (x < 0).any():
         raise OutOfDomain("graph evaluated at negative x")
-    arg = np.zeros_like(x)
-    pos = x > 0
-    arg[pos] = -(1.0 / b) * np.exp(-c * x[pos] / b + C / b) * x[pos] ** (c * a / b)
-    if np.any(arg < _BRANCH_POINT - 1e-12):
+    # x^(ca/b) is 0 at x = 0, since ca/b > 0
+    arg = -(1.0 / b) * np.exp(-c * x / b + C / b) * x ** (c * a / b)
+    if (arg < _BRANCH_POINT - 1e-12).any():
         raise OutOfDomain("x outside the heteroclinic range (W branch violated)")
-    h = -b * lambert_w0(np.clip(arg, _BRANCH_POINT, None))
-    return float(h[0]) if scalar else h
+    return -b * lambert_w0(np.maximum(arg, _BRANCH_POINT))
 
 
 def exact_reduced_planar(a, b, c, C="through-saddle"):
     """Exact master-coordinate vector field xdot = x (h(x) - b) on the
     selected invariant graph."""
+    C = _graph_constant(a, b, c, C)
+
     def f(x):
         x = np.asarray(x, dtype=float)
         return x * (exact_graph_planar(a, b, c, C, np.abs(x)) - b)

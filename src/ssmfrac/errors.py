@@ -52,6 +52,11 @@ class RankDeficient(NumericalError):
     """Design matrix condition number too large for a ridge-free solve."""
 
 
+class BadFitSettings(InputError):
+    """Fit settings that define no meaningful model: a negative ridge or a
+    dictionary without terms."""
+
+
 class InsufficientData(InputError):
     """Fewer samples than dictionary columns."""
 

@@ -17,9 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from .dictionary import Dictionary, dictionary_from_json
-from .errors import (BadParams, Diverged, InputError, InsufficientData,
-                     LengthMismatch, OutOfRadius, RankDeficient,
-                     StepTooCoarse)
+from .errors import (BadFitSettings, BadParams, Diverged, InputError,
+                     InsufficientData, LengthMismatch, OutOfRadius,
+                     RankDeficient, StepTooCoarse)
 from .trajectory import Trajectory
 
 RANK_DEFICIENT_COND = 1e12
@@ -70,6 +70,10 @@ def _scaled_lstsq(design, targets, ridge):
     if targets.ndim == 1:
         targets = targets[:, None]
     n_samp, n_cols = design.shape
+    if ridge < 0:
+        raise BadFitSettings(f"ridge must be >= 0, got {ridge}")
+    if n_cols == 0:
+        raise BadFitSettings("the dictionary has no terms; raise the order")
     if n_samp < n_cols:
         raise InsufficientData(
             f"{n_samp} samples for {n_cols} dictionary terms")
@@ -233,8 +237,7 @@ class ReducedFit:
         out = (phi @ self.coefficients)[0]
         if self.dictionary.family.endswith("2d"):
             return out[0]                       # complex scalar
-        if not self.dictionary.family.endswith("2d") and \
-                not np.iscomplexobj(out):
+        if not np.iscomplexobj(out):
             return out if len(out) > 1 else float(out[0])
         return out
 

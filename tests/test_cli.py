@@ -170,6 +170,20 @@ def test_fit_rank_deficient_is_numerical_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [("--order", "-1"), ("--order", "0"),
+                                   ("--ridge", "-1")])
+def test_fit_meaningless_settings_are_input_errors(tmp_path, flags):
+    """A dictionary without terms or a negative ridge defines no model."""
+    spec_path = couette_spectrum_json(tmp_path / "spectrum.json")
+    data_dir = tmp_path / "data"
+    write_model_data(data_dir)
+    argv = ["fit", "--data", str(data_dir), "--spectrum", spec_path,
+            "--order", "5", "--prune", "0.05", "--kind", "map",
+            "--outdir", str(tmp_path / "out")]
+    assert cli.main(argv + list(flags)) == 2
+    assert cli.main(argv + list(flags) + ["--integer-only"]) == 2
+
+
 def test_fit_config_overrides_flags(tmp_path):
     spec_path = couette_spectrum_json(tmp_path / "spectrum.json")
     data_dir = tmp_path / "data"

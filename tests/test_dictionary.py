@@ -264,6 +264,130 @@ def test_eval_real_scales_as_order(scale, u):
     assert left == pytest.approx(right, rel=1e-9)
 
 
+@st.composite
+def dictionaries(draw):
+    """A dictionary of one of the four fractional families, over a drawn
+    spectrum with one or two slaved entries and truncation order 2..5."""
+    family = draw(st.sampled_from(["flow_1d", "map_1d", "flow_2d",
+                                   "map_2d"]))
+    ratios = draw(st.lists(st.floats(0.3, 4.0), min_size=1, max_size=2))
+    K = draw(st.integers(2, 5))
+    if family == "flow_1d":
+        rate = draw(st.floats(0.5, 2.0))
+        spec = spectrum.SpectralPartition(
+            kind="flow", lam=(-rate,), kappa=[-x * rate for x in ratios])
+        return dictionary.dictionary_flow_1d(spec, K)
+    if family == "map_1d":
+        mod = draw(st.floats(0.3, 0.95))
+        spec = spectrum.SpectralPartition(
+            kind="map", lam=(mod,), kappa=[mod ** x for x in ratios])
+        return dictionary.dictionary_map_1d(spec, K)
+    angles = draw(st.lists(st.floats(0.1, 3.0), min_size=len(ratios) + 1,
+                           max_size=len(ratios) + 1))
+    if family == "flow_2d":
+        rate = draw(st.floats(0.05, 2.0))
+        spec = spectrum.SpectralPartition(
+            kind="flow", alpha_omega=((-rate, angles[0]),),
+            beta_nu=[(-x * rate, w) for x, w in zip(ratios, angles[1:])])
+        return dictionary.dictionary_flow_2d(spec, K)
+    mod = draw(st.floats(0.3, 0.95))
+    spec = spectrum.SpectralPartition(
+        kind="map",
+        alpha_omega=((mod * np.cos(angles[0]), mod * np.sin(angles[0])),),
+        beta_nu=[(mod ** x * np.cos(w), mod ** x * np.sin(w))
+                 for x, w in zip(ratios, angles[1:])])
+    return dictionary.dictionary_map_2d(spec, K)
+
+
+def closed_form(d, m, x):
+    """Monomial m of dictionary d at samples x, written out from the
+    spectrum: u^k1 |u|^(sum k4 rho) in 1D, z^k2 zbar^k3 |z|^(sum (k5 + k6)
+    xi) exp(i sum (k5 - k6) gamma log|z|) in 2D."""
+    spec = d.spec
+    if d.family == "flow_1d":
+        rho = [k / spec.lam[0] for k in spec.kappa]
+    elif d.family == "map_1d":
+        rho = [np.log(k) / np.log(spec.lam[0]) for k in spec.kappa]
+    if d.family.endswith("1d"):
+        frac = sum(k * r for k, r in zip(m.k4, rho))
+        return x ** m.k1[0] * np.abs(x) ** frac
+    (a, w), = spec.alpha_omega
+    if d.family == "flow_2d":
+        xi = [b / a for b, _ in spec.beta_nu]
+        gamma = [nu / a for _, nu in spec.beta_nu]
+    else:
+        xi = [np.log(np.hypot(b, nu)) / np.log(np.hypot(a, w))
+              for b, nu in spec.beta_nu]
+        gamma = [np.arctan2(nu, b) / np.log(np.hypot(a, w))
+                 for b, nu in spec.beta_nu]
+    frac = sum((k5 + k6) * v for k5, k6, v in zip(m.k5, m.k6, xi))
+    phase = sum((k5 - k6) * g for k5, k6, g in zip(m.k5, m.k6, gamma))
+    r = np.abs(x)
+    return x ** m.k2[0] * np.conj(x) ** m.k3[0] * r ** frac * \
+        np.exp(1j * phase * np.log(r))
+
+
+def draw_samples(d, data):
+    """Eight nonzero samples the family accepts."""
+    mods = np.array(data.draw(st.lists(st.floats(1e-3, 2.0), min_size=8,
+                                       max_size=8)))
+    if d.family == "map_1d":
+        return mods                     # positive-only branch
+    if d.family.endswith("1d"):
+        return mods * np.array(data.draw(st.lists(
+            st.sampled_from([-1.0, 1.0]), min_size=8, max_size=8)))
+    angles = np.array(data.draw(st.lists(st.floats(-np.pi, np.pi),
+                                         min_size=8, max_size=8)))
+    return mods * np.exp(1j * angles)
+
+
+@given(dictionaries(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_compiled_columns_match_closed_form(d, data):
+    x = draw_samples(d, data)
+    values = d.evaluate(x)
+    assert values.shape == (len(x), len(d))
+    for j, m in enumerate(d.monomials):
+        np.testing.assert_allclose(values[:, j], closed_form(d, m, x),
+                                   rtol=1e-11, atol=0)
+
+
+@given(dictionaries(), st.data(), st.floats(0.05, 20.0))
+@settings(max_examples=60, deadline=None)
+def test_compiled_columns_scale_with_order(d, data, s):
+    """m(s x) = s^order m(x) in 1D and s^order e^{i Gamma log s} m(x) in
+    2D, Gamma being the monomial's phase coefficient."""
+    x = draw_samples(d, data)
+    scaled = d.evaluate(s * x)
+    base = d.evaluate(x)
+    for j, m in enumerate(d.monomials):
+        factor = s ** m.order
+        if d.family.endswith("2d"):
+            factor = factor * np.exp(1j * m.phase_coeff * np.log(s))
+        np.testing.assert_allclose(scaled[:, j], factor * base[:, j],
+                                   rtol=1e-10, atol=0)
+
+
+@given(dictionaries(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_compiled_kernel_zero_at_origin_and_long_double(d, data):
+    origin = np.zeros(3, dtype=complex if d.family.endswith("2d") else float)
+    np.testing.assert_array_equal(d.evaluate(origin),
+                                  np.zeros((3, len(d)), dtype=origin.dtype))
+    x = draw_samples(d, data)
+    wide = np.clongdouble if d.family.endswith("2d") else np.longdouble
+    values = d.evaluate(x.astype(wide))
+    assert values.dtype == wide
+    np.testing.assert_allclose(values.astype(x.dtype), d.evaluate(x),
+                               rtol=1e-12, atol=0)
+
+
+def test_empty_integer_dictionary_evaluates_to_no_columns():
+    d = dictionary.integer_dictionary(2, 0)
+    assert len(d) == 0
+    assert d.evaluate(np.zeros((3, 2))).shape == (3, 0)
+
+
 # ---------------------------------------------------------------------------
 # order consistency and determinism
 # ---------------------------------------------------------------------------

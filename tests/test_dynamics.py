@@ -8,8 +8,9 @@ import pytest
 from scipy.special import lambertw as scipy_lambertw
 
 from ssmfrac import dynamics
-from ssmfrac.errors import (BadParams, InputError, NonFinite, NotPeriodic,
-                            OutOfDomain, StepUnderflow, UnknownTestbed)
+from ssmfrac.errors import (BadParams, InputError, NoConvergence, NonFinite,
+                            NotPeriodic, OutOfDomain, StepUnderflow,
+                            UnknownTestbed)
 
 FORCED_PARAMS = {"c": 0.03, "A": 0.11, "Omega": 1.07}
 FORCED_T = 2 * math.pi / 1.07
@@ -203,6 +204,44 @@ def test_lambert_w0_special_values():
 def test_lambert_w0_out_of_domain():
     with pytest.raises(OutOfDomain):
         dynamics.lambert_w0(-0.5)
+
+
+def test_lambert_w0_exact_at_branch_point_zero_and_e():
+    w = dynamics.lambert_w0(np.array([-1 / math.e, 0.0, math.e]))
+    assert not np.any(np.isnan(w))
+    np.testing.assert_array_equal(w, [-1.0, 0.0, 1.0])
+    assert dynamics.lambert_w0(-1 / math.e) == -1.0
+
+
+def test_lambert_w0_out_of_domain_just_below_branch_point():
+    with pytest.raises(OutOfDomain):
+        dynamics.lambert_w0(np.array([0.5, -1 / math.e - 1e-12]))
+
+
+def test_lambert_w0_residual_guard(monkeypatch):
+    """A branch value off by 1e-9 fails the w e^w = z residual check."""
+    monkeypatch.setattr(dynamics, "lambertw",
+                        lambda z, k: scipy_lambertw(z, k) + 1e-9)
+    with pytest.raises(NoConvergence):
+        dynamics.lambert_w0(np.array([0.5, 2.0]))
+
+
+@pytest.mark.parametrize("a, b, c", [(1.0, 1.0, 2.5), (2.0, 1.0, 2.5),
+                                     (1.0, 2.0, 0.5), (0.7, 1.3, 3.0)])
+def test_exact_graph_planar_through_origin_and_saddle(a, b, c):
+    h = dynamics.exact_graph_planar(a, b, c, "through-saddle",
+                                    np.array([0.0, a]))
+    assert h[0] == 0.0
+    # W is sqrt-sensitive at the branch point: one rounding of the
+    # argument moves W by about 1e-8
+    assert h[1] == pytest.approx(b, rel=1e-7)
+
+
+def test_exact_graph_planar_default_saddle_is_exact():
+    """At the default parameters the argument at x = a rounds to float(-1/e)
+    itself, which maps to W = -1 exactly."""
+    assert dynamics.exact_graph_planar(1.0, 1.0, 2.5, "through-saddle",
+                                       1.0) == 1.0
 
 
 def test_exact_graph_planar_values():
