@@ -36,7 +36,7 @@ if _threads:
 import numpy as np
 
 from . import __version__, dictionary as dct, dynamics, fit, spectrum
-from .errors import InputError, NumericalError, SSMError
+from .errors import BadParams, InputError, NumericalError, SSMError
 from .trajectory import Trajectory
 
 EXIT_OK = 0
@@ -57,7 +57,14 @@ def _parse_params(text):
         if "=" not in item:
             raise InputError(f"bad parameter item {item!r}, expected k=v")
         key, val = item.split("=", 1)
-        out[key.strip()] = float(val)
+        try:
+            value = float(val)
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise BadParams(f"bad parameter item {item!r}, "
+                            "value is not a finite number")
+        out[key.strip()] = value
     return out
 
 

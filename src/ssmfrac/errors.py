@@ -57,6 +57,11 @@ class BadFitSettings(InputError):
     dictionary without terms."""
 
 
+class NonFiniteData(InputError):
+    """NaN or infinite values in trajectory data, a design matrix or fit
+    targets."""
+
+
 class InsufficientData(InputError):
     """Fewer samples than dictionary columns."""
 

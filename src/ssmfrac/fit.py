@@ -4,8 +4,10 @@ metrics, and the POD/DMD baselines.
 
 All fits are plain linear least squares on a design matrix of dictionary
 values. Columns are rescaled to unit RMS before solving (fractional
-high-order columns are otherwise tiny) and the solve uses a column-pivoted
-orthogonal factorization; coefficients are reported in the original scale.
+high-order columns are otherwise tiny). One column-pivoted Householder QR
+of the scaled design gives the condition number (from R), the solve, a
+ridge (folded into R) and one step of iterative refinement with a blocked
+long-double residual; coefficients are reported in the original scale.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import scipy.linalg
 
 from .dictionary import Dictionary, dictionary_from_json
 from .errors import (BadFitSettings, BadParams, Diverged, InputError,
-                     InsufficientData, LengthMismatch, OutOfRadius,
-                     RankDeficient, StepTooCoarse)
+                     InsufficientData, LengthMismatch, NonFiniteData,
+                     OutOfRadius, RankDeficient, StepTooCoarse)
 from .trajectory import Trajectory
 
 RANK_DEFICIENT_COND = 1e12
+RESIDUAL_BLOCK_ROWS = 4096  # bounds the long-double refinement temporaries
 TRUST_FACTOR = 1.2
 DIVERGENCE_NORM = 1e6
 
@@ -58,12 +61,16 @@ def _mgs_lstsq(A, b):
 
 
 def _scaled_lstsq(design, targets, ridge):
-    """Column-scaled least squares with optional ridge via row augmentation.
+    """Column-scaled least squares with optional ridge on the unscaled
+    coefficients; returns (coefficients, per-channel RMS residual, cond).
 
-    Returns (coefficients, per-channel RMS residual, condition number of the
-    scaled design matrix). Long-double inputs are solved entirely in long
-    double so that consistent round-trip systems are recovered beyond plain
-    double forward accuracy.
+    The scaled design A is factored once, A P = Q R, by a column-pivoted
+    Householder QR. cond(A) is taken from R, a ridge is folded into R by a
+    small QR of [R; sqrt(ridge) diag(1/scale) P], and the solve and one
+    refinement step (residual in long double, in row blocks) reuse the
+    factors. Long-double inputs are solved entirely in long double so that
+    consistent round-trip systems are recovered beyond plain double forward
+    accuracy.
     """
     design = np.asarray(design)
     targets = np.asarray(targets)
@@ -81,38 +88,60 @@ def _scaled_lstsq(design, targets, ridge):
         targets.dtype in (np.longdouble, np.clongdouble)
 
     scale = np.sqrt(np.mean(np.abs(design) ** 2, axis=0))
+    # a design column holds NaN or inf exactly when its scale is not finite
+    if not (np.isfinite(scale).all() and np.isfinite(targets).all()):
+        raise NonFiniteData("design matrix or targets hold NaN or infinite "
+                            "values")
     scale[scale == 0.0] = 1.0
-    A = design / scale
-    A64 = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
-    cond = np.linalg.cond(A64) if n_cols else 0.0
+    # in Fortran order the double-precision factorization overwrites A in
+    # place; the refinement re-forms A's rows from the design
+    A = np.divide(design, scale, order="F")
+    cplx = np.iscomplexobj(A) or np.iscomplexobj(targets)
+    (qr, tau), R, perm = scipy.linalg.qr(
+        np.asarray(A, dtype=complex if cplx else float), pivoting=True,
+        mode="raw", overwrite_a=not highprec, check_finite=False)
+    cond = np.linalg.cond(R)
     if ridge == 0.0 and cond > RANK_DEFICIENT_COND:
         raise RankDeficient(
             f"design matrix condition number {cond:.3e} exceeds "
             f"{RANK_DEFICIENT_COND:.0e}")
 
-    b = targets
-    if ridge > 0.0:
-        # penalty acts on the unscaled coefficients c = c_scaled / scale
-        aug = np.sqrt(ridge) * np.diag(1.0 / scale)
-        A = np.vstack([A, aug.astype(A.dtype)])
-        b = np.vstack([b, np.zeros((n_cols, b.shape[1]), dtype=b.dtype)])
-
+    ld = np.clongdouble if cplx else np.longdouble
+    # penalty acts on the unscaled coefficients c = c_scaled / scale
+    penalty = np.sqrt(ridge) * (1.0 / scale)
     if highprec:
-        ld = np.clongdouble if (np.iscomplexobj(A) or np.iscomplexobj(b)) \
-            else np.longdouble
+        b = targets
+        if ridge > 0.0:
+            A = np.vstack([A, np.diag(penalty).astype(A.dtype)])
+            b = np.vstack([b, np.zeros((n_cols, b.shape[1]), dtype=b.dtype)])
         coeffs = _mgs_lstsq(A.astype(ld), b.astype(ld))
     else:
-        if np.iscomplexobj(A) or np.iscomplexobj(b):
-            A = A.astype(complex)
-            b = b.astype(complex)
-        coeffs, _, _, _ = scipy.linalg.lstsq(A, b, lapack_driver="gelsy")
+        b = np.asarray(targets, dtype=qr.dtype)
+        if ridge > 0.0:
+            q_ridge, R = np.linalg.qr(np.vstack([R, np.diag(penalty[perm])]))
+        unmqr, = scipy.linalg.get_lapack_funcs(
+            ("unmqr" if cplx else "ormqr",), (qr,))
 
+        def solve(top, bottom):
+            """Scaled c minimizing |A c - top|^2 + |D c - bottom|^2, D the
+            ridge penalty. The minimal workspace selects the unblocked
+            reflector application, cheaper for a few target channels."""
+            y = unmqr("L", "C" if cplx else "T", qr, tau, top,
+                      top.shape[1])[0][:n_cols]
+            if ridge > 0.0:
+                y = q_ridge.conj().T @ np.vstack([y, bottom[perm]])
+            return scipy.linalg.solve_triangular(
+                R, y, check_finite=False)[np.argsort(perm)]
+
+        coeffs = solve(b, np.zeros_like(b[:n_cols]))
         # one step of iterative refinement with the residual accumulated in
         # long double; tightens consistent ill-conditioned round trips
-        ld = np.clongdouble if np.iscomplexobj(A) else np.longdouble
-        resid_ld = b.astype(ld) - A.astype(ld) @ coeffs.astype(ld)
-        delta, _, _, _ = scipy.linalg.lstsq(
-            A, np.asarray(resid_ld, dtype=A.dtype), lapack_driver="gelsy")
+        resid = np.empty(b.shape, dtype=ld)
+        for lo in range(0, n_samp, RESIDUAL_BLOCK_ROWS):
+            rows = slice(lo, lo + RESIDUAL_BLOCK_ROWS)
+            a_rows = (design[rows] / scale).astype(ld)
+            resid[rows] = b[rows] - a_rows @ coeffs.astype(ld)
+        delta = solve(resid.astype(b.dtype), -penalty[:, None] * coeffs)
         if np.all(np.isfinite(delta)):
             coeffs = coeffs + delta
     coeffs = coeffs / scale[:, None]
@@ -183,6 +212,8 @@ def _stack_states(data):
 
 
 def _master_values(dictionary, states, master_coords):
+    """Per-sample master values as the dictionary reads them (real scalar,
+    complex scalar, or row vector)."""
     master_coords = tuple(master_coords)
     if dictionary.family.endswith("2d"):
         if len(master_coords) != 2:
@@ -282,21 +313,6 @@ def model_from_json(source):
                       training_amplitude=diag["training_amplitude"])
 
 
-def _master_series(dictionary, traj):
-    """Per-sample master values of one trajectory as the dictionary reads
-    them (real scalar, complex scalar, or row vector)."""
-    if dictionary.family.endswith("2d"):
-        if traj.dim != 2:
-            raise InputError("2D dictionary fit needs 2 state columns "
-                             "(Re z, Im z)")
-        return traj.states[:, 0] + 1j * traj.states[:, 1]
-    if dictionary.family.endswith("1d"):
-        if traj.dim != 1:
-            raise InputError("1D dictionary fit needs a single state column")
-        return traj.states[:, 0]
-    return traj.states
-
-
 def fit_reduced_map(series, dictionary, ridge=0.0):
     """Regress the next sample on dictionary values of the current sample."""
     if isinstance(series, Trajectory):
@@ -306,7 +322,7 @@ def fit_reduced_map(series, dictionary, ridge=0.0):
     for traj in series:
         if len(traj) < 2:
             raise InsufficientData("need at least 2 samples per trajectory")
-        vals = _master_series(dictionary, traj)
+        vals = _master_values(dictionary, traj.states, range(traj.dim))
         designs.append(dictionary.evaluate(vals[:-1]))
         nxt = vals[1:]
         targets.append(nxt[:, None] if nxt.ndim == 1 else nxt)
@@ -349,7 +365,7 @@ def fit_reduced_flow(data, dictionary, derivative_scheme="central4",
             raise InputError("flow fits need uniformly sampled trajectories")
         if len(traj) < 5:
             raise InsufficientData("4th-order differences need >= 5 samples")
-        vals = _master_series(dictionary, traj)
+        vals = _master_values(dictionary, traj.states, range(traj.dim))
         d4, d2 = _central_differences(vals, h)
         designs.append(dictionary.evaluate(vals[2:-2]))
         targets.append(d4[:, None] if d4.ndim == 1 else d4)

@@ -176,6 +176,9 @@ class SpectralPartition:
 def slowest(n_dims, kind="flow"):
     """Selector keeping the n_dims slowest real dimensions (a conjugate pair
     counts as two)."""
+    if n_dims < 1:
+        raise InputError(f"need at least one master dimension, got {n_dims}")
+
     def select(eigs):
         rate = (lambda z: abs(z.real)) if kind == "flow" \
             else (lambda z: abs(math.log(abs(z))))

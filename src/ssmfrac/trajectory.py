@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NonFiniteData
 
 
 @dataclass
@@ -67,7 +67,13 @@ class Trajectory:
             first = fh.readline().strip()
         kind = "map" if first.lower().startswith("idx") else "flow"
         skip = 0 if first and first[0].isdigit() or first.startswith("-") else 1
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"{path}: not a numeric CSV table ({exc})") \
+                from None
         if data.shape[1] < 2:
             raise InputError(f"{path}: need an index column plus state columns")
+        if not np.isfinite(data).all():
+            raise NonFiniteData(f"{path}: NaN or infinite values")
         return cls(times=data[:, 0], states=data[:, 1:], kind=kind)

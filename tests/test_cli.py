@@ -90,6 +90,23 @@ def test_spectrum_without_source_is_input_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("item", ["a=x", "a=nan", "a=inf"])
+def test_spectrum_bad_params_is_input_error(tmp_path, capsys, item):
+    code = cli.main(["spectrum", "--testbed", "planar", "--params", item,
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert repr(item) in capsys.readouterr().err
+
+
+def test_spectrum_zero_masters_is_input_error(tmp_path, capsys):
+    mat = tmp_path / "m.csv"
+    mat.write_text("-1.0,0.0\n0.0,-2.0\n")
+    code = cli.main(["spectrum", "--matrix", str(mat), "--masters", "0",
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "master dimension" in capsys.readouterr().err
+
+
 def test_spectrum_outputs_deterministic(tmp_path):
     logs = write_map_logs(tmp_path / "logs.csv")
     outs = []
@@ -182,6 +199,24 @@ def test_fit_meaningless_settings_are_input_errors(tmp_path, flags):
             "--outdir", str(tmp_path / "out")]
     assert cli.main(argv + list(flags)) == 2
     assert cli.main(argv + list(flags) + ["--integer-only"]) == 2
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan"])
+def test_fit_bad_data_cell_is_input_error(tmp_path, capsys, cell):
+    """A non-numeric or NaN state cell is rejected before any fit runs."""
+    spec_path = couette_spectrum_json(tmp_path / "spectrum.json")
+    data_dir = tmp_path / "data"
+    write_model_data(data_dir)
+    csv = data_dir / "traj1.csv"
+    lines = csv.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + "," + cell
+    csv.write_text("\n".join(lines) + "\n")
+    code = cli.main(["fit", "--data", str(data_dir), "--spectrum", spec_path,
+                     "--order", "5", "--prune", "0.05", "--kind", "map",
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "traj1.csv" in err and "Traceback" not in err
 
 
 def test_fit_config_overrides_flags(tmp_path):

@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ssmfrac import dictionary, dynamics, fit, spectrum
 from ssmfrac.errors import (BadParams, Diverged, InputError, InsufficientData,
@@ -70,6 +73,95 @@ def test_scaled_lstsq_rank_deficient():
 def test_scaled_lstsq_insufficient_rows():
     with pytest.raises(InsufficientData):
         fit._scaled_lstsq(np.ones((2, 3)), np.ones(2), ridge=0.0)
+
+
+@st.composite
+def scaled_problems(draw):
+    """A full-rank real or complex design with column scales spanning 1e-6
+    to 1e6, one or two target channels, and the unit-RMS scaled design that
+    _scaled_lstsq solves with."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(n, 40 * n))
+    cplx = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exps = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=n,
+                                  max_size=n)))
+    design = rng.normal(size=(m, n))
+    targets = rng.normal(size=(m, draw(st.integers(1, 2))))
+    if cplx:
+        design = design + 1j * rng.normal(size=design.shape)
+        targets = targets + 1j * rng.normal(size=targets.shape)
+    design = design * 10.0 ** exps
+    scale = np.sqrt(np.mean(np.abs(design) ** 2, axis=0))
+    scaled = design / scale
+    cond = np.linalg.cond(scaled)
+    assume(cond < 1e4)
+    return design, targets, scale, scaled, cond
+
+
+def assert_close_lstsq(got, ref, cond):
+    """Two backward-stable least-squares solutions agree to eps * cond^2."""
+    tol = 1e-14 * (1.0 + cond) ** 2
+    assert np.linalg.norm(got - ref) <= tol * max(np.linalg.norm(ref), 1.0)
+
+
+@given(scaled_problems())
+@settings(max_examples=60, deadline=None)
+def test_scaled_lstsq_matches_scipy_and_reports_design_condition(problem):
+    design, targets, scale, scaled, cond = problem
+    coeffs, rms, got_cond = fit._scaled_lstsq(design, targets, ridge=0.0)
+    ref, _, _, _ = scipy.linalg.lstsq(scaled, targets)
+    assert_close_lstsq(coeffs * scale[:, None], ref, cond)
+    assert got_cond == pytest.approx(cond, rel=1e-10)
+    resid = targets - design @ coeffs
+    np.testing.assert_allclose(rms, np.sqrt(np.mean(np.abs(resid) ** 2,
+                                                    axis=0)))
+
+
+@given(scaled_problems(), st.floats(-10.0, 0.0))
+@settings(max_examples=60, deadline=None)
+def test_scaled_lstsq_ridge_matches_augmented_solve(problem, log_ridge):
+    design, targets, scale, scaled, cond = problem
+    ridge = 10.0 ** log_ridge
+    coeffs, _, got_cond = fit._scaled_lstsq(design, targets, ridge=ridge)
+    aug = np.vstack([scaled, np.sqrt(ridge) * np.diag(1.0 / scale)])
+    rhs = np.vstack([targets, np.zeros((len(scale), targets.shape[1]))])
+    ref, _, _, _ = scipy.linalg.lstsq(aug, rhs)
+    assert_close_lstsq(coeffs * scale[:, None], ref, np.linalg.cond(aug))
+    # the reported condition number is that of the unaugmented design
+    assert got_cond == pytest.approx(cond, rel=1e-10)
+
+
+@given(scaled_problems(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_scaled_lstsq_duplicated_column_is_rank_deficient(problem, data):
+    design, targets, _, _, _ = problem
+    m, n = design.shape
+    assume(m > n)
+    j = data.draw(st.integers(0, n - 1))
+    factor = 10.0 ** data.draw(st.floats(-6.0, 6.0))
+    at = data.draw(st.integers(0, n))
+    design = np.insert(design, at, factor * design[:, j], axis=1)
+    with pytest.raises(RankDeficient):
+        fit._scaled_lstsq(design, targets, ridge=0.0)
+
+
+@given(scaled_problems(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_scaled_lstsq_non_finite_values_are_input_errors(problem, data):
+    design, targets, _, _, _ = problem
+    where = data.draw(st.sampled_from(["design", "targets"]))
+    arr = (design if where == "design" else targets).copy()
+    i = data.draw(st.integers(0, arr.shape[0] - 1))
+    j = data.draw(st.integers(0, arr.shape[1] - 1))
+    arr[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if where == "design":
+        design = arr
+    else:
+        targets = arr
+    ridge = data.draw(st.sampled_from([0.0, 1e-6]))
+    with pytest.raises(InputError):
+        fit._scaled_lstsq(design, targets, ridge=ridge)
 
 
 # ---------------------------------------------------------------------------
