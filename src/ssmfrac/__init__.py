@@ -13,6 +13,10 @@ dynamics
     ODE integration, Poincare maps, Floquet analysis, testbed systems.
 normalform
     Linearizing transforms, graph pullback, extended 2D normal forms.
+examples
+    The paper's worked examples, run end to end.
+jsonio
+    The JSON writer and reader behind every saved and loaded file.
 cli
     Batch command-line front end.
 """

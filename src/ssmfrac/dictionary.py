@@ -15,7 +15,6 @@ is admitted when 1 <= order <= K + 1e-9.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -24,6 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, InputError, WrongShape
+from .jsonio import dump_json, load_json
 from .spectrum import SpectralPartition
 
 ORDER_SLACK = 1e-9          # order <= K + slack admits, keeps 4.000013 out at K=4
@@ -210,30 +210,25 @@ class Dictionary:
         return _evaluate(_samples(points, self.family.endswith("2d")),
                          self._exponents)
 
-    def to_json(self, path=None):
+    def to_dict(self):
         entries = [m.to_dict() for m in self.monomials]
         entries += [replace(m, pruned=True).to_dict() for m in self.removed]
-        doc = {
+        return {
             "family": self.family,
             "truncation": self.truncation,
             "spectrum": self.spec.to_dict(),
             "monomials": entries,
             "metadata": self.metadata,
         }
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+
+    def to_json(self, path=None):
+        return dump_json(self.to_dict(), path)
 
 
-def dictionary_from_json(source, rebuild=None):
-    """Inverse of Dictionary.to_json; pruned entries go to ``removed``."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = json.loads(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+def dictionary_from_json(source):
+    """Inverse of Dictionary.to_json (JSON text, a path, or the parsed
+    dict); pruned entries go to ``removed``."""
+    doc = source if isinstance(source, dict) else load_json(source)
     spec = SpectralPartition.from_dict(doc["spectrum"])
     family = doc["family"]
     if family == "integer":
@@ -314,9 +309,15 @@ def _enumerate_k4(ratios, budget):
 # dictionary generators
 # ---------------------------------------------------------------------------
 
+def _check_order(K):
+    if not math.isfinite(K):
+        raise InputError(f"truncation order must be finite, got {K}")
+
+
 def _library(spec, K, family, include_linear, build, *args):
     """Dictionary of ``family`` with the monomials of build(spec, K,
     include_linear, *args); spec must be of the family's kind."""
+    _check_order(K)
     kind = family.split("_")[0]
     if spec.kind != kind:
         raise WrongShape(f"{kind} dictionary on a {spec.kind} spectrum")
@@ -409,6 +410,7 @@ def integer_dictionary(n_vars, K, spec=None, kind="flow"):
     degree 1..K. Used for multi-master graph fits and integer-only
     comparison models."""
     import itertools
+    _check_order(K)
     monos = []
     for total in range(1, int(K) + 1):
         for combo in itertools.product(range(total + 1), repeat=n_vars):
@@ -474,8 +476,8 @@ def prune_near_integer(dictionary, tol):
     pure-integer monomial of the order it would collide with. Removals are
     kept on the returned dictionary's ``removed`` list.
     """
-    if tol < 0:
-        raise InputError("tol must be >= 0")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and >= 0, got {tol}")
     if tol == 0 or not dictionary.monomials:
         return dictionary
     spec = dictionary.spec

@@ -53,13 +53,13 @@ class RankDeficient(NumericalError):
 
 
 class BadFitSettings(InputError):
-    """Fit settings that define no meaningful model: a negative ridge or a
-    dictionary without terms."""
+    """Fit settings that define no meaningful model: a negative or
+    non-finite ridge or a dictionary without terms."""
 
 
 class NonFiniteData(InputError):
-    """NaN or infinite values in trajectory data, a design matrix or fit
-    targets."""
+    """NaN or infinite values in trajectory or matrix data, a design matrix
+    or fit targets."""
 
 
 class InsufficientData(InputError):

@@ -12,7 +12,6 @@ long-double residual; coefficients are reported in the original scale.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .dictionary import Dictionary, dictionary_from_json
 from .errors import (BadFitSettings, BadParams, Diverged, InputError,
                      InsufficientData, LengthMismatch, NonFiniteData,
                      OutOfRadius, RankDeficient, StepTooCoarse)
+from .jsonio import dump_json, load_json
 from .trajectory import Trajectory
 
 RANK_DEFICIENT_COND = 1e12
@@ -77,8 +77,8 @@ def _scaled_lstsq(design, targets, ridge):
     if targets.ndim == 1:
         targets = targets[:, None]
     n_samp, n_cols = design.shape
-    if ridge < 0:
-        raise BadFitSettings(f"ridge must be >= 0, got {ridge}")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise BadFitSettings(f"ridge must be finite and >= 0, got {ridge}")
     if n_cols == 0:
         raise BadFitSettings("the dictionary has no terms; raise the order")
     if n_samp < n_cols:
@@ -187,7 +187,7 @@ class GraphFit:
     def to_json(self, path=None):
         doc = {
             "model": "graph",
-            "dictionary": json.loads(self.dictionary.to_json()),
+            "dictionary": self.dictionary.to_dict(),
             "coefficients": _coeffs_to_jsonable(self.coefficients),
             "diagnostics": {
                 "residuals": [float(r) for r in self.residuals],
@@ -196,11 +196,7 @@ class GraphFit:
                 "slaved_coords": list(self.slaved_coords),
             },
         }
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(doc, path)
 
 
 def _stack_states(data):
@@ -275,7 +271,7 @@ class ReducedFit:
     def to_json(self, path=None):
         doc = {
             "model": f"reduced_{self.kind}",
-            "dictionary": json.loads(self.dictionary.to_json()),
+            "dictionary": self.dictionary.to_dict(),
             "coefficients": _coeffs_to_jsonable(self.coefficients),
             "diagnostics": {
                 "residuals": [float(r) for r in self.residuals],
@@ -283,21 +279,13 @@ class ReducedFit:
                 "training_amplitude": self.training_amplitude,
             },
         }
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(doc, path)
 
 
 def model_from_json(source):
     """Load a GraphFit or ReducedFit written by to_json."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = json.loads(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
-    dictionary = dictionary_from_json(json.dumps(doc["dictionary"]))
+    doc = load_json(source)
+    dictionary = dictionary_from_json(doc["dictionary"])
     coeffs = _coeffs_from_jsonable(doc["coefficients"])
     diag = doc["diagnostics"]
     if doc["model"] == "graph":

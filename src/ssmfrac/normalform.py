@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .dictionary import linear_graph_eval
 from .errors import (InputError, OutOfRadius, SmallDivisor, WrongShape)
+from .jsonio import dump_json
 
 SMALL_DIVISOR_FACTOR = 1e-8
 COEFF_DROP = 1e-14
@@ -274,11 +274,7 @@ class LinearizingTransform:
                 {"multi_index": list(m), "component": j, "divisor": abs(d)}
                 for m, j, d in self.small_divisor_log],
         }
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(doc, path)
 
 
 def linearize(sys, K, drop_resonant=False):
@@ -528,11 +524,7 @@ class NormalForm2D:
         doc["small_divisor_log"] = [
             {"exponents": list(k), "divisor": d}
             for k, d in self.small_divisor_log]
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(doc, path)
 
 
 def _model_to_field(reduced):

@@ -18,13 +18,14 @@ Conventions
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefectiveMatrix, InputError, NonInvariantSplit, NotHyperbolic
+from .errors import (DefectiveMatrix, InputError, NonFiniteData,
+                     NonInvariantSplit, NotHyperbolic)
+from .jsonio import dump_json, load_json
 
 # hyperbolicity margins (relative to ||A|| for flows, absolute for maps)
 FLOW_HYPERBOLICITY_RTOL = 1e-10
@@ -137,11 +138,7 @@ class SpectralPartition:
         }
 
     def to_json(self, path=None):
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(self.to_dict(), path)
 
     @classmethod
     def from_dict(cls, d):
@@ -153,10 +150,7 @@ class SpectralPartition:
 
     @classmethod
     def from_json(cls, source):
-        if isinstance(source, str) and source.lstrip().startswith("{"):
-            return cls.from_dict(json.loads(source))
-        with open(source) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(source))
 
     @classmethod
     def from_map_logs(cls, master_logs, slaved_logs):
@@ -437,23 +431,32 @@ def pseudo_unstable_check(Df0, split, r):
 # CSV matrix ingestion (row-major, header optional)
 # ---------------------------------------------------------------------------
 
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def read_matrix_csv(path):
-    rows = []
+    """Rows of finite numbers; the first line is a header (and skipped) only
+    when none of its fields is a number."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError:
-                if rows:
-                    raise InputError(f"non-numeric row in {path}: {line!r}")
-                continue  # header line
+        lines = [line.strip() for line in fh if line.strip()]
+    rows = []
+    for n, line in enumerate(lines):
+        cells = [_number(x) for x in line.split(",")]
+        if n == 0 and all(c is None for c in cells):
+            continue
+        if None in cells:
+            raise InputError(f"non-numeric row in {path}: {line!r}")
+        rows.append(cells)
     if not rows:
         raise InputError(f"no numeric rows in {path}")
     try:
-        return np.array(rows, dtype=float)
+        matrix = np.array(rows, dtype=float)
     except ValueError as exc:
         raise InputError(f"ragged rows in {path}") from exc
+    if not np.isfinite(matrix).all():
+        raise NonFiniteData(f"non-finite cell in {path}")
+    return matrix

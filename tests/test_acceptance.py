@@ -2,19 +2,21 @@
 pass/fail line) each.
 
 Run with ``pytest -v tests/test_acceptance.py``; each test prints its own
-[PASS]/[FAIL] line as well. Criteria 1 and 6 encode reference values that
-are mutually inconsistent with exact identities satisfied by this
-implementation; they are kept at their stated tolerances and are expected
-to fail (see docs/criteria-1-and-6.md for the analysis).
+[PASS]/[FAIL] line as well. Criteria 4, 6, 7, 9 and 10 run the worked
+examples of ``ssmfrac.examples`` (the same functions ``ssmfrac reproduce``
+runs) and apply their own thresholds to the raw results. Criteria 1 and 6
+encode reference values that are mutually inconsistent with exact
+identities satisfied by this implementation; they are kept at their stated
+tolerances and are expected to fail (see docs/criteria-1-and-6.md for the
+analysis).
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ssmfrac import dictionary, dynamics, fit, normalform, spectrum
+from ssmfrac import dictionary, dynamics, examples, fit, normalform, spectrum
 from ssmfrac.trajectory import Trajectory
 
 COUETTE_LOGS = (-0.035068, -0.069776, -0.073369, -0.140274, -0.168877)
@@ -94,38 +96,13 @@ def test_criterion_03_regression_round_trip():
 
 
 def test_criterion_04_planar_end_to_end():
-    a, b, c = 1.0, 1.0, 2.5
-    part = spectrum.SpectralPartition(kind="flow", lam=(-b,),
-                                      kappa=(-c * a,))
-    built = dictionary.dictionary_flow_1d(part, K=5)
-    vf = dynamics.exact_reduced_planar(a, b, c)
-    sys_ = dynamics.FlowSystem(dim=1, f=lambda t, x: vf(x))
-    grid = np.linspace(0.0, 4.0, 400)
-    train = dynamics.integrate(sys_, [0.95], (0.0, 4.0), tol=1e-12,
-                               t_eval=grid)
-    tests = [dynamics.integrate(sys_, [x0], (0.0, 4.0), tol=1e-12,
-                                t_eval=grid)
-             for x0 in (0.3, 0.45, 0.6, 0.75, 0.9)]
-
-    frac = fit.fit_reduced_flow(train, built, ridge=1e-12)
-    integer = fit.fit_reduced_flow(train, dictionary.integer_dictionary(1, 5),
-                                   ridge=1e-12)
-    frac_le_int, worst_frac = True, 0.0
-    for traj in tests:
-        means = {}
-        for label, model in (("frac", frac), ("int", integer)):
-            pred = fit.predict(model, traj.states[0],
-                               (traj.times[0], traj.times[-1]), tol=1e-10)
-            resampled = np.array([pred.interpolant(t) for t in traj.times])
-            _, means[label] = fit.relative_error(traj.states, resampled)
-        frac_le_int = frac_le_int and means["frac"] <= means["int"]
-        worst_frac = max(worst_frac, means["frac"])
-    xg = np.linspace(0.02, 0.95, 200)
-    vf_err = float(np.max(np.abs(vf(xg)
-                                 - np.array([float(frac.rhs(x))
-                                             for x in xg])))
-                   / np.max(np.abs(vf(xg))))
-    ok = frac_le_int and worst_frac <= 0.05 and vf_err < 1e-2
+    run = examples.planar()
+    _, rows = run.tables["error_table.csv"]  # ic, fractional, integer, ...
+    frac_le_int = all(frac <= integer for _, frac, integer, *_ in rows)
+    worst_frac = max(frac for _, frac, *_ in rows)
+    vf_err = run.vf_error
+    ok = (len(rows) == 5 and frac_le_int and worst_frac <= 0.05
+          and vf_err < 1e-2)
     report(4, "fractional planar fit beats integer fit, stays under 5%, "
            "and matches the exact vector field to 1e-2", ok,
            f"(worst mean error {worst_frac:.2e}, vf error {vf_err:.2e})")
@@ -148,19 +125,15 @@ def test_criterion_05_linear_analysis():
            f"(eigenvalue error {eig_err:.2e}, quotient error {q_err:.2e})")
 
 
-def forced_fixed_points():
-    sys_ = dynamics.testbed("shaw_pierre", FORCED_PARAMS)
-    pmap = dynamics.PoincareMap(sys_, tol=1e-11)
-    out = {}
-    for label, seed in dynamics.FORCED_SEEDS.items():
-        res = dynamics.newton_fixed_point(pmap, seed, tol=1e-9)
-        fl = dynamics.floquet(sys_, res.location, FORCED_T, tol=1e-11)
-        out[label] = (res, fl)
-    return out
+@pytest.fixture(scope="module")
+def forced_orbits():
+    """{label: (fixed point, Floquet result)} of the forced example, shared
+    by criteria 6 and 10."""
+    return examples.shaw_pierre_forced().orbits
 
 
-def test_criterion_06_forced_fixed_points():
-    found = forced_fixed_points()
+def test_criterion_06_forced_fixed_points(forced_orbits):
+    found = forced_orbits
     locs = [res.location for res, _ in found.values()]
     distinct = all(np.linalg.norm(locs[i] - locs[j]) > 1e-3
                    for i in range(3) for j in range(i + 1, 3))
@@ -178,17 +151,7 @@ def test_criterion_06_forced_fixed_points():
 
 
 def test_criterion_07_mixed_mode_graph():
-    sys_ = dynamics.testbed("mixed3d")
-    a = sys_.params["a"]
-    grid = np.linspace(0.0, 8.0, 120)
-    trajs = [dynamics.integrate(sys_, [x1, 0.0, a * x1 ** 2], (0.0, 8.0),
-                                tol=1e-11, t_eval=grid)
-             for x1 in (0.4, -0.5)]
-    built = dictionary.integer_dictionary(2, 3)
-    graph = fit.fit_graph(trajs, built, master_coords=[0, 1],
-                          slaved_coords=[2])
-    coeff = {m.powers: float(c) for m, c in
-             zip(built.monomials, graph.coefficients.ravel())}
+    coeff = examples.mixed3d().coefficients
     lead_err = abs(coeff[(2, 0)] - 0.5)
     others = max(abs(c) for p, c in coeff.items() if p != (2, 0))
     ok = lead_err < 1e-3 and others < 1e-3
@@ -211,12 +174,11 @@ def test_criterion_08_smoothness_classes():
 
 
 def test_criterion_09_linearization_and_pullback():
-    A = dynamics.shaw_pierre_matrix()
-    terms = {(3, 0, 0, 0): np.array([0.0, -0.5, 0.0, 0.0])}
-    ps, V = normalform.PolySystem.from_real_system(A, terms, K=7)
-    transform = normalform.linearize(ps, 7)
-    resid = normalform.conjugacy_residual(transform, ps)
+    run = examples.shaw_pierre_unforced()
+    ps, V, transform = run.system, run.V, run.transform
+    resid = run.residual
 
+    A = dynamics.shaw_pierre_matrix()
     part = spectrum.partition_spectrum(A, spectrum.slowest(2), kind="flow")
     coeffs = dictionary.LinearGraphCoeffs.zeros(part)
     Vinv = np.linalg.inv(V)
@@ -245,8 +207,8 @@ def test_criterion_09_linearization_and_pullback():
            f"(residual {resid:.2e}, slope {slope:.2f})")
 
 
-def test_criterion_10_floquet_identities():
-    found = forced_fixed_points()
+def test_criterion_10_floquet_identities(forced_orbits):
+    found = forced_orbits
     liouville = math.exp(-3.0 * FORCED_PARAMS["c"] * FORCED_T)
     worst = max(abs(np.prod(fl.multipliers).real - liouville) / liouville
                 for _, fl in found.values())

@@ -107,6 +107,44 @@ def test_spectrum_zero_masters_is_input_error(tmp_path, capsys):
     assert "master dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["nan,0\n0,-2\n", "abc,0\n0,-2\n"],
+                         ids=["nan", "abc"])
+def test_spectrum_malformed_matrix_is_input_error(tmp_path, capsys, text):
+    """A NaN cell, or a first row that is only partly numeric (not a
+    header), is named as such instead of failing later."""
+    mat = tmp_path / "m.csv"
+    mat.write_text(text)
+    code = cli.main(["spectrum", "--matrix", str(mat), "--masters", "1",
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "m.csv" in err and "square" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", ["{bad", "[1, 2]", '{"masters": "two"}',
+                                    '{"func": 3}', '{"nonsense": 3}',
+                                    '{"kind": "neither"}'])
+def test_spectrum_bad_config_is_input_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    code = cli.main(["spectrum", "--testbed", "planar", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cfg.json" in err or "config" in err
+    assert "Traceback" not in err
+
+
+def test_spectrum_config_values_take_the_flag_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"masters": "2", "testbed": "shaw_pierre"}')
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--testbed", "planar", "--config", str(cfg),
+                     "--outdir", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["masters"] == 2 and config["testbed"] == "shaw_pierre"
+
+
 def test_spectrum_outputs_deterministic(tmp_path):
     logs = write_map_logs(tmp_path / "logs.csv")
     outs = []
@@ -188,9 +226,13 @@ def test_fit_rank_deficient_is_numerical_error(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [("--order", "-1"), ("--order", "0"),
-                                   ("--ridge", "-1")])
+                                   ("--ridge", "-1"), ("--ridge", "nan"),
+                                   ("--ridge", "inf"), ("--order", "nan"),
+                                   ("--order", "inf"), ("--prune", "nan")])
 def test_fit_meaningless_settings_are_input_errors(tmp_path, flags):
-    """A dictionary without terms or a negative ridge defines no model."""
+    """A dictionary without terms, a negative ridge or a NaN or infinite
+    setting (which comparisons false for NaN would let through) defines no
+    model."""
     spec_path = couette_spectrum_json(tmp_path / "spectrum.json")
     data_dir = tmp_path / "data"
     write_model_data(data_dir)
@@ -198,7 +240,20 @@ def test_fit_meaningless_settings_are_input_errors(tmp_path, flags):
             "--order", "5", "--prune", "0.05", "--kind", "map",
             "--outdir", str(tmp_path / "out")]
     assert cli.main(argv + list(flags)) == 2
-    assert cli.main(argv + list(flags) + ["--integer-only"]) == 2
+    if flags[0] != "--prune":           # --integer-only does not prune
+        assert cli.main(argv + list(flags) + ["--integer-only"]) == 2
+
+
+def test_fit_non_json_spectrum_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "spectrum.json"
+    bad.write_text("1.0,2.0\n")
+    data_dir = tmp_path / "data"
+    write_model_data(data_dir)
+    code = cli.main(["fit", "--data", str(data_dir), "--spectrum", str(bad),
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan"])
@@ -253,6 +308,15 @@ def test_reproduce_mixed3d(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "reproduce"
     assert "checks.json" in manifest["outputs"]
+
+
+def test_reproduce_config_example_sets_default_outdir(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"example": "mixed3d"}')
+    assert cli.main(["reproduce", "planar", "--config", "cfg.json"]) == 0
+    assert (tmp_path / "reproduce_mixed3d" / "graph_coefficients.csv").exists()
+    assert not (tmp_path / "reproduce_planar").exists()
 
 
 def test_reproduce_planar(tmp_path, capsys):

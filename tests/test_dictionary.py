@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssmfrac import dictionary, spectrum
-from ssmfrac.errors import DomainError, WrongShape
+from ssmfrac.errors import DomainError, InputError, WrongShape
 
 COUETTE_MASTER_LOG = -0.035068
 COUETTE_SLAVED_LOGS = (-0.069776, -0.073369, -0.140274, -0.168877)
@@ -190,6 +190,17 @@ def test_map_2d_truncation_below_fractional_order():
 def test_prune_zero_tol_is_identity():
     d = dictionary.dictionary_map_1d(couette_spec(), K=5)
     assert dictionary.prune_near_integer(d, tol=0.0) is d
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_order_and_prune_tol_rejected(value):
+    with pytest.raises(InputError):
+        dictionary.dictionary_flow_1d(planar_spec(), K=value)
+    with pytest.raises(InputError):
+        dictionary.integer_dictionary(1, value)
+    with pytest.raises(InputError):
+        dictionary.prune_near_integer(
+            dictionary.dictionary_map_1d(couette_spec(), K=5), tol=value)
 
 
 def test_prune_leaves_far_from_integer_ratios():

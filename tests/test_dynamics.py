@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 from ssmfrac import dynamics
@@ -123,6 +125,19 @@ def test_floquet_liouville_on_forced_orbits():
         prod = np.prod(res.multipliers).real
         assert prod == pytest.approx(math.exp(-3 * 0.03 * FORCED_T),
                                      rel=1e-6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.0, 0.5), st.floats(0.1, 1.0), st.floats(0.5, 4.0),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_floquet_product_is_liouville_determinant(c, gamma, T, x0):
+    """tr J = -3c/m at every state of the oscillator chain, so the
+    multiplier product over any time T is exp(-3cT/m), from any start."""
+    sys = dynamics.testbed("shaw_pierre", {"c": c, "gamma": gamma})
+    res = dynamics.floquet(sys, x0, T, periodicity_tol=np.inf)
+    liouville = math.exp(-3.0 * c * T / sys.params["m"])
+    assert np.prod(res.multipliers).real == pytest.approx(liouville,
+                                                          rel=1e-8)
 
 
 def test_floquet_rejects_nonperiodic_point():

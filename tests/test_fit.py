@@ -70,6 +70,15 @@ def test_scaled_lstsq_rank_deficient():
         fit._scaled_lstsq(A, np.ones(10), ridge=0.0)
 
 
+@pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+def test_scaled_lstsq_rejects_nonfinite_or_negative_ridge(ridge):
+    """NaN compares false both ways, so it must not slip past the ridge and
+    rank checks on a rank-deficient design."""
+    A = np.column_stack([np.ones(10), np.ones(10)])
+    with pytest.raises(InputError):
+        fit._scaled_lstsq(A, np.ones(10), ridge=ridge)
+
+
 def test_scaled_lstsq_insufficient_rows():
     with pytest.raises(InsufficientData):
         fit._scaled_lstsq(np.ones((2, 3)), np.ones(2), ridge=0.0)
