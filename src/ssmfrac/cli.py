@@ -94,7 +94,8 @@ def _config_value(action, val):
         ok = isinstance(val, bool)
     elif val is None:
         ok = action.default is None and not action.required
-    elif isinstance(val, bool) or not isinstance(val, (str, int, float)):
+    elif isinstance(val, bool) or not isinstance(val, (str, int, float)) \
+            or "\0" in str(val):           # no flag can carry a NUL
         ok = False
     else:
         try:

@@ -23,12 +23,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, InputError, WrongShape
-from .jsonio import dump_json, load_json
+from .jsonio import dump_json, load_json, member, number, numbers
 from .spectrum import SpectralPartition
 
 ORDER_SLACK = 1e-9          # order <= K + slack admits, keeps 4.000013 out at K=4
 TINY_AMPLITUDE = 1e-300     # below this, positive-exponent monomials evaluate to 0
 NEAR_INTEGER_FLAG_TOL = 0.05
+MAX_TERMS = 100_000         # slaved multiplicity vectors one library may hold
 
 
 # ---------------------------------------------------------------------------
@@ -225,48 +226,86 @@ class Dictionary:
         return dump_json(self.to_dict(), path)
 
 
+_FAMILIES = ("flow_1d", "map_1d", "flow_2d", "map_2d", "integer")
+
+
+def _monomial_entry(e, width):
+    """The fields of one monomial document with ``width`` multi-index
+    entries (None: any); InputError when one is missing or malformed."""
+    what = "dictionary monomial"
+    index = numbers(member(e, "multi_index", list, what),
+                    f"{what} 'multi_index'", (width,))
+    if np.any(index < 0) or np.any(index != np.round(index)):
+        raise InputError(f"{what}: 'multi_index' must hold non-negative "
+                         f"integers, got {e['multi_index']}")
+    numbers(member(e, "amp_exponent", list, what), f"{what} 'amp_exponent'",
+            (None,))
+    return SimpleNamespace(
+        multi_index=[int(k) for k in index],
+        amp_exponent=tuple(e["amp_exponent"]),
+        phase_coeff=number(e, "phase_coeff", what),
+        order=number(e, "order", what), branch=member(e, "branch", str, what),
+        pruned=member(e, "pruned", bool, what))
+
+
 def dictionary_from_json(source):
     """Inverse of Dictionary.to_json (JSON text, a path, or the parsed
-    dict); pruned entries go to ``removed``."""
+    dict); pruned entries go to ``removed``. A document with a missing key
+    or a value of the wrong type raises InputError."""
     doc = source if isinstance(source, dict) else load_json(source)
-    spec = SpectralPartition.from_dict(doc["spectrum"])
-    family = doc["family"]
-    if family == "integer":
-        active = tuple(IntegerMonomial(powers=tuple(e["multi_index"]),
-                                       order=e["order"], branch=e["branch"])
-                       for e in doc["monomials"] if not e["pruned"])
-        return IntegerDictionary(monomials=active, spec=spec,
-                                 truncation=doc["truncation"], family="integer",
-                                 metadata=doc.get("metadata", {}))
+    what = "dictionary document"
+    spec = SpectralPartition.from_dict(member(doc, "spectrum", dict, what))
+    family = member(doc, "family", str, what)
+    if family not in _FAMILIES:
+        raise InputError(f"{what}: unknown family {family!r}")
+    truncation = number(doc, "truncation", what)
+    metadata = member(doc, "metadata", dict, what) if "metadata" in doc \
+        else {}
     p, q, r, s = spec.p, spec.q, spec.r, spec.s
     splits = (p, q, q, r, s, s)
+    entries = [_monomial_entry(e, None if family == "integer" else sum(splits))
+               for e in member(doc, "monomials", list, what)]
+    if family == "integer":
+        active = tuple(IntegerMonomial(powers=tuple(e.multi_index),
+                                       order=e.order, branch=e.branch)
+                       for e in entries if not e.pruned)
+        return IntegerDictionary(monomials=active, spec=spec,
+                                 truncation=truncation, family="integer",
+                                 metadata=metadata)
     active, removed = [], []
-    for e in doc["monomials"]:
-        mi = list(e["multi_index"])
+    for e in entries:
         parts, pos = [], 0
         for w in splits:
-            parts.append(tuple(mi[pos:pos + w]))
+            parts.append(tuple(e.multi_index[pos:pos + w]))
             pos += w
-        mono = FractionalMonomial(*parts,
-                                  amp_exponents=tuple(e["amp_exponent"]),
-                                  phase_coeff=e["phase_coeff"],
-                                  order=e["order"], branch=e["branch"],
-                                  pruned=bool(e["pruned"]))
-        (removed if e["pruned"] else active).append(replace(mono, pruned=False))
+        mono = FractionalMonomial(*parts, amp_exponents=e.amp_exponent,
+                                  phase_coeff=e.phase_coeff, order=e.order,
+                                  branch=e.branch, pruned=e.pruned)
+        (removed if e.pruned else active).append(replace(mono, pruned=False))
     return Dictionary(monomials=tuple(active), spec=spec,
-                      truncation=doc["truncation"], family=family,
-                      removed=tuple(removed), metadata=doc.get("metadata", {}))
+                      truncation=truncation, family=family,
+                      removed=tuple(removed), metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
 # ratio helpers
 # ---------------------------------------------------------------------------
 
+def _check_rates(spec):
+    """Exponent ratios divide by the master rate (Re, or log-modulus for
+    maps): it must be finite and nonzero, and the slaved rates finite."""
+    rates = spec.master_rates() + spec.slaved_rates()
+    if rates[0] == 0 or not all(map(math.isfinite, rates)):
+        raise InputError(f"fractional exponents need a finite nonzero master "
+                         f"rate and finite slaved rates, got {rates}")
+
+
 def _ratios_1d(spec):
     """Fractional exponent per slaved real: kappa_l / lambda_1 (flow) or
     log kappa_l / log |lambda_1| (map)."""
     if spec.p != 1 or spec.q != 0 or spec.s != 0:
         raise WrongShape("1D dictionary needs p=1, q=0, s=0")
+    _check_rates(spec)
     if spec.kind == "flow":
         return [k / spec.lam[0] for k in spec.kappa]
     if any(k <= 0 for k in spec.kappa):
@@ -281,6 +320,7 @@ def _ratios_2d(spec):
     master pair."""
     if spec.p != 0 or spec.q != 1 or spec.r != 0:
         raise WrongShape("2D dictionary needs p=0, q=1, r=0")
+    _check_rates(spec)
     a, w = spec.alpha_omega[0]
     if spec.kind == "flow":
         return [(b / a, nu / a) for b, nu in spec.beta_nu]
@@ -292,14 +332,18 @@ def _ratios_2d(spec):
 def _enumerate_k4(ratios, budget):
     """All multiplicity vectors over the positive-ratio slaved entries whose
     weighted sum stays within budget; negative-ratio entries are pinned to 0
-    (the coefficient-constraint rule)."""
+    (the coefficient-constraint rule). More than MAX_TERMS vectors (a tiny
+    ratio) is an InputError."""
     out = [[]]
     for rho, active in ratios:
         new = []
         for head in out:
             used = sum(h * r for h, (r, a) in zip(head, ratios))
-            kmax = int((budget - used + ORDER_SLACK) / rho) if active else 0
-            for k in range(kmax + 1):
+            room = (budget - used + ORDER_SLACK) / rho if active else 0.0
+            if len(new) + room >= MAX_TERMS:
+                raise InputError(f"order {budget} with exponent ratio {rho:.3g} "
+                                 f"gives more than {MAX_TERMS} terms")
+            for k in range(int(room) + 1):
                 new.append(head + [k])
         out = new
     return [tuple(v) for v in out]
@@ -365,8 +409,12 @@ def _build_2d(spec, K, include_linear, flag_tol):
     weights = [(xi, xi > 0) for xi, _ in rates]
     monos = []
     kmax = int(K + ORDER_SLACK)
-    for k5 in _enumerate_k4(weights, K):
-        for k6 in _enumerate_k4(weights, K):
+    ks = _enumerate_k4(weights, K)
+    if len(ks) ** 2 > MAX_TERMS:
+        raise InputError(f"order {K} gives more than {MAX_TERMS} slaved "
+                         "multiplicity pairs")
+    for k5 in ks:
+        for k6 in ks:
             frac = sum((a + b) * xi for a, b, (xi, _) in zip(k5, k6, rates))
             if frac > K + ORDER_SLACK:
                 continue

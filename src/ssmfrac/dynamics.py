@@ -1,7 +1,8 @@
 """Numerical dynamics engine.
 
-Adaptive ODE integration with dense output, stroboscopic sampling, Poincare
-maps, Newton fixed-point search on maps, monodromy/Floquet analysis, the
+Adaptive ODE integration with dense output, stroboscopic sampling, the
+time-T flow map with its variational (monodromy) matrix, which serves both
+the Newton fixed-point search on Poincare maps and Floquet analysis, the
 built-in testbed systems, and the Lambert-W exact planar graph used as an
 oracle for the heteroclinic example.
 """
@@ -31,38 +32,45 @@ class FlowSystem:
 
     dim: int
     f: object                       # f(t, x) -> dx/dt
-    jac: object = None              # jac(t, x) -> (dim, dim); None = FD
+    jac: object = None              # jac(t, x) -> (dim, dim); flow_map needs it
     period: float = None            # forcing period for Poincare sections
     name: str = ""
     params: dict = field(default_factory=dict)
 
-    def jacobian(self, t, x, step=1e-6):
-        if self.jac is not None:
-            return np.asarray(self.jac(t, np.asarray(x, dtype=float)))
-        x = np.asarray(x, dtype=float)
-        J = np.empty((self.dim, self.dim))
-        f0 = np.asarray(self.f(t, x))
-        for j in range(self.dim):
-            h = step * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            J[:, j] = (np.asarray(self.f(t, xp)) - f0) / h
-        return J
+    def jacobian(self, t, x):
+        if self.jac is None:
+            raise InputError(f"system {self.name!r} has no jacobian")
+        return np.asarray(self.jac(t, np.asarray(x, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
 
-def integrate(sys, ic, t_span, tol=1e-9, t_eval=None, max_step=np.inf):
-    """Integrate with the embedded 5(4) Runge-Kutta pair; dense output kept
-    on the returned trajectory for stroboscopic resampling."""
+def _check_start(ic, tol):
     ic = np.asarray(ic, dtype=float)
     if not np.all(np.isfinite(ic)):
         raise NonFinite("non-finite initial condition")
     if not (1e-12 <= tol <= 1e-3):
         raise InputError("tol must lie in [1e-12, 1e-3]")
+    return ic
 
+
+def _check_solution(sol, saw_bad):
+    """Map a failed or non-finite solve_ivp result to NonFinite (the
+    right-hand side went non-finite) or StepUnderflow (it did not)."""
+    if not sol.success:
+        if saw_bad or not np.all(np.isfinite(sol.y)):
+            raise NonFinite(f"integration produced non-finite values: {sol.message}")
+        raise StepUnderflow(sol.message)
+    if not np.all(np.isfinite(sol.y)):
+        raise NonFinite("integration produced non-finite values")
+
+
+def integrate(sys, ic, t_span, tol=1e-9, t_eval=None, max_step=np.inf):
+    """Integrate with the embedded 5(4) Runge-Kutta pair; dense output kept
+    on the returned trajectory for stroboscopic resampling."""
+    ic = _check_start(ic, tol)
     saw_bad = [False]
 
     def f(t, x):
@@ -74,12 +82,7 @@ def integrate(sys, ic, t_span, tol=1e-9, t_eval=None, max_step=np.inf):
     sol = solve_ivp(f, t_span, ic, method="RK45", rtol=tol,
                     atol=tol * 1e-3, dense_output=True, t_eval=t_eval,
                     max_step=max_step)
-    if not sol.success:
-        if saw_bad[0] or not np.all(np.isfinite(sol.y)):
-            raise NonFinite(f"integration produced non-finite values: {sol.message}")
-        raise StepUnderflow(sol.message)
-    if not np.all(np.isfinite(sol.y)):
-        raise NonFinite("integration produced non-finite values")
+    _check_solution(sol, saw_bad[0])
     return Trajectory(times=sol.t, states=sol.y.T, kind="flow",
                       interpolant=sol.sol)
 
@@ -101,8 +104,35 @@ def sample_as_map(traj, delta):
 
 
 # ---------------------------------------------------------------------------
-# Poincare map and fixed points
+# flow map with sensitivities, Poincare map, fixed points, Floquet
 # ---------------------------------------------------------------------------
+
+def flow_map(sys, x0, T, tol=1e-10):
+    """(x_T, Phi_T, int_0^T tr J): the state, the variational equation
+    dPhi/dt = J Phi from Phi_0 = I (so Phi_T is the map's jacobian at x0)
+    and the trace of J, integrated together on one 5(4) Runge-Kutta mesh."""
+    x0 = _check_start(x0, tol)
+    n = len(x0)
+    saw_bad = [False]
+
+    def rhs(t, y):                  # y = (x, Phi row by row, int tr J)
+        x = y[:n]
+        J = sys.jacobian(t, x)
+        dy = np.empty_like(y)
+        dy[:n] = sys.f(t, x)
+        np.matmul(J, y[n:-1].reshape(n, n), out=dy[n:-1].reshape(n, n))
+        dy[-1] = J.trace()
+        if not np.isfinite(dy).all():
+            saw_bad[0] = True
+        return dy
+
+    y0 = np.concatenate([x0, np.eye(n).ravel(), [0.0]])
+    sol = solve_ivp(rhs, (0.0, T), y0, method="RK45", rtol=tol,
+                    atol=tol * 1e-3)
+    _check_solution(sol, saw_bad[0])
+    yT = sol.y[:, -1]
+    return yT[:n], yT[n:-1].reshape(n, n), float(yT[-1])
+
 
 class PoincareMap:
     """Time-T flow map of a (forced) system; composable for iteration."""
@@ -118,32 +148,41 @@ class PoincareMap:
         traj = integrate(self.sys, x, (0.0, cycles * self.T), tol=self.tol)
         return traj.states[-1]
 
+    def variational(self, x):
+        """``flow_map`` over one period at this map's tol."""
+        return flow_map(self.sys, x, self.T, self.tol)
 
-def poincare_map(sys, x, T=None, tol=1e-10):
-    return PoincareMap(sys, T=T, tol=tol)(x)
+
+@dataclass(frozen=True)
+class FloquetResult:
+    multipliers: np.ndarray
+    monodromy: np.ndarray
+    determinant_check: float      # det(M) / exp(integral of trace)
+
+
+def _floquet_result(M, trace_integral):
+    return FloquetResult(
+        multipliers=np.linalg.eigvals(M), monodromy=M,
+        determinant_check=float(np.linalg.det(M) / math.exp(trace_integral)))
 
 
 @dataclass(frozen=True)
 class FixedPointResult:
+    """``floquet``: the monodromy of ``location``, from the integration
+    that gave its residual; ``multipliers`` and ``classification`` read it."""
+
     location: np.ndarray
     residual_norm: float
-    multipliers: np.ndarray
-    classification: str
+    floquet: FloquetResult
     iterations: int
 
+    @property
+    def multipliers(self):
+        return self.floquet.multipliers
 
-def _map_jacobian(map_fn, x, fx=None):
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if fx is None:
-        fx = np.asarray(map_fn(x))
-    J = np.empty((n, n))
-    for j in range(n):
-        h = 1e-6 * (1.0 + np.linalg.norm(x))
-        xp = x.copy()
-        xp[j] += h
-        J[:, j] = (np.asarray(map_fn(xp)) - fx) / h
-    return J, fx
+    @property
+    def classification(self):
+        return classify_multipliers(self.floquet.multipliers)
 
 
 def classify_multipliers(mults, kind="map"):
@@ -160,91 +199,51 @@ def classify_multipliers(mults, kind="map"):
     return "saddle"
 
 
-def newton_fixed_point(map_fn, guess, tol=1e-10, max_iter=50):
-    """Damped Newton iteration for map(x) = x with finite-difference
-    jacobians of the map."""
+def newton_fixed_point(pmap, guess, tol=1e-10, max_iter=50):
+    """Damped Newton iteration for P(x) = x on a PoincareMap. One
+    ``pmap.variational`` integration per trial point gives the residual and
+    the exact jacobian Phi_T - I; the converged point's Phi_T is returned as
+    its Floquet monodromy."""
     x = np.asarray(guess, dtype=float)
-    fx = np.asarray(map_fn(x))
-    res = fx - x
-    rnorm = np.linalg.norm(res)
-    for it in range(max_iter):
+    fx, Phi, trace_integral = pmap.variational(x)
+    rnorm = np.linalg.norm(fx - x)
+    for it in range(max_iter + 1):
         if rnorm < tol:
-            J, _ = _map_jacobian(map_fn, x, fx)
-            mults = np.linalg.eigvals(J)
-            return FixedPointResult(location=x, residual_norm=float(rnorm),
-                                    multipliers=mults,
-                                    classification=classify_multipliers(mults),
-                                    iterations=it)
-        J, fx = _map_jacobian(map_fn, x, fx)
+            return FixedPointResult(
+                location=x, residual_norm=float(rnorm),
+                floquet=_floquet_result(Phi, trace_integral), iterations=it)
+        if it == max_iter:
+            break
         try:
-            delta = np.linalg.solve(J - np.eye(len(x)), -res)
+            delta = np.linalg.solve(Phi - np.eye(len(x)), x - fx)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("singular Newton system") from exc
         # damped line search: halve until the residual actually drops
         lam = 1.0
         for _ in range(25):
             xn = x + lam * delta
-            fn = np.asarray(map_fn(xn))
-            rn = np.linalg.norm(fn - x - lam * delta)
+            fn, Phin, trn = pmap.variational(xn)
+            rn = np.linalg.norm(fn - xn)
             if rn < rnorm or lam < 1e-6:
                 break
             lam *= 0.5
-        x, fx = xn, fn
-        res = fx - x
-        rnorm = np.linalg.norm(res)
-    if rnorm < tol:
-        J, _ = _map_jacobian(map_fn, x, fx)
-        mults = np.linalg.eigvals(J)
-        return FixedPointResult(location=x, residual_norm=float(rnorm),
-                                multipliers=mults,
-                                classification=classify_multipliers(mults),
-                                iterations=max_iter)
+        x, fx, Phi, trace_integral, rnorm = xn, fn, Phin, trn, rn
     raise NoConvergence(f"Newton stalled at residual {rnorm:.3g}")
 
 
-# ---------------------------------------------------------------------------
-# Floquet / monodromy
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FloquetResult:
-    multipliers: np.ndarray
-    monodromy: np.ndarray
-    determinant_check: float      # det(M) / exp(integral of trace)
-
-
 def floquet(sys, periodic_point, T=None, tol=1e-10, periodicity_tol=1e-6):
-    """Monodromy matrix by integrating the variational equation alongside
-    the flow; the trace integral is carried too so the Liouville determinant
-    identity can be verified exactly on the same mesh."""
+    """Monodromy Phi_T of ``flow_map`` at a point that returns to itself
+    within ``periodicity_tol`` (relative); ``determinant_check`` is
+    det(Phi_T) / exp(int tr J), 1 by Liouville's formula."""
     T = T if T is not None else sys.period
     if T is None:
         raise InputError("period required")
     x0 = np.asarray(periodic_point, dtype=float)
-    n = sys.dim
-
-    def rhs(t, y):
-        x = y[:n]
-        Phi = y[n:n + n * n].reshape(n, n)
-        J = sys.jacobian(t, x)
-        return np.concatenate([np.asarray(sys.f(t, x), dtype=float),
-                               (J @ Phi).ravel(),
-                               [np.trace(J)]])
-
-    y0 = np.concatenate([x0, np.eye(n).ravel(), [0.0]])
-    sol = solve_ivp(rhs, (0.0, T), y0, method="RK45", rtol=tol, atol=tol * 1e-3)
-    if not sol.success:
-        raise StepUnderflow(sol.message)
-    yT = sol.y[:, -1]
-    xT = yT[:n]
+    xT, M, trace_integral = flow_map(sys, x0, T, tol)
     gap = np.linalg.norm(xT - x0)
     if gap > periodicity_tol * (1.0 + np.linalg.norm(x0)):
         raise NotPeriodic(f"|phi_T(x) - x| = {gap:.3g}")
-    M = yT[n:n + n * n].reshape(n, n)
-    trace_integral = yT[-1]
-    det_check = float(np.linalg.det(M) / math.exp(trace_integral))
-    return FloquetResult(multipliers=np.linalg.eigvals(M), monodromy=M,
-                         determinant_check=det_check)
+    return _floquet_result(M, trace_integral)
 
 
 # ---------------------------------------------------------------------------

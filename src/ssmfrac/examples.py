@@ -139,8 +139,8 @@ def shaw_pierre_unforced():
 
 def shaw_pierre_forced():
     """Newton fixed points of the forced chain's period map and their
-    Floquet multipliers; raw result ``orbits``, {label: (FixedPointResult,
-    FloquetResult)}."""
+    Floquet multipliers, from the monodromy Newton converged with; raw
+    result ``orbits``, {label: (FixedPointResult, FloquetResult)}."""
     c, m, A_f, Omega = 0.03, 1.0, 0.11, 1.07
     T = 2.0 * np.pi / Omega
     sys_ = dynamics.testbed("shaw_pierre",
@@ -149,8 +149,7 @@ def shaw_pierre_forced():
     found = {}
     for label, seed in dynamics.FORCED_SEEDS.items():
         res = dynamics.newton_fixed_point(pmap, seed, tol=1e-9)
-        fl = dynamics.floquet(sys_, res.location, T, tol=1e-11)
-        found[label] = (res, fl)
+        found[label] = (res, res.floquet)
 
     locs = [res.location for res, _ in found.values()]
     distinct = all(np.linalg.norm(locs[i] - locs[j]) > 1e-3

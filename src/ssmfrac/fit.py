@@ -21,7 +21,7 @@ from .dictionary import Dictionary, dictionary_from_json
 from .errors import (BadFitSettings, BadParams, Diverged, InputError,
                      InsufficientData, LengthMismatch, NonFiniteData,
                      OutOfRadius, RankDeficient, StepTooCoarse)
-from .jsonio import dump_json, load_json
+from .jsonio import dump_json, load_json, member, number, numbers
 from .trajectory import Trajectory
 
 RANK_DEFICIENT_COND = 1e12
@@ -157,11 +157,14 @@ def _coeffs_to_jsonable(coeffs):
     return [[float(c) for c in row] for row in coeffs]
 
 
-def _coeffs_from_jsonable(rows):
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim == 3:                       # [re, im] pairs
+def _coeffs_from_jsonable(rows, n_terms, what):
+    """(n_terms, channels) coefficients from rows of numbers or of [re, im]
+    pairs."""
+    first = rows[0] if isinstance(rows, list) and rows else None
+    if isinstance(first, list) and first and isinstance(first[0], list):
+        arr = numbers(rows, what, (n_terms, None, 2))
         return arr[..., 0] + 1j * arr[..., 1]
-    return arr
+    return numbers(rows, what, (n_terms, None))
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +286,36 @@ class ReducedFit:
 
 
 def model_from_json(source):
-    """Load a GraphFit or ReducedFit written by to_json."""
+    """Load a GraphFit or ReducedFit written by to_json; a document with a
+    missing key or a value of the wrong type raises InputError."""
     doc = load_json(source)
-    dictionary = dictionary_from_json(doc["dictionary"])
-    coeffs = _coeffs_from_jsonable(doc["coefficients"])
-    diag = doc["diagnostics"]
-    if doc["model"] == "graph":
+    what = "model document"
+    model = member(doc, "model", str, what)
+    if model not in ("graph", "reduced_map", "reduced_flow"):
+        raise InputError(f"{what}: unknown model {model!r}")
+    dictionary = dictionary_from_json(member(doc, "dictionary", dict, what))
+    coeffs = _coeffs_from_jsonable(member(doc, "coefficients", list, what),
+                                   len(dictionary), f"{what} 'coefficients'")
+    diag = member(doc, "diagnostics", dict, what)
+    what = "model diagnostics"
+    residuals = numbers(member(diag, "residuals", list, what),
+                        f"{what} 'residuals'", (coeffs.shape[1],))
+    condition_number = member(diag, "condition_number", (int, float), what)
+    if model == "graph":
+        coords = {key: tuple(member(diag, key, list, what))
+                  for key in ("master_coords", "slaved_coords")}
+        if not all(type(i) is int and i >= 0
+                   for i in coords["master_coords"] + coords["slaved_coords"]):
+            raise InputError(f"{what}: coordinates must be non-negative "
+                             "integers")
         return GraphFit(dictionary=dictionary, coefficients=coeffs,
-                        residuals=np.asarray(diag["residuals"]),
-                        condition_number=diag["condition_number"],
-                        master_coords=tuple(diag["master_coords"]),
-                        slaved_coords=tuple(diag["slaved_coords"]))
-    kind = doc["model"].split("_", 1)[1]
-    return ReducedFit(dictionary=dictionary, coefficients=coeffs, kind=kind,
-                      residuals=np.asarray(diag["residuals"]),
-                      condition_number=diag["condition_number"],
-                      training_amplitude=diag["training_amplitude"])
+                        residuals=residuals, condition_number=condition_number,
+                        **coords)
+    return ReducedFit(dictionary=dictionary, coefficients=coeffs,
+                      kind=model.split("_", 1)[1], residuals=residuals,
+                      condition_number=condition_number,
+                      training_amplitude=number(diag, "training_amplitude",
+                                                what))
 
 
 def fit_reduced_map(series, dictionary, ridge=0.0):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (DefectiveMatrix, InputError, NonFiniteData,
                      NonInvariantSplit, NotHyperbolic)
-from .jsonio import dump_json, load_json
+from .jsonio import dump_json, load_json, member, numbers
 
 # hyperbolicity margins (relative to ||A|| for flows, absolute for maps)
 FLOW_HYPERBOLICITY_RTOL = 1e-10
@@ -34,6 +34,12 @@ MAP_HYPERBOLICITY_TOL = 1e-10
 RESONANCE_TOL = 1e-9
 # eigenvector matrix condition number beyond which we refuse to proceed
 DEFECTIVE_COND = 1e8
+
+
+# the eigenvalue lists of a spectrum document: entry shape, and the key of
+# the count written beside the list
+_DOC_LISTS = {"lambda": ((None,), "p"), "alpha_omega": ((None, 2), "q"),
+              "kappa": ((None,), "r"), "beta_nu": ((None, 2), "s")}
 
 
 @dataclass(frozen=True)
@@ -142,11 +148,25 @@ class SpectralPartition:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(kind=d["kind"],
-                   lam=tuple(d.get("lambda", ())),
-                   alpha_omega=tuple(tuple(p) for p in d.get("alpha_omega", ())),
-                   kappa=tuple(d.get("kappa", ())),
-                   beta_nu=tuple(tuple(p) for p in d.get("beta_nu", ())))
+        """Inverse of to_dict. ``kind`` is required; absent lists are empty,
+        and the counts p, q, r, s, where given, must match them."""
+        what = "spectrum document"
+        kind = member(d, "kind", str, what)
+        counts = {count for _, count in _DOC_LISTS.values()}
+        unknown = sorted(set(d) - set(_DOC_LISTS) - counts - {"kind"})
+        if unknown:
+            raise InputError(f"{what} has unknown keys {unknown}")
+        lists = {}
+        for key, (shape, count) in _DOC_LISTS.items():
+            lists[key] = numbers(d.get(key, []), f"{what} {key!r}",
+                                 shape).tolist()
+            if count in d and member(d, count, int, what) != len(lists[key]):
+                raise InputError(f"{what}: {count!r} = {d[count]} does not "
+                                 f"match the {len(lists[key])} entries of "
+                                 f"{key!r}")
+        return cls(kind=kind, lam=lists["lambda"],
+                   alpha_omega=lists["alpha_omega"], kappa=lists["kappa"],
+                   beta_nu=lists["beta_nu"])
 
     @classmethod
     def from_json(cls, source):

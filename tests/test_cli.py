@@ -3,9 +3,13 @@ files, manifests and determinism."""
 
 import json
 import os
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmfrac import cli, dictionary, fit, spectrum
 from ssmfrac.trajectory import Trajectory
@@ -256,6 +260,21 @@ def test_fit_non_json_spectrum_is_input_error(tmp_path, capsys):
     assert "not valid JSON" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc", ["{}", '{"kind": "map", "lambda": ["x"]}',
+                                 "[1]"], ids=["no-kind", "text-lambda",
+                                              "array"])
+def test_fit_malformed_spectrum_is_input_error(tmp_path, capsys, doc):
+    bad = tmp_path / "spectrum.json"
+    bad.write_text(doc)
+    data_dir = tmp_path / "data"
+    write_model_data(data_dir)
+    code = cli.main(["fit", "--data", str(data_dir), "--spectrum", str(bad),
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "spectrum document" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cell", ["abc", "nan"])
 def test_fit_bad_data_cell_is_input_error(tmp_path, capsys, cell):
     """A non-numeric or NaN state cell is rejected before any fit runs."""
@@ -335,3 +354,133 @@ def test_reproduce_sp_unforced(tmp_path, capsys):
     assert code == 0
     checks = json.loads((out / "checks.json").read_text())
     assert all(entry["passed"] for entry in checks)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: documented exit codes for any file contents
+# ---------------------------------------------------------------------------
+
+EXIT_CODES = {0, 1, 2, 3}
+
+# values of the wrong type, non-finite or out of range for any setting
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+JUNK_KEYS = st.dictionaries(st.text(max_size=6), JUNK, max_size=1)
+# eigenvalue entries, the degenerate ones first (hypothesis favours them)
+RATE = st.one_of(st.sampled_from([0.0, 1.0, -1e-9, 1e-300, 1e300,
+                                  float("nan"), float("inf"), -0.5, 0.5]),
+                 st.floats(-3.0, 3.0))
+
+
+@st.composite
+def spectrum_documents(draw):
+    """A spectrum document shaped for a 1D or 2D library, with up to two
+    keys dropped or given junk values, or junk in place of the object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    pair = st.lists(RATE, min_size=2, max_size=2)
+    doc = draw(st.fixed_dictionaries({
+        "kind": st.sampled_from(["map", "flow"]),
+        "lambda": st.lists(RATE, max_size=2),
+        "alpha_omega": st.lists(pair, max_size=1),
+        "kappa": st.lists(RATE, max_size=3),
+        "beta_nu": st.lists(pair, max_size=2)}))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from([*doc, "p", "q", "r", "s", "extra"]))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(JUNK)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A valid spectrum file and map-trajectory directory to vary."""
+    base = tmp_path_factory.mktemp("fuzz")
+    write_model_data(base / "data")
+    return SimpleNamespace(base=str(base), data=str(base / "data"),
+                           spectrum=couette_spectrum_json(base / "s.json"))
+
+
+def run_cli(argv):
+    code = cli.main(argv)
+    assert code in EXIT_CODES
+    return code
+
+
+def fit_argv(inputs, work, spectrum_path=None, data=None):
+    return ["fit", "--data", data or inputs.data,
+            "--spectrum", spectrum_path or inputs.spectrum,
+            "--order", "3", "--kind", "map", "--ridge", "1e-8",
+            "--outdir", os.path.join(work, "out")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=spectrum_documents())
+def test_fuzz_spectrum_document(fuzz_inputs, doc):
+    with tempfile.TemporaryDirectory(dir=fuzz_inputs.base) as work:
+        path = os.path.join(work, "s.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        run_cli(fit_argv(fuzz_inputs, work, spectrum_path=path))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=st.fixed_dictionaries({}, optional={
+    "testbed": st.one_of(st.sampled_from(["planar", "mixed3d", "shaw_pierre",
+                                          "lorenz"]), JUNK),
+    "params": st.one_of(st.sampled_from(["a=2", "c=0.5,b=1", "a=-1", "x=1",
+                                         "a", "gamma=0,A=1"]), JUNK),
+    "kind": st.one_of(st.sampled_from(["flow", "map"]), JUNK),
+    "masters": st.one_of(st.integers(-1, 5), JUNK),
+    "matrix": JUNK, "map_logs": JUNK}).flatmap(
+    lambda d: JUNK_KEYS.map(lambda extra: {**extra, **d})))
+def test_fuzz_spectrum_config(fuzz_inputs, config):
+    with tempfile.TemporaryDirectory(dir=fuzz_inputs.base) as work:
+        path = os.path.join(work, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        run_cli(["spectrum", "--testbed", "planar", "--config", path,
+                 "--outdir", os.path.join(work, "out")])
+
+
+SETTINGS = st.sampled_from([-1, 0, 1e-8, 0.05, 3, "3", float("nan"),
+                            float("inf"), None, True, "x", [3]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=st.fixed_dictionaries({}, optional={
+    "order": SETTINGS, "prune": SETTINGS, "ridge": SETTINGS,
+    "kind": st.one_of(st.sampled_from(["flow", "map"]), JUNK),
+    "integer_only": st.one_of(st.booleans(), JUNK)}).flatmap(
+    lambda d: JUNK_KEYS.map(lambda extra: {**extra, **d})))
+def test_fuzz_fit_config(fuzz_inputs, config):
+    with tempfile.TemporaryDirectory(dir=fuzz_inputs.base) as work:
+        path = os.path.join(work, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        run_cli(fit_argv(fuzz_inputs, work) + ["--config", path])
+
+
+@settings(max_examples=30, deadline=None)
+@given(row=st.integers(0, 41), col=st.integers(0, 2),
+       cell=st.one_of(st.text(max_size=8), st.sampled_from(
+           ["", "nan", "-inf", "1e999", "0x10", "1_0", " 2 ", "1,2"])))
+def test_fuzz_trajectory_cell(fuzz_inputs, row, col, cell):
+    with tempfile.TemporaryDirectory(dir=fuzz_inputs.base) as work:
+        data = os.path.join(work, "data")
+        os.makedirs(data)
+        for name in sorted(os.listdir(fuzz_inputs.data)):
+            with open(os.path.join(fuzz_inputs.data, name)) as fh:
+                lines = fh.read().splitlines()
+            if name == "traj1.csv":
+                cells = lines[row].split(",")
+                cells[min(col, len(cells) - 1)] = cell
+                lines[row] = ",".join(cells)
+            with open(os.path.join(data, name), "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        run_cli(fit_argv(fuzz_inputs, work, data=data))

@@ -430,6 +430,37 @@ def test_json_round_trip_fractional():
     np.testing.assert_allclose(clone.evaluate(u), d.evaluate(u), atol=1e-14)
 
 
+def test_json_round_trip_keeps_text():
+    for d in (dictionary.dictionary_map_1d(couette_spec(), K=5),
+              dictionary.integer_dictionary(2, 3)):
+        text = d.to_json()
+        assert dictionary.dictionary_from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize("path, value", [
+    (("family",), None), (("family",), "cubic"), (("truncation",), "5"),
+    (("monomials",), "x"), (("spectrum",), []), (("metadata",), 1),
+    (("monomials", 0, "order"), None), (("monomials", 0, "pruned"), "no"),
+    (("monomials", 0, "multi_index"), [1]),
+    (("monomials", 0, "multi_index"), [-1, 0, 0, 0, 0]),
+    (("monomials", 0, "multi_index"), [0.5, 0, 0, 0, 0]),
+    (("monomials", 0, "amp_exponent"), ["x"]),
+    (("monomials", 0, "phase_coeff"), float("inf"))])
+def test_from_json_rejects_malformed_documents(path, value):
+    """None deletes the key."""
+    doc = dictionary.dictionary_map_1d(couette_spec(), K=3).to_dict()
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(InputError):
+        dictionary.dictionary_from_json(doc)
+
+
 def test_json_round_trip_integer():
     d = dictionary.integer_dictionary(2, 3)
     clone = dictionary.dictionary_from_json(d.to_json())

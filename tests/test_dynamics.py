@@ -85,10 +85,17 @@ def test_sample_as_map_delta_too_large():
 # fixed points of the forced oscillator chain
 # ---------------------------------------------------------------------------
 
-def test_forced_chain_has_three_distinct_fixed_points():
+@pytest.fixture(scope="module")
+def forced_fixed_points():
+    """Newton results on the forced chain's period map (tol 1e-10), by
+    seed label."""
     pmap = dynamics.PoincareMap(forced_system())
-    results = {name: dynamics.newton_fixed_point(pmap, seed, tol=1e-9)
-               for name, seed in dynamics.FORCED_SEEDS.items()}
+    return {name: dynamics.newton_fixed_point(pmap, seed, tol=1e-9)
+            for name, seed in dynamics.FORCED_SEEDS.items()}
+
+
+def test_forced_chain_has_three_distinct_fixed_points(forced_fixed_points):
+    results = forced_fixed_points
     locs = [r.location for r in results.values()]
     for i in range(3):
         for j in range(i + 1, 3):
@@ -114,11 +121,9 @@ def test_unforced_linear_map_multipliers():
     assert res.determinant_check == pytest.approx(1.0, abs=1e-9)
 
 
-def test_floquet_liouville_on_forced_orbits():
+def test_floquet_liouville_on_forced_orbits(forced_fixed_points):
     sys = forced_system()
-    for seed in dynamics.FORCED_SEEDS.values():
-        pmap = dynamics.PoincareMap(sys)
-        fp = dynamics.newton_fixed_point(pmap, seed, tol=1e-9)
+    for fp in forced_fixed_points.values():
         res = dynamics.floquet(sys, fp.location, T=FORCED_T,
                                periodicity_tol=1e-5)
         assert res.determinant_check == pytest.approx(1.0, abs=1e-6)
@@ -138,6 +143,57 @@ def test_floquet_product_is_liouville_determinant(c, gamma, T, x0):
     liouville = math.exp(-3.0 * c * T / sys.params["m"])
     assert np.prod(res.multipliers).real == pytest.approx(liouville,
                                                           rel=1e-8)
+
+
+def test_newton_multipliers_are_floquet_multipliers(forced_fixed_points):
+    """Newton's converged monodromy is the Floquet result at its location,
+    and the classification reads those multipliers."""
+    sys = forced_system()
+    for res in forced_fixed_points.values():
+        fl = dynamics.floquet(sys, res.location, FORCED_T, tol=1e-10)
+        np.testing.assert_allclose(res.multipliers, fl.multipliers,
+                                   rtol=0, atol=1e-9)
+        assert res.classification == \
+            dynamics.classify_multipliers(fl.multipliers)
+        assert res.floquet.determinant_check == pytest.approx(1.0, abs=1e-8)
+
+
+def test_jacobian_without_jac_is_input_error():
+    sys = dynamics.FlowSystem(dim=1, f=lambda t, x: -x)
+    with pytest.raises(InputError):
+        sys.jacobian(0.0, [1.0])
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.floats(0.0, 0.5), st.floats(0.1, 1.0), st.floats(0.0, 0.3),
+       st.floats(0.3, 1.5),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_flow_map_jacobian_matches_central_differences(c, gamma, A, T, x0):
+    """Phi_T is the jacobian of the state map: central differences of
+    separately integrated states agree to 1e-6 relative."""
+    sys = dynamics.testbed("shaw_pierre", {"c": c, "gamma": gamma, "A": A,
+                                           "Omega": 1.07})
+    _, Phi, _ = dynamics.flow_map(sys, x0, T, tol=1e-12)
+    h = 1e-4
+    fd = np.empty((4, 4))
+    for j in range(4):
+        step = h * np.eye(4)[j]
+        ends = [dynamics.integrate(sys, np.add(x0, sgn * step), (0.0, T),
+                                   tol=1e-12).states[-1] for sgn in (1, -1)]
+        fd[:, j] = (ends[0] - ends[1]) / (2 * h)
+    assert np.linalg.norm(Phi - fd) <= 1e-6 * np.linalg.norm(Phi)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.1, 3.0),
+       st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=2))
+def test_flow_map_determinant_is_exp_trace_integral(T, x0):
+    """On the planar testbed tr J = (y - b) + c (x - a) changes along the
+    orbit; det Phi_T = exp(int tr J) (Liouville) to 1e-8 relative."""
+    sys = dynamics.testbed("planar")
+    _, Phi, trace_integral = dynamics.flow_map(sys, x0, T)
+    assert np.linalg.det(Phi) == pytest.approx(math.exp(trace_integral),
+                                               rel=1e-8)
 
 
 def test_floquet_rejects_nonperiodic_point():

@@ -464,6 +464,33 @@ def test_reduced_fit_json_round_trip(tmp_path):
     assert clone.rhs(0.2) == pytest.approx(m.rhs(0.2), abs=1e-14)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("model", None), ("model", "reduced_spline"), ("coefficients", None),
+    ("coefficients", [["a"]]), ("coefficients", [[0.5]]),
+    ("diagnostics", []), ("residuals", ["x"]), ("residuals", [0.1, 0.2]),
+    ("training_amplitude", "big"), ("condition_number", None)])
+def test_model_from_json_rejects_malformed_documents(key, value):
+    """None deletes the key; the last four edit the diagnostics."""
+    doc = json.loads(linear_map_model().to_json())
+    target = doc if key in doc else doc["diagnostics"]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(InputError):
+        fit.model_from_json(json.dumps(doc))
+
+
+def test_graph_model_from_json_rejects_fractional_coordinates(tmp_path):
+    d = dictionary.dictionary_flow_1d(planar_spec(), K=3)
+    traj = graph_traj(np.linspace(-1.0, 1.0, 41), lambda x: x ** 2)
+    doc = json.loads(fit.fit_graph(traj, d, master_coords=(0,),
+                                   slaved_coords=(1,)).to_json())
+    doc["diagnostics"]["master_coords"] = [0.5]
+    with pytest.raises(InputError):
+        fit.model_from_json(json.dumps(doc))
+
+
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------

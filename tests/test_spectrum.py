@@ -49,6 +49,20 @@ def test_json_round_trip():
     assert clone == part
 
 
+@pytest.mark.parametrize("doc", [
+    [1], {}, {"kind": 3}, {"kind": "map", "lambda": ["x"]},
+    {"kind": "map", "lambda": [float("nan")]},
+    {"kind": "map", "lambda": [True]},
+    {"kind": "flow", "alpha_omega": [[-1.0]]},
+    {"kind": "flow", "beta_nu": [-1.0, 2.0]},
+    {"kind": "flow", "lambda": [-1.0], "p": 2},
+    {"kind": "flow", "lambda": [-1.0], "p": "1"},
+    {"kind": "flow", "lambda": [-1.0], "junk": 1}])
+def test_from_dict_rejects_malformed_documents(doc):
+    with pytest.raises(InputError):
+        spectrum.SpectralPartition.from_dict(doc)
+
+
 def test_from_map_logs_recovers_ratios():
     part = spectrum.SpectralPartition.from_map_logs(
         [COUETTE_MASTER_LOG], COUETTE_SLAVED_LOGS)
