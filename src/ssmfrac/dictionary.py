@@ -15,6 +15,7 @@ is admitted when 1 <= order <= K + 1e-9.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -29,7 +30,7 @@ from .spectrum import SpectralPartition
 ORDER_SLACK = 1e-9          # order <= K + slack admits, keeps 4.000013 out at K=4
 TINY_AMPLITUDE = 1e-300     # below this, positive-exponent monomials evaluate to 0
 NEAR_INTEGER_FLAG_TOL = 0.05
-MAX_TERMS = 100_000         # slaved multiplicity vectors one library may hold
+MAX_TERMS = 100_000         # terms (and slaved vectors) one library may hold
 
 
 # ---------------------------------------------------------------------------
@@ -358,36 +359,80 @@ def _check_order(K):
         raise InputError(f"truncation order must be finite, got {K}")
 
 
+def _degrees(frac, K, top):
+    """The integer degrees n in [0, top] for which n + frac is an
+    admissible order, 1 <= order <= K (within ORDER_SLACK), as (lo, hi)."""
+    return (max(0, math.ceil(1.0 - ORDER_SLACK - frac)),
+            min(top, math.floor(K + ORDER_SLACK - frac)))
+
+
+def _pair_count(n, top):
+    """Number of (k2, k3) in [0, top]^2 with k2 + k3 <= n."""
+    if n < 0:
+        return 0
+    if n <= top:
+        return (n + 1) * (n + 2) // 2
+    return (top + 1) ** 2 - (2 * top - n) * (2 * top - n + 1) // 2
+
+
+def _term_count(family, spec, K, include_linear=True, n_vars=0):
+    """Number of monomials the family's builder makes at order K, counted
+    from the same degree ranges without building them. A non-finite order,
+    or more than MAX_TERMS terms, is an InputError."""
+    _check_order(K)
+    top = max(int(K + ORDER_SLACK), 0)
+    if family == "integer":
+        count = math.comb(max(int(K), 0) + n_vars, n_vars) - 1
+    elif family.endswith("1d"):
+        count = 0
+        for k4, frac in _slaved_1d(spec, K):
+            lo, hi = _degrees(frac, K, top)
+            count += max(0, hi - lo + 1) - (
+                not include_linear and not any(k4) and lo <= 1 <= hi)
+    else:
+        count = 0
+        for k5, k6, frac, _ in _slaved_2d(spec, K):
+            lo, hi = _degrees(frac, K, 2 * top)
+            count += _pair_count(hi, top) - _pair_count(lo - 1, top) - 2 * (
+                not include_linear and not (any(k5) or any(k6))
+                and lo <= 1 <= hi)
+    if count > MAX_TERMS:
+        raise InputError(f"order {K} gives {count} terms, more than "
+                         f"{MAX_TERMS}")
+    return count
+
+
 def _library(spec, K, family, include_linear, build, *args):
     """Dictionary of ``family`` with the monomials of build(spec, K,
     include_linear, *args); spec must be of the family's kind."""
-    _check_order(K)
     kind = family.split("_")[0]
     if spec.kind != kind:
         raise WrongShape(f"{kind} dictionary on a {spec.kind} spectrum")
+    _term_count(family, spec, K, include_linear)
     return Dictionary(build(spec, K, include_linear, *args), spec, float(K),
                       family, metadata={"include_linear": include_linear})
 
 
+def _slaved_1d(spec, K):
+    """(k4, fractional exponent) of every slaved multiplicity vector."""
+    rhos = _ratios_1d(spec)
+    for k4 in _enumerate_k4([(rho, rho > 0) for rho in rhos], K):
+        yield k4, sum(k * rho for k, rho in zip(k4, rhos))
+
+
 def _build_1d(spec, K, include_linear, branch, flag_tol):
     rhos = _ratios_1d(spec)
-    weights = [(rho, rho > 0) for rho in rhos]
     monos = []
-    for k4 in _enumerate_k4(weights, K):
-        frac = sum(k * rho for k, rho in zip(k4, rhos))
-        for k1 in range(int(K + ORDER_SLACK) + 1):
-            order = k1 + frac
-            if order < 1.0 - ORDER_SLACK or order > K + ORDER_SLACK:
-                continue
-            if k1 == 0 and not any(k4):
-                continue
+    for k4, frac in _slaved_1d(spec, K):
+        lo, hi = _degrees(frac, K, int(K + ORDER_SLACK))
+        for k1 in range(lo, hi + 1):
             if not include_linear and k1 == 1 and not any(k4):
                 continue  # bare linear master term excluded from graph libraries
             near = any(k > 0 and abs(rho - round(rho)) < flag_tol and round(rho) != 0
                        for k, rho in zip(k4, rhos))
             monos.append(FractionalMonomial(
                 k1=(k1,), k4=k4, amp_exponents=(frac,),
-                order=order, branch=branch, near_integer=near))
+                order=k1 + frac, branch=branch, near_integer=near))
     return tuple(monos)
 
 
@@ -404,38 +449,41 @@ def dictionary_map_1d(spec, K, include_linear=True, branch="positive_only",
     return _library(spec, K, "map_1d", include_linear, _build_1d, branch, flag_tol)
 
 
-def _build_2d(spec, K, include_linear, flag_tol):
+def _slaved_2d(spec, K):
+    """(k5, k6, fractional exponent, phase coefficient) of every pair of
+    slaved multiplicity vectors whose exponent stays within K."""
     rates = _ratios_2d(spec)
-    weights = [(xi, xi > 0) for xi, _ in rates]
-    monos = []
-    kmax = int(K + ORDER_SLACK)
-    ks = _enumerate_k4(weights, K)
+    ks = _enumerate_k4([(xi, xi > 0) for xi, _ in rates], K)
     if len(ks) ** 2 > MAX_TERMS:
         raise InputError(f"order {K} gives more than {MAX_TERMS} slaved "
                          "multiplicity pairs")
     for k5 in ks:
         for k6 in ks:
             frac = sum((a + b) * xi for a, b, (xi, _) in zip(k5, k6, rates))
-            if frac > K + ORDER_SLACK:
-                continue
-            phase = sum((a - b) * g for a, b, (_, g) in zip(k5, k6, rates))
-            for k2 in range(kmax + 1):
-                for k3 in range(kmax + 1):
-                    order = k2 + k3 + frac
-                    if order < 1.0 - ORDER_SLACK or order > K + ORDER_SLACK:
-                        continue
-                    if k2 == 0 and k3 == 0 and not (any(k5) or any(k6)):
-                        continue
-                    if (not include_linear and k2 + k3 == 1
-                            and not (any(k5) or any(k6))):
-                        continue
-                    near = any((a + b) > 0 and abs(xi - round(xi)) < flag_tol
-                               and round(xi) != 0
-                               for a, b, (xi, _) in zip(k5, k6, rates))
-                    monos.append(FractionalMonomial(
-                        k2=(k2,), k3=(k3,), k5=k5, k6=k6,
-                        amp_exponents=(frac,), phase_coeff=phase,
-                        order=order, branch="symmetric", near_integer=near))
+            if frac <= K + ORDER_SLACK:
+                yield k5, k6, frac, sum((a - b) * g for a, b, (_, g)
+                                        in zip(k5, k6, rates))
+
+
+def _build_2d(spec, K, include_linear, flag_tol):
+    rates = _ratios_2d(spec)
+    monos = []
+    kmax = int(K + ORDER_SLACK)
+    for k5, k6, frac, phase in _slaved_2d(spec, K):
+        lo, hi = _degrees(frac, K, 2 * kmax)
+        near = any((a + b) > 0 and abs(xi - round(xi)) < flag_tol
+                   and round(xi) != 0
+                   for a, b, (xi, _) in zip(k5, k6, rates))
+        for k2 in range(kmax + 1):
+            for k3 in range(max(0, lo - k2), min(kmax, hi - k2) + 1):
+                if (not include_linear and k2 + k3 == 1
+                        and not (any(k5) or any(k6))):
+                    continue
+                monos.append(FractionalMonomial(
+                    k2=(k2,), k3=(k3,), k5=k5, k6=k6,
+                    amp_exponents=(frac,), phase_coeff=phase,
+                    order=k2 + k3 + frac, branch="symmetric",
+                    near_integer=near))
     return tuple(monos)
 
 
@@ -457,13 +505,16 @@ def integer_dictionary(n_vars, K, spec=None, kind="flow"):
     """Plain integer monomial library in n_vars master variables, total
     degree 1..K. Used for multi-master graph fits and integer-only
     comparison models."""
-    import itertools
-    _check_order(K)
+    _term_count("integer", spec, K, n_vars=n_vars)
     monos = []
-    for total in range(1, int(K) + 1):
-        for combo in itertools.product(range(total + 1), repeat=n_vars):
-            if sum(combo) == total:
-                monos.append(IntegerMonomial(powers=combo, order=float(total)))
+    for total in range(1, int(K) + 1) if n_vars else ():
+        # stars and bars: n_vars - 1 cuts among total + n_vars - 1 slots
+        for cuts in itertools.combinations(range(total + n_vars - 1),
+                                           n_vars - 1):
+            edges = (-1,) + cuts + (total + n_vars - 1,)
+            monos.append(IntegerMonomial(
+                powers=tuple(b - a - 1 for a, b in zip(edges, edges[1:])),
+                order=float(total)))
     if spec is None:
         spec = SpectralPartition(kind=kind, lam=tuple([-1.0] * n_vars))
     return IntegerDictionary(monomials=tuple(monos), spec=spec,

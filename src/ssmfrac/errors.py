@@ -124,8 +124,3 @@ class SmallDivisor(NumericalError):
 class OutOfRadius(InputError):
     """Pullback grid point outside the transform's configured validity
     radius."""
-
-
-class RatioOutOfRange(InputError):
-    """Fractional exponent ratio outside (1/2, 2); cubic polar truncation
-    not valid."""

@@ -17,13 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import linear_graph_eval
-from .errors import (InputError, OutOfRadius, SmallDivisor, WrongShape)
+from .dictionary import _ratios_2d, linear_graph_eval
+from .errors import (InputError, NoConvergence, OutOfRadius, SmallDivisor,
+                     WrongShape)
 from .jsonio import dump_json
 
 SMALL_DIVISOR_FACTOR = 1e-8
 COEFF_DROP = 1e-14
 ORDER_TOL = 1e-9
+# Linear step of the extended 2D normal form: binomial terms in delta are
+# kept while |delta|^j exceeds BINOMIAL_TAIL, and a delta that needs more than
+# MAX_BINOMIAL_POWER of them (|delta| above 0.63) raises NoConvergence.
+BINOMIAL_TAIL = 1e-20
+MAX_BINOMIAL_POWER = 100
+SWEEP_CELLS = 8192          # (term, lattice point) cells per composition block
 
 
 # ---------------------------------------------------------------------------
@@ -368,136 +375,270 @@ def resonance_test_2d(k1, k2, k5=0, k6=0):
     return k1 == k2 + 1
 
 
-def _fkey(a, b):
-    return (round(a.real, 10), round(a.imag, 10),
-            round(b.real, 10), round(b.imag, 10))
+def _prefix_pairs(counts):
+    """Index pairs (i, j) with 0 <= j < counts[i]."""
+    i = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return i, np.arange(len(i)) - np.repeat(starts, counts)
 
 
-def _funpack(key):
-    return complex(key[0], key[1]), complex(key[2], key[3])
+def _binomials(a, n):
+    """(len(a), n + 1) table of the generalized binomials C(a_t, j)."""
+    steps = (a[:, None] - np.arange(n)) / np.arange(1, n + 1)
+    return np.hstack([np.ones((len(a), 1)), np.cumprod(steps, axis=1)])
 
 
-def _fadd(d, a, b, c):
-    key = _fkey(a, b)
-    d[key] = d.get(key, 0.0) + c
-    if abs(d[key]) < COEFF_DROP:
-        del d[key]
+class _Lattice:
+    """Fractional series of a 2D model with one complex master pair.
 
+    A term c xi^a conj(xi)^b is keyed on the dictionary's integer
+    multiplicities k = (k2, k3, k5..., k6...): a = k2 + s and b = k3 + s
+    with s = sum k5 theta + sum k6 conj(theta), theta_m = (Xi_m + i
+    Gamma_m) / 2 from the generators of dictionary._ratios_2d, which are
+    never rounded. Keys add as exponents add, conjugation swaps k2 with k3
+    and k5 with k6, and a - b = k2 - k3 is the rotational index. A series
+    is a pair (keys, coeffs): an (n, dim) integer array and an (n,)
+    complex array.
+    """
 
-def _forder(key):
-    return key[0] + key[2]
+    def __init__(self, rates):
+        theta = np.array([complex(xi, g) / 2.0 for xi, g in rates],
+                         dtype=complex)
+        s = len(theta)
+        self.dim = 2 + 2 * s
+        self.theta = np.concatenate([theta, theta.conj()])
+        self.weight = np.concatenate([[1.0, 1.0], 2.0 * self.theta.real])
+        self.swap = np.concatenate([[1, 0], 2 + s + np.arange(s),
+                                    2 + np.arange(s)])
 
-
-def _fmul(d1, d2, K):
-    out = {}
-    for k1, c1 in d1.items():
-        a1, b1 = _funpack(k1)
-        for k2, c2 in d2.items():
-            a2, b2 = _funpack(k2)
-            if (a1 + a2 + b1 + b2).real > K + ORDER_TOL:
-                continue
-            _fadd(out, a1 + a2, b1 + b2, c1 * c2)
-    return out
-
-
-def _fconj(d):
-    """Field of the conjugate variable: term c xi^a w^b becomes
-    conj(c) xi^{conj b} w^{conj a}."""
-    out = {}
-    for k, c in d.items():
-        a, b = _funpack(k)
-        _fadd(out, np.conj(b), np.conj(a), np.conj(c))
-    return out
-
-
-def _fshift(d, da, db, factor_from=None):
-    """Multiply by xi^{da} w^{db}, or differentiate when factor_from picks
-    the exponent ('a' or 'b')."""
-    out = {}
-    for k, c in d.items():
-        a, b = _funpack(k)
-        fac = 1.0
-        if factor_from == "a":
-            fac = a
-        elif factor_from == "b":
-            fac = b
-        if fac == 0.0:
-            continue
-        _fadd(out, a + da, b + db, c * fac)
-    return out
-
-
-def _gen_binom(a, j):
-    out = 1.0 + 0.0j
-    for i in range(j):
-        out *= (a - i) / (i + 1)
-    return out
-
-
-def _fpower_composed(a, delta_over_base, base_is_a, K, base_order):
-    """(xi + delta)^a expanded as xi^a sum_j C(a,j) (delta/xi)^j, truncated
-    at total order K. delta_over_base is the series delta/xi (or delta/w)."""
-    min_o = min((_forder(k) for k in delta_over_base), default=None)
-    da, db = (a, 0.0) if base_is_a else (0.0, a)
-    out = {_fkey(complex(da), complex(db)): 1.0 + 0.0j}
-    if min_o is None or min_o <= ORDER_TOL:
+    def key(self, k2, k3):
+        """The one-row key array of the integer monomial xi^k2 conj(xi)^k3."""
+        out = np.zeros((1, self.dim), dtype=np.int64)
+        out[0, :2] = k2, k3
         return out
-    power = {_fkey(0.0 + 0.0j, 0.0 + 0.0j): 1.0 + 0.0j}
-    j = 1
-    while base_order + j * min_o <= K + ORDER_TOL:
-        power = _fmul(power, delta_over_base, K)
-        coef = _gen_binom(a, j)
-        for k, c in power.items():
-            aa, bb = _funpack(k)
-            _fadd(out, aa + da, bb + db, c * coef)
-        j += 1
-    return out
+
+    def at(self, keys, k2, k3):
+        """Rows of keys equal to key(k2, k3)."""
+        return np.all(keys == self.key(k2, k3), axis=1)
+
+    def exponents(self, keys):
+        s = keys[:, 2:] @ self.theta
+        return keys[:, 0] + s, keys[:, 1] + s
+
+    def order(self, keys):
+        return keys @ self.weight
+
+    def conj(self, series):
+        """The series of the conjugate: c xi^a conj(xi)^b becomes
+        conj(c) xi^conj(b) conj(xi)^conj(a)."""
+        keys, c = series
+        return keys[:, self.swap], c.conj()
+
+    @staticmethod
+    def _codes(kx, ky):
+        """Mixed-radix codes of the rows of kx and of ky over the box that
+        holds every sum of a row of kx and a row of ky, so that the sum of
+        two codes is the code of the sum of the keys; and the box's corner
+        and shape, which decode it."""
+        lx, ly = kx.min(axis=0), ky.min(axis=0)
+        dims = kx.max(axis=0) + ky.max(axis=0) - lx - ly + 1
+        return (np.ravel_multi_index((kx - lx).T, dims),
+                np.ravel_multi_index((ky - ly).T, dims), lx + ly, dims)
+
+    @staticmethod
+    def _sum_codes(codes, c):
+        """Distinct codes and the sums of their coefficients."""
+        codes, inv = np.unique(codes, return_inverse=True)
+        return codes, (np.bincount(inv, c.real, len(codes))
+                       + 1j * np.bincount(inv, c.imag, len(codes)))
+
+    def _gather(self, codes, c, corner, dims):
+        """The series of the coded terms: coefficients of equal codes
+        summed, sums of modulus <= COEFF_DROP dropped, keys decoded."""
+        codes, total = self._sum_codes(codes, c)
+        keep = np.abs(total) > COEFF_DROP
+        keys = np.column_stack(np.unravel_index(codes[keep], dims)) + corner
+        return keys.reshape(-1, len(dims)), total[keep]
+
+    def merge(self, keys, c):
+        """Sum the coefficients of equal keys; sums of modulus <= COEFF_DROP
+        are dropped."""
+        if not len(keys):
+            return keys, c
+        corner = keys.min(axis=0)
+        dims = keys.max(axis=0) - corner + 1
+        return self._gather(np.ravel_multi_index((keys - corner).T, dims), c,
+                            corner, dims)
+
+    def mul(self, x, y, K):
+        """Product of two series, truncated at order K."""
+        (kx, cx), (ky, cy) = x, y
+        rows = np.argsort(self.order(ky), kind="stable")
+        ky, cy = ky[rows], cy[rows]
+        # the factors of y that row i of x may take: a prefix by order
+        i, j = _prefix_pairs(np.searchsorted(
+            self.order(ky), K + ORDER_TOL - self.order(kx), side="right"))
+        if not len(i):
+            return kx[:0], cx[:0]
+        codes_x, codes_y, corner, dims = self._codes(kx, ky)
+        return self._gather(codes_x[i] + codes_y[j], cx[i] * cy[j], corner,
+                            dims)
+
+    def pair_table(self, P, n, room):
+        """R_ij = P^i conj(P)^j for i + j <= n, powers of P truncated at
+        order room: a ((n + 1)(n + 2) / 2, U) matrix over the U distinct
+        lattice points of the table, sorted by order, and their keys. Built
+        one i at a time, so the temporaries stay those of one row."""
+        powers = [(self.key(0, 0), np.ones(1, dtype=complex))]
+        for _ in range(n):
+            powers.append(self.mul(powers[-1], P, room))
+        pk, pc = map(np.concatenate, zip(*powers))
+        ends = np.cumsum([len(p[1]) for p in powers])
+        codes_p, codes_q, corner, dims = self._codes(pk, pk[:, self.swap])
+
+        def row(i):
+            """Entries of P^i times those of conj(P)^j, j <= n - i."""
+            x, y = _prefix_pairs(np.full(len(powers[i][1]), ends[n - i]))
+            return x + ends[i] - len(powers[i][1]), y
+
+        cells = np.unique(np.concatenate(
+            [codes_p[x] + codes_q[y] for x, y in map(row, range(n + 1))]))
+        keys = np.column_stack(np.unravel_index(cells, dims)) + corner
+        by_order = np.argsort(self.order(keys), kind="stable")
+        rank = np.empty_like(by_order)
+        rank[by_order] = np.arange(len(by_order))
+        R = np.zeros((n + 1) * (n + 2) // 2 * len(keys), dtype=complex)
+        power_of = np.repeat(np.arange(n + 1), np.diff(ends, prepend=0))
+        first_pair = 0                      # pairs (i, j) in order of i, j
+        for i in range(n + 1):
+            x, y = row(i)
+            cell = (first_pair + power_of[y]) * len(keys) + rank[
+                np.searchsorted(cells, codes_p[x] + codes_q[y])]
+            coeffs = pc.conj()[y]
+            coeffs *= pc[x]
+            R.real += np.bincount(cell, coeffs.real, len(R))
+            R.imag += np.bincount(cell, coeffs.imag, len(R))
+            first_pair += n + 1 - i
+        return R.reshape(-1, len(keys)), keys[by_order]
+
+    def compose(self, F, P, n, K):
+        """F at z = xi (1 + P), truncated at order K: each term
+        c xi^a conj(xi)^b becomes c xi^a conj(xi)^b sum_{i+j<=n} C(a, i)
+        C(b, j) P^i conj(P)^j. The pair table is formed once; the binomial
+        weights of all terms act on it through one matrix product and one
+        scatter-add per block of about SWEEP_CELLS cells, which bounds the
+        temporaries."""
+        keys, c = F
+        rows = np.argsort(self.order(keys), kind="stable")
+        keys, c = keys[rows], c[rows]
+        order = self.order(keys)
+        R, ukeys = self.pair_table(P, n, K - order[0])
+        uorder = self.order(ukeys)
+        ia = np.repeat(np.arange(n + 1), n + 1 - np.arange(n + 1))
+        jb = np.concatenate([np.arange(n + 1 - i) for i in range(n + 1)])
+        a, b = self.exponents(keys)
+        codes_f, codes_u, corner, dims = self._codes(keys, ukeys)
+        out_codes, out_c = [], []
+        lo = 0
+        while lo < len(keys):
+            # terms are sorted by order: the first one reaches most columns
+            width = np.searchsorted(uorder, K - order[lo] + ORDER_TOL,
+                                    side="right")
+            blk = slice(lo, lo + max(1, SWEEP_CELLS // width))
+            lo = blk.stop
+            M = (c[blk, None] * _binomials(a[blk], n)[:, ia]
+                 * _binomials(b[blk], n)[:, jb]) @ R[:, :width]
+            t, u = np.nonzero(order[blk, None] + uorder[:width]
+                              <= K + ORDER_TOL)
+            block_codes, block_c = self._sum_codes(codes_f[blk][t]
+                                                   + codes_u[u], M[t, u])
+            out_codes.append(block_codes)
+            out_c.append(block_c)
+        return self._gather(np.concatenate(out_codes), np.concatenate(out_c),
+                            corner, dims)
 
 
-def _fcompose(field_terms, delta, K):
-    """Field F evaluated at (xi + delta, w + conj-delta), truncated."""
-    dconj = _fconj(delta)
-    d_over_xi = _fshift(delta, -1.0, 0.0)
-    d_over_w = _fshift(dconj, 0.0, -1.0)
-    out = {}
-    for k, c in field_terms.items():
-        a, b = _funpack(k)
-        base_order = (a + b).real
-        za = _fpower_composed(a, d_over_xi, True, K, base_order)
-        zb = _fpower_composed(b, d_over_w, False, K, base_order)
-        prod = _fmul(za, zb, K)
-        for kk, cc in prod.items():
-            aa, bb = _funpack(kk)
-            _fadd(out, aa, bb, c * cc)
-    return out
+def _linear_step(lat, F, gamma, c):
+    """Remove the linear conj(z) term exactly: with omega = Im gamma,
+    z = xi + delta conj(xi) for the small root delta of
+    conj(c) delta^2 - 2 i omega delta - c = 0 turns gamma z + c conj(z)
+    into gamma' xi, gamma' = Re gamma + i sign(omega) sqrt(omega^2 - |c|^2).
+    Each term z^a conj(z)^b becomes a binomial series in delta whose terms
+    shift (k2, k3) by (-j, +j) and keep the order; the new field is
+    (zdot - delta conj(zdot)) / (1 - |delta|^2). Returns the field, gamma'
+    and delta."""
+    omega = gamma.imag
+    if abs(c) >= abs(omega):
+        raise InputError(f"linear part {gamma:.6g} z + {c:.6g} conj(z) has "
+                         f"no focus: |c| >= |Im gamma|")
+    root = math.copysign(math.sqrt(omega ** 2 - abs(c) ** 2), omega)
+    delta = 1j * c / (omega + root)
+    n = max(1, math.ceil(math.log(BINOMIAL_TAIL) / math.log(abs(delta))))
+    if n > MAX_BINOMIAL_POWER:
+        raise NoConvergence(f"the conj(z) substitution with |delta| = "
+                            f"{abs(delta):.3g} needs more than "
+                            f"{MAX_BINOMIAL_POWER} binomial terms")
+    P = (lat.key(-1, 1), np.array([delta]))       # delta conj(xi) / xi
+    zdot = lat.compose(F, P, n, math.inf)
+    keys, coeffs = lat.merge(*map(np.concatenate, zip(
+        zdot, lat.conj((zdot[0], -delta.conjugate() * zdot[1])))))
+    coeffs = coeffs / (1.0 - abs(delta) ** 2)
+    gamma1 = complex(gamma.real, root)
+    # the linear part is gamma' xi exactly; conj(xi) keeps only round-off
+    coeffs[lat.at(keys, 1, 0)] = gamma1
+    keep = ~lat.at(keys, 0, 1)
+    return (keys[keep], coeffs[keep]), gamma1, delta
 
 
-def _ftransform_field(field_terms, delta, K, batch_order):
-    """Transformed field after the near-identity substitution
-    z = xi + delta(xi, conj xi)."""
-    dconj = _fconj(delta)
-    da_xi = _fshift(delta, -1.0, 0.0, factor_from="a")
-    da_w = _fshift(delta, 0.0, -1.0, factor_from="b")
-    fz = _fcompose(field_terms, delta, K)
-    G = dict(fz)
-    n_iter = int(math.ceil((K - 1) / max(batch_order - 1.0, 1e-6))) + 1
-    for _ in range(n_iter):
-        prev, prev_c = G, _fconj(G)
-        G = dict(fz)
-        for k, c in _fmul(da_xi, prev, K).items():
-            a, b = _funpack(k)
-            _fadd(G, a, b, -c)
-        for k, c in _fmul(da_w, prev_c, K).items():
-            a, b = _funpack(k)
-            _fadd(G, a, b, -c)
-    return G
+def _sweep(lat, F, delta, K):
+    """Field in xi after z = xi + Delta(xi, conj xi), truncated at order K.
+    xidot solves xidot = F(xi + Delta) - D_xi Delta xidot - D_conj(xi) Delta
+    conj(xidot); the Neumann series for it gains o - 1 in order per term,
+    o the order of Delta."""
+    keys, d = delta
+    a, b = lat.exponents(keys)
+    o = lat.order(keys).min()
+    P = (keys - lat.key(1, 0), d)                  # Delta / xi
+    n = int((K - 1.0) / (o - 1.0) + ORDER_TOL)
+    term = lat.compose(F, P, n, K)
+    d_xi = (P[0], a * d)
+    d_conj = (keys - lat.key(0, 1), b * d)
+    total = [term]
+    while len(term[0]):
+        k1, c1 = lat.mul(d_xi, term, K)
+        k2, c2 = lat.mul(d_conj, lat.conj(term), K)
+        term = lat.merge(np.concatenate([k1, k2]), -np.concatenate([c1, c2]))
+        total.append(term)
+    return lat.merge(*map(np.concatenate, zip(*total)))
+
+
+def _classify(lat, F, gamma, K):
+    """Exponents, orders, homological divisors and the non-resonant mask
+    (k2 - k3 != 1, order <= K) of the field's terms."""
+    keys = F[0]
+    a, b = lat.exponents(keys)
+    order = lat.order(keys)
+    denom = gamma * a + gamma.conjugate() * b - gamma
+    nonres = (keys[:, 0] - keys[:, 1] != 1) & (order <= K + ORDER_TOL)
+    return a, b, order, denom, nonres
+
+
+def _next_order(order, nonres, above):
+    """Lowest order above ``above`` holding a non-resonant term, or None."""
+    live = nonres & (order > above + ORDER_TOL)
+    return float(order[live].min()) if live.any() else None
 
 
 @dataclass
 class NormalForm2D:
     """Extended polar normal form on a 2D manifold: amplitude and phase
     equations with integer cubic constants (A, B) and fractional constants
-    (P1..P3, Q, R1..R3) at exponents ratio and 2*ratio."""
+    (P1..P3, Q, R1..R3) at exponents ratio and 2*ratio.
+
+    ``delta`` and ``substitutions`` record how the normal-form coordinate
+    xi maps back to z: first z = y + delta conj(y), then each near-identity
+    batch, in the order applied, as arrays (a, b, coeff) of its terms
+    coeff y^a conj(y)^b; see ``invariance_residual``."""
 
     alpha1: float
     omega1: float
@@ -515,6 +656,8 @@ class NormalForm2D:
     resonant_terms: list = field(default_factory=list)
     small_divisor_log: list = field(default_factory=list)
     polar_valid: bool = True
+    delta: complex = 0j
+    substitutions: list = field(default_factory=list, repr=False)
 
     def to_json(self, path=None):
         doc = {k: getattr(self, k) for k in
@@ -528,21 +671,33 @@ class NormalForm2D:
 
 
 def _model_to_field(reduced):
+    """The exponent lattice of a 2D reduced model's dictionary and the
+    model's field on it."""
     d = reduced.dictionary
     if not d.family.endswith("2d"):
         raise InputError("extended normal form needs a 2D dictionary model")
-    field_terms = {}
-    coeffs = np.asarray(reduced.coefficients).ravel()
-    for mono, c in zip(d.monomials, coeffs):
-        if abs(c) <= COEFF_DROP:
-            continue
-        k2 = mono.k2[0] if mono.k2 else 0
-        k3 = mono.k3[0] if mono.k3 else 0
-        frac = mono.amp_exponents[0] if mono.amp_exponents else 0.0
-        a = k2 + frac / 2.0 + 1j * mono.phase_coeff / 2.0
-        b = k3 + frac / 2.0 + 1j * mono.phase_coeff / 2.0
-        _fadd(field_terms, a, b, complex(c))
-    return field_terms
+    lat = _Lattice(_ratios_2d(d.spec))
+    keys = np.array([(m.k2 or (0,)) + (m.k3 or (0,)) + m.k5 + m.k6
+                     for m in d.monomials], dtype=np.int64)
+    coeffs = np.asarray(reduced.coefficients, dtype=complex).ravel()
+    return lat, lat.merge(keys.reshape(-1, lat.dim), coeffs)
+
+
+def _survivors(lat, F):
+    """(a, b, coeff) arrays of the field's terms by order, lattice points
+    with equal (a, b) (a rational ratio) merged into one."""
+    keys, c = F
+    a, b = lat.exponents(keys)
+    rows = np.lexsort((a.imag, a.real, lat.order(keys)))
+    ab = np.round(np.column_stack([a.real, a.imag, b.real, b.imag]), 9)
+    _, first, inv = np.unique(ab[rows], axis=0, return_index=True,
+                              return_inverse=True)
+    total = np.zeros(len(first), dtype=complex)
+    np.add.at(total, inv.ravel(), c[rows])
+    pick = np.argsort(first)
+    keep = np.abs(total[pick]) > COEFF_DROP
+    rows = rows[first[pick][keep]]
+    return a[rows], b[rows], total[pick][keep]
 
 
 def extended_normalform_2d(reduced, spec, drop_resonant=True):
@@ -550,91 +705,90 @@ def extended_normalform_2d(reduced, spec, drop_resonant=True):
     model by near-identity substitutions, then collect the survivors into
     the polar truncation constants.
 
-    Terms with z-power = zbar-power + 1 are kept regardless of coefficient
-    size; every other term is removed by dividing by its full homological
+    A linear conj(z) term, as every fitted model carries, is removed first
+    and exactly (``_linear_step``); alpha1 and omega1 then report the
+    diagonal linear coefficient gamma'. With a diagonal linear part a
+    substitution at order o only creates terms above o, so one ascending
+    pass over the lattice orders in (1, K] removes every non-resonant term:
+    terms with z-power = zbar-power + 1 are kept regardless of coefficient
+    size, every other term is removed by dividing by its full homological
     eigenvalue (never small, since the rotational part is a nonzero integer
-    multiple of omega1).
+    multiple of omega1). Dense fitted models return in well under a second.
     """
     if spec.kind != "flow":
         raise InputError("the polar normal form applies to flow models")
     if spec.s < 1:
         raise WrongShape("need at least one slaved oscillatory pair")
     K = reduced.dictionary.truncation
-    F = _model_to_field(reduced)
+    lat, F = _model_to_field(reduced)
 
-    lin_key = _fkey(1.0 + 0.0j, 0.0 + 0.0j)
-    if lin_key not in F:
+    if not lat.at(F[0], 1, 0).any():
         raise InputError("reduced model carries no linear term")
-    gamma = F[lin_key]
-    alpha1, omega1 = gamma.real, gamma.imag
+    gamma = complex(F[1][lat.at(F[0], 1, 0)][0])
+    delta = 0j
+    if lat.at(F[0], 0, 1).any():
+        F, gamma, delta = _linear_step(
+            lat, F, gamma, complex(F[1][lat.at(F[0], 0, 1)][0]))
     scale = abs(gamma)
-    sd_log = []
+    sd_log, substitutions = [], []
 
-    while True:
-        orders = sorted({_forder(k) for k in F
-                         if _forder(k) > 1.0 + ORDER_TOL
-                         and _forder(k) <= K + ORDER_TOL})
-        for o in orders:
-            batch = {}
-            for k, c in list(F.items()):
-                if abs(_forder(k) - o) > ORDER_TOL:
-                    continue
-                a, b = _funpack(k)
-                if abs((a - b).real - 1.0) < ORDER_TOL:
-                    continue                      # resonant, keep
-                denom = gamma * a + np.conj(gamma) * b - gamma
-                if abs(denom) < SMALL_DIVISOR_FACTOR * scale:
-                    sd_log.append(((a.real, a.imag, b.real, b.imag),
-                                   abs(denom)))
-                    if not drop_resonant:
-                        raise SmallDivisor(
-                            f"divisor {abs(denom):.3e} at exponents "
-                            f"({a}, {b})")
-                    continue
-                if abs(c / denom) <= COEFF_DROP:
-                    del F[k]              # removal below round-off: drop
-                    continue
-                batch[k] = c / denom
-            if batch:
-                break
-        else:
-            break
-        F = _ftransform_field(F, batch, K, o)
+    a, b, order, denom, nonres = _classify(lat, F, gamma, K)
+    o = 1.0
+    while (o := _next_order(order, nonres, o)) is not None:
+        keys, c = F
+        at = nonres & (np.abs(order - o) <= ORDER_TOL)
+        small = at & (np.abs(denom) < SMALL_DIVISOR_FACTOR * scale)
+        for i in np.flatnonzero(small):
+            sd_log.append(((a[i].real, a[i].imag, b[i].real, b[i].imag),
+                           abs(denom[i])))
+            if not drop_resonant:
+                raise SmallDivisor(f"divisor {abs(denom[i]):.3e} at "
+                                   f"exponents ({a[i]}, {b[i]})")
+        at &= ~small
+        removal = np.divide(c, denom, out=np.zeros_like(c), where=at)
+        drop = at & (np.abs(removal) <= COEFF_DROP)   # below round-off
+        batch = at & ~drop
+        F = (keys[~drop], c[~drop])
+        if batch.any():
+            substitutions.append((a[batch], b[batch], removal[batch]))
+            F = _sweep(lat, F, (keys[batch], removal[batch]), K)
+        a, b, order, denom, nonres = _classify(lat, F, gamma, K)
 
-    survivors = []
-    for k, c in sorted(F.items(), key=lambda kv: _forder(kv[0])):
-        a, b = _funpack(k)
-        survivors.append({"a": [a.real, a.imag], "b": [b.real, b.imag],
-                          "coeff": [c.real, c.imag]})
+    left = nonres & (order > 1.0 + ORDER_TOL) \
+        & (np.abs(denom) >= SMALL_DIVISOR_FACTOR * scale)
+    removal = np.abs(F[1][left] / denom[left])
+    if np.any(removal > COEFF_DROP):
+        raise NoConvergence(f"removable term of size {removal.max():.3e} "
+                            "left after the ascending pass")
+    a, b, coeffs = _survivors(lat, (F[0][~left], F[1][~left]))
+    survivors = [{"a": [x.real, x.imag], "b": [y.real, y.imag],
+                  "coeff": [z.real, z.imag]} for x, y, z in zip(a, b, coeffs)]
 
     beta1, nu1 = spec.beta_nu[0]
     ratio = beta1 / spec.alpha_omega[0][0] if spec.alpha_omega else None
     phase = nu1 / spec.alpha_omega[0][0] if spec.alpha_omega else None
-    nf = NormalForm2D(alpha1=alpha1, omega1=omega1, ratio=ratio,
+    nf = NormalForm2D(alpha1=gamma.real, omega1=gamma.imag, ratio=ratio,
                       phase_exponent=phase, resonant_terms=survivors,
-                      small_divisor_log=sd_log)
+                      small_divisor_log=sd_log, delta=delta,
+                      substitutions=substitutions)
     if ratio is None or not (0.5 + ORDER_TOL < ratio < 2.0 - ORDER_TOL):
         nf.polar_valid = False
         return nf
 
     # bucket the survivors: for a resonant term zdot/z = c r^{Xi} e^{i Gm L}
     # with L = log r, Xi = 2 Re b and Gm = 2 Im b
+    resonant = np.abs((a - b).real - 1.0) <= ORDER_TOL
+    xi, gm = 2.0 * b.real[resonant], 2.0 * b.imag[resonant]
+    cres = coeffs[resonant]
+
     def bucket(xi_target, gm_target):
-        pos, neg, zero = 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j
-        for k, c in F.items():
-            a, b = _funpack(k)
-            if abs((a - b).real - 1.0) > ORDER_TOL:
-                continue
-            xi, gm = 2.0 * b.real, 2.0 * b.imag
-            if abs(xi - xi_target) > 1e-8:
-                continue
-            if gm_target == 0.0 and abs(gm) < 1e-8:
-                zero += c
-            elif abs(gm - gm_target) < 1e-8:
-                pos += c
-            elif abs(gm + gm_target) < 1e-8:
-                neg += c
-        return pos, neg, zero
+        near = np.abs(xi - xi_target) <= 1e-8
+        if gm_target == 0.0:
+            zero = cres[near & (np.abs(gm) < 1e-8)].sum()
+            return 0j, 0j, zero
+        pos = near & (np.abs(gm - gm_target) < 1e-8)
+        neg = near & ~pos & (np.abs(gm + gm_target) < 1e-8)
+        return cres[pos].sum(), cres[neg].sum(), 0j
 
     c3 = bucket(2.0, 0.0)[2]
     nf.A, nf.B = c3.real, c3.imag
@@ -648,6 +802,38 @@ def extended_normalform_2d(reduced, spec, drop_resonant=True):
     nf.P3, nf.R3 = abs(S2), abs(D2)
     nf.Q = (cmath.phase(S2) + math.pi / 2.0) / 2.0 if abs(S2) > 0 else 0.0
     return nf
+
+
+def _power_terms(a, b, coeffs, xi):
+    """sum c xi^a conj(xi)^b at the samples xi, and its derivatives in xi
+    and conj(xi); single-valued because every a - b is an integer."""
+    log_r, phi = np.log(np.abs(xi))[:, None], np.angle(xi)[:, None]
+    mono = coeffs * np.exp((a + b) * log_r + 1j * (a - b).real * phi)
+    return (mono.sum(axis=1), (mono * a).sum(axis=1) / xi,
+            (mono * b).sum(axis=1) / np.conj(xi))
+
+
+def invariance_residual(nf, reduced, xi):
+    """|D_xi z N(xi) + D_conj(xi) z conj(N(xi)) - F(z)| at the nonzero
+    samples xi, where N is the normal form's field (its survivors), F the
+    reduced model's and z(xi) undoes nf's substitutions. It vanishes to the
+    truncation order: as |xi| shrinks it falls like |xi|^o, o the lowest
+    order above K that the model's terms generate. Evaluated in long double,
+    so that round-off stays below it at small |xi|."""
+    xi = np.ravel(np.asarray(xi, dtype=np.clongdouble))
+    z, z_x, z_xb = xi, np.ones_like(xi), np.zeros_like(xi)
+    for a, b, coeffs in reversed(nf.substitutions):
+        f, f_x, f_xb = _power_terms(a, b, coeffs, z)
+        z, z_x, z_xb = (z + f, z_x + f_x * z_x + f_xb * np.conj(z_xb),
+                        z_xb + f_x * z_xb + f_xb * np.conj(z_x))
+    z, z_x, z_xb = (z + nf.delta * np.conj(z), z_x + nf.delta * np.conj(z_xb),
+                    z_xb + nf.delta * np.conj(z_x))
+    terms = nf.resonant_terms
+    N = _power_terms(np.array([complex(*t["a"]) for t in terms]),
+                     np.array([complex(*t["b"]) for t in terms]),
+                     np.array([complex(*t["coeff"]) for t in terms]), xi)[0]
+    F = reduced.dictionary.evaluate(z) @ np.asarray(reduced.coefficients)
+    return np.abs(z_x * N + z_xb * np.conj(N) - F[:, 0])
 
 
 # ---------------------------------------------------------------------------

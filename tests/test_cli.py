@@ -450,11 +450,14 @@ def test_fuzz_spectrum_config(fuzz_inputs, config):
 
 SETTINGS = st.sampled_from([-1, 0, 1e-8, 0.05, 3, "3", float("nan"),
                             float("inf"), None, True, "x", [3]])
+# any finite order: a library above dictionary.MAX_TERMS terms exits 2
+ORDERS = st.one_of(SETTINGS, st.just(1e6),
+                   st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=30, deadline=None)
 @given(config=st.fixed_dictionaries({}, optional={
-    "order": SETTINGS, "prune": SETTINGS, "ridge": SETTINGS,
+    "order": ORDERS, "prune": SETTINGS, "ridge": SETTINGS,
     "kind": st.one_of(st.sampled_from(["flow", "map"]), JUNK),
     "integer_only": st.one_of(st.booleans(), JUNK)}).flatmap(
     lambda d: JUNK_KEYS.map(lambda extra: {**extra, **d})))

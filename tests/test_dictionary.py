@@ -539,3 +539,52 @@ def test_linear_graph_two_sided_branch():
     vn, _ = dictionary.linear_graph_eval(spec, coeffs, ([-0.5], []))
     assert vp[0] == pytest.approx(0.25)
     assert vn[0] == pytest.approx(-0.5)
+
+
+# ---------------------------------------------------------------------------
+# bounded library size
+# ---------------------------------------------------------------------------
+
+def flow_2d_spec(*pairs):
+    return spectrum.SpectralPartition(
+        kind="flow", alpha_omega=((-1.0, 2.0),),
+        beta_nu=tuple((-ratio, phase) for ratio, phase in pairs))
+
+
+@pytest.mark.parametrize("build, spec", [
+    (dictionary.dictionary_flow_1d, planar_spec()),
+    (dictionary.dictionary_map_1d, couette_spec()),
+    (dictionary.dictionary_flow_2d, flow_2d_spec((1.3, 1.0))),
+    (dictionary.dictionary_flow_2d, flow_2d_spec((1.3, 1.0), (1.7, -0.5))),
+])
+@pytest.mark.parametrize("K", [0.5, 1, 2.6, 4, 6.3])
+@pytest.mark.parametrize("include_linear", [True, False])
+def test_term_count_is_the_built_size(build, spec, K, include_linear):
+    d = build(spec, K, include_linear=include_linear)
+    assert dictionary._term_count(d.family, spec, K, include_linear) == len(d)
+
+
+@pytest.mark.parametrize("n_vars, K", [(1, 5), (2, 3), (3, 6.5), (2, 0)])
+def test_integer_term_count_is_the_built_size(n_vars, K):
+    d = dictionary.integer_dictionary(n_vars, K)
+    assert dictionary._term_count("integer", None, K, n_vars=n_vars) == len(d)
+    assert len(set(d.multi_indices)) == len(d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda K: dictionary.integer_dictionary(2, K),
+    lambda K: dictionary.dictionary_flow_1d(planar_spec(), K),
+    # a negative ratio pins the slaved multiplicity to 0: the master
+    # powers alone exceed MAX_TERMS
+    lambda K: dictionary.dictionary_flow_1d(spectrum.SpectralPartition(
+        kind="flow", lam=(-1.0,), kappa=(0.5,)), K),
+    lambda K: dictionary.dictionary_flow_2d(flow_2d_spec((1.3, 1.0)), K),
+    lambda K: dictionary.dictionary_map_2d(spectrum.SpectralPartition(
+        kind="map", alpha_omega=((0.9, 0.2),), beta_nu=((0.5, 0.3),)), K),
+])
+@pytest.mark.parametrize("K", [1e6, 1e300])
+def test_library_above_max_terms_is_input_error(build, K):
+    """Counted before any monomial is made, so a huge order fails at
+    once."""
+    with pytest.raises(InputError, match="more than"):
+        build(K)

@@ -23,15 +23,14 @@ def spec_2d(ratio=TEST_RATIO, phase=-1.0):
 
 
 def reduced_model(coeff_by_index, spec=None, K=5):
-    """ReducedFit with prescribed coefficients over a 2D flow dictionary."""
+    """ReducedFit with prescribed coefficients over a 2D flow dictionary,
+    keyed on the multiplicities (k2, k3, *k5, *k6)."""
     spec = spec or spec_2d()
     d = dictionary.dictionary_flow_2d(spec, K)
+    keys = [(m.k2[0], m.k3[0]) + m.k5 + m.k6 for m in d.monomials]
     coeffs = np.zeros((len(d), 1), dtype=complex)
     for key, c in coeff_by_index.items():
-        hits = [i for i, m in enumerate(d.monomials)
-                if (m.k2[0], m.k3[0], m.k5[0], m.k6[0]) == key]
-        assert len(hits) == 1, key
-        coeffs[hits[0], 0] = c
+        coeffs[keys.index(key), 0] = c
     return fit.ReducedFit(dictionary=d, coefficients=coeffs, kind="flow",
                           residuals=np.zeros(1), condition_number=1.0,
                           training_amplitude=1.0)
@@ -362,3 +361,279 @@ def test_curve_to_csv(tmp_path):
     normalform.curve_to_csv(r, r ** 2, path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(data[:, 1], r ** 2, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# extended 2D normal form: outputs recorded before the lattice engine
+# ---------------------------------------------------------------------------
+
+NF_FIELDS = ("A", "B", "P1", "P2", "P3", "Q", "R1", "R2", "R3")
+
+
+def benchmark_models(seed):
+    """The order-6 model and the dense order-3 model that the series
+    benchmark draws for a seed: every resonant term plus five removable
+    ones at order 6, and every term at order 3 (what a fit returns), each
+    coefficient 0.1 (N + i N) and the linear one GAMMA."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=48)                    # the benchmark's sample grid
+    spec = spec_2d()
+
+    def keys(order):                        # in the benchmark's draw order
+        return [(k2, k3, k5, k6) for k5, k6 in itertools.product(
+            range(order + 1), repeat=2) if (k5 + k6) * TEST_RATIO <= order
+            for k2, k3 in itertools.product(range(order + 1), repeat=2)
+            if 1.0 <= k2 + k3 + (k5 + k6) * TEST_RATIO <= order + 1e-9]
+
+    def draw():
+        return 0.1 * complex(rng.normal(), rng.normal())
+
+    c6 = {k: draw() for k in keys(6)
+          if k[0] == k[1] + 1 and k != (1, 0, 0, 0)}
+    for k in ((2, 0, 0, 0), (0, 2, 0, 0), (0, 1, 1, 0), (3, 0, 0, 0),
+              (0, 0, 2, 0)):
+        c6[k] = draw()
+    c3 = {k: draw() for k in keys(3)}
+    c6[(1, 0, 0, 0)] = c3[(1, 0, 0, 0)] = GAMMA
+    return reduced_model(c6, spec, 6), reduced_model(c3, spec, 3)
+
+
+# constants recorded in perfbench/reference.json; 22 survivors each
+ORDER6_CONSTANTS = {
+    0: (0.17944286317554273, 0.1271866336070182, 0.20827670096863735,
+        0.15142592983020253, 0.18829421886462433, 0.40797695801760303,
+        0.17511984661611527, 0.12387098495920128, 0.05218236906110397),
+    1: (-0.05208709172273138, 0.050627251830782906, 0.17985417780448118,
+        -0.05420874995781787, 0.22001255986523688, -0.3305284093494594,
+        0.11194178247603156, 0.014662964585834064, 0.07981570171876237),
+    2: (-0.1876886257000838, 0.11023827055315955, 0.1321257075034109,
+        -0.1550138312068255, 0.16912676484434913, 0.8373953938914386,
+        0.1159158125767095, -0.24577795317196122, 0.3151791047551972),
+    3: (0.07412753709019164, 0.015701994680001583, 0.17731985254515403,
+        -0.09628012886723407, 0.18475717293061855, 1.9208075318862379,
+        0.10578752669742618, 0.06525926001112492, 0.19086528781727308),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORDER6_CONSTANTS))
+def test_order6_benchmark_family_constants(seed):
+    nf = normalform.extended_normalform_2d(benchmark_models(seed)[0],
+                                           spec_2d())
+    assert len(nf.resonant_terms) == 22
+    for name, want in zip(NF_FIELDS, ORDER6_CONSTANTS[seed]):
+        assert getattr(nf, name) == pytest.approx(want, rel=1e-8, abs=1e-12)
+
+
+def survivor_rows(nf):
+    return sorted((t["a"][0], t["a"][1], t["b"][0], t["b"][1],
+                   complex(*t["coeff"])) for t in nf.resonant_terms)
+
+
+def assert_survivors(nf, want):
+    got = survivor_rows(nf)
+    assert len(got) == len(want)
+    for g, w in zip(got, sorted(want, key=lambda row: row[:4])):
+        np.testing.assert_allclose(g[:4], w[:4], atol=1e-12)
+        assert abs(g[4] - w[4]) <= 1e-12 * max(1.0, abs(w[4]))
+
+
+def test_rational_ratio_merges_equal_exponents():
+    """At ratio 1.5 the lattice points (4, 3, 0, 0) and (1, 0, 2, 2) are the
+    same function z^4 zbar^3; they survive as one term, as before."""
+    spec = spec_2d(ratio=1.5)
+    model = reduced_model({(1, 0, 0, 0): GAMMA, (4, 3, 0, 0): 0.2 + 0.1j,
+                           (1, 0, 2, 2): -0.1 + 0.3j, (2, 0, 0, 0): 0.3 - 0.2j,
+                           (2, 1, 0, 0): 0.1 - 0.4j, (0, 1, 1, 0): 0.1 + 0.1j,
+                           (1, 0, 1, 0): -0.3 + 0.2j}, spec, 7)
+    nf = normalform.extended_normalform_2d(model, spec)
+    assert_survivors(nf, [
+        (1.0, 0.0, 0.0, 0.0, -1 + 2j),
+        (1.75, -0.5, 0.75, -0.5, -0.3 + 0.2j),
+        (2.0, 0.0, 1.0, 0.0, 0.1 - 0.4j),
+        (2.5, 0.0, 1.5, 0.0, -0.007333333333333335 - 0.008j),
+        (2.75, -0.5, 1.75, -0.5, 0.010632083333333337 + 0.005057916666666666j),
+        (3.25, -0.5, 2.25, -0.5, -0.001988888888888889 + 0.0017111111111111112j),
+        (3.25, 0.5, 2.25, 0.5, 0.001111111111111111 + 0.0003555555555555555j),
+        (3.5, 0.0, 2.5, 0.0, -0.00017289912693926296 - 0.0020821494959487484j),
+        (3.5, -1.0, 2.5, -1.0, 0.0009873126530996793 - 0.0007994075749010739j),
+        (3.75, -0.5, 2.75, -0.5, -0.0007264798576614624 + 0.00012435600880912048j),
+        (3.75, 0.5, 2.75, 0.5, 0.0009559770114942531 + 0.001008390804597702j),
+        (4.0, 0.0, 3.0, 0.0, 0.09754840000000001 + 0.3980180740740741j),
+        (4.0, -1.0, 3.0, -1.0, 0.0003441709401709402 + 0.00014003418803418808j),
+        (4.0, 1.0, 3.0, 1.0, 2.4786324786324774e-05 + 0.0002905982905982906j),
+    ])
+    assert (nf.A, nf.B) == pytest.approx((0.1, -0.4), abs=1e-15)
+    assert nf.P1 == pytest.approx(0.3605551275463989, rel=1e-12)
+    assert (nf.P2, nf.R2) == pytest.approx((-0.007333333333333335, -0.008),
+                                           rel=1e-12)
+
+
+def test_two_slaved_pairs_constants():
+    spec = spectrum.SpectralPartition(
+        kind="flow", alpha_omega=((GAMMA.real, GAMMA.imag),),
+        beta_nu=((1.3 * GAMMA.real, -GAMMA.real),
+                 (1.7 * GAMMA.real, 0.5 * GAMMA.real)))
+    model = reduced_model({
+        (1, 0, 0, 0, 0, 0): GAMMA, (2, 1, 0, 0, 0, 0): 0.3 - 0.7j,
+        (2, 0, 0, 0, 0, 0): 0.2 + 0.1j, (1, 0, 1, 0, 0, 0): 0.15 + 0.1j,
+        (1, 0, 0, 1, 0, 0): -0.1 + 0.2j, (0, 1, 0, 0, 1, 0): 0.05 - 0.1j,
+        (1, 0, 0, 0, 0, 1): 0.1 + 0.05j, (0, 0, 1, 0, 0, 0): -0.2 + 0.1j},
+        spec, 3)
+    nf = normalform.extended_normalform_2d(model, spec)
+    want = (0.3, -0.7, 0.19671907506750036, 0.0, 0.0, 0.0,
+            0.19671907506750036, 0.0, 0.0)
+    for name, value in zip(NF_FIELDS, want):
+        assert getattr(nf, name) == pytest.approx(value, rel=1e-12,
+                                                  abs=1e-15)
+    assert_survivors(nf, [
+        (1.0, 0.0, 0.0, 0.0, -1 + 2j),
+        (1.3, 0.0, 0.3, 0.0, -0.03188073394495413 - 0.022935779816513773j),
+        (1.6, 0.0, 0.6, 0.0, -0.0015353558202171541 - 0.00028301489773588135j),
+        (1.65, -0.5, 0.65, -0.5, 0.1915137614678899 + 0.04495412844036698j),
+        (1.85, 0.25, 0.85, 0.25, 0.1 + 0.05j),
+        (1.85, -0.25, 0.85, -0.25, -0.1 + 0.2j),
+        (1.9, 0.0, 0.9, 0.0, -0.00011949354902982374 + 4.382427826807153e-05j),
+        (1.95, -0.5, 0.95, -0.5, 0.013983482204513361 + 0.001179018126810952j),
+        (1.95, 1.5, 0.95, 1.5, -0.007124494992004042 - 0.0013492340712061303j),
+        (1.95, -1.5, 0.95, -1.5, 0.00712449499200404 - 0.0013492340712061295j),
+        (1.95, 0.5, 0.95, 0.5, -0.0033978195547373345 + 0.006178095359553136j),
+        (2.0, 0.0, 1.0, 0.0, 0.3 - 0.7j),
+    ])
+
+
+# ---------------------------------------------------------------------------
+# extended 2D normal form: the exact linear step
+# ---------------------------------------------------------------------------
+
+def test_linear_conj_term_is_removed_exactly():
+    """gamma z + c zbar alone becomes gamma' xi with gamma' = Re gamma +
+    i sign(omega) sqrt(omega^2 - |c|^2), through z = xi + delta xibar with
+    delta the small root of conj(c) delta^2 - 2 i omega delta - c = 0."""
+    c = 0.5 - 0.7j
+    nf = normalform.extended_normalform_2d(
+        reduced_model({(1, 0, 0, 0): GAMMA, (0, 1, 0, 0): c}), spec_2d())
+    gamma1 = complex(GAMMA.real, np.sqrt(GAMMA.imag ** 2 - abs(c) ** 2))
+    assert (nf.alpha1, nf.omega1) == pytest.approx(
+        (gamma1.real, gamma1.imag), abs=1e-15)
+    assert nf.resonant_terms == [{"a": [1.0, 0.0], "b": [0.0, 0.0],
+                                  "coeff": [gamma1.real, gamma1.imag]}]
+    delta = nf.delta
+    assert abs(delta) < 1
+    assert abs(np.conj(c) * delta ** 2 - 2j * GAMMA.imag * delta - c) < 1e-15
+
+
+@pytest.mark.parametrize("c", [2.0, 1.2 + 1.6j, 3.0j])
+def test_linear_part_without_focus_raises(c):
+    model = reduced_model({(1, 0, 0, 0): GAMMA, (0, 1, 0, 0): c,
+                           (2, 1, 0, 0): 0.3 - 0.7j})
+    with pytest.raises(InputError):
+        normalform.extended_normalform_2d(model, spec_2d())
+
+
+# ---------------------------------------------------------------------------
+# extended 2D normal form: invariance residual
+# ---------------------------------------------------------------------------
+
+RESIDUAL_RADII = np.geomspace(0.0025, 0.08, 8)
+
+
+def residual_slope(nf, model):
+    """Log-log slope of the largest invariance residual over six angles
+    against the radius, and that largest residual."""
+    xi = RESIDUAL_RADII[:, None] * np.exp(
+        1j * np.linspace(0.3, 2 * np.pi + 0.3, 6, endpoint=False))
+    res = normalform.invariance_residual(nf, model, xi.ravel())
+    res = res.reshape(xi.shape).max(axis=1).astype(float)
+    return np.polyfit(np.log(RESIDUAL_RADII), np.log(res), 1)[0], res.max()
+
+
+def first_order_above(model, K):
+    """Lowest order above K among 1 + sum j_t (o_t - 1), j_t >= 0, o_t the
+    orders of the model's nonzero terms: every term the substitutions make
+    has such an order, so the truncation error starts there (inf for a
+    linear model)."""
+    steps = {round(m.order - 1.0, 9) for m, c in zip(
+        model.dictionary.monomials, model.coefficients[:, 0])
+        if c != 0 and m.order > 1.0 + 1e-9}
+    reach, frontier = {0.0}, {0.0}
+    while frontier:
+        frontier = {round(s + t, 9) for s in frontier for t in steps
+                    if s <= K - 1.0 + 1e-9} - reach
+        reach |= frontier
+    return min((1.0 + s for s in reach if 1.0 + s > K + 1e-9),
+               default=np.inf)
+
+
+def assert_residual_order(model, spec, slack=0.1):
+    """The invariance residual falls at least like r^(o - slack), o the
+    first generated order above the truncation; a model whose residual is
+    below 1e-11 everywhere (already in normal form but for dropped terms of
+    size COEFF_DROP) passes."""
+    nf = normalform.extended_normalform_2d(model, spec)
+    slope, largest = residual_slope(nf, model)
+    K = model.dictionary.truncation
+    assert largest < 1e-11 or \
+        slope >= first_order_above(model, K) - slack
+    return nf, slope
+
+
+@settings(max_examples=30, deadline=None)
+@given(ratio=st.sampled_from([0.7, 1.3, 1.5, 1.7, 2.5]), K=st.integers(2, 3),
+       seed=st.integers(0, 2 ** 32 - 1), n_terms=st.integers(1, 3),
+       conj_term=st.booleans())
+def test_invariance_residual_falls_at_truncation_order(ratio, K, seed,
+                                                       n_terms, conj_term):
+    """Sparse drawn models: up to three terms of modulus 0.05-0.3 besides
+    the linear one, with or without a linear zbar term. Over r in
+    [0.0025, 0.08] the residual is not yet asymptotic: terms of the next
+    orders, and terms of one order whose log-phases e^{i Gamma log r}
+    differ, interfere, and the fitted slope fell up to 0.38 below o in
+    1,260 such draws. The slack is therefore 0.5; a wrong divisor sign, a
+    dropped conjugate term or the large root of delta leave residuals of
+    order K or lower."""
+    spec = spec_2d(ratio)
+    d = dictionary.dictionary_flow_2d(spec, K)
+    keys = [(m.k2[0], m.k3[0], m.k5[0], m.k6[0]) for m in d.monomials]
+    rng = np.random.default_rng(seed)
+    terms = {keys[i]: rng.uniform(0.05, 0.3)
+             * np.exp(2j * np.pi * rng.random())
+             for i in rng.choice(len(keys), n_terms, replace=False)}
+    if conj_term:
+        terms[(0, 1, 0, 0)] = 0.4 * np.exp(2j * np.pi * rng.random())
+    terms[(1, 0, 0, 0)] = GAMMA
+    assert_residual_order(reduced_model(terms, spec, K), spec, slack=0.5)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_invariance_residual_order6_family(seed):
+    assert_residual_order(benchmark_models(seed)[0], spec_2d())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_order3_model_returns_in_normal_form(seed):
+    """The dense model a fit returns, linear zbar term included: every
+    survivor is resonant, and the invariance residual, its only oracle,
+    falls faster than r^3.2 (3.3 is the lowest dictionary order above 3)."""
+    nf, slope = assert_residual_order(benchmark_models(seed)[1], spec_2d())
+    assert all(t["a"][0] - t["b"][0] == pytest.approx(1.0, abs=1e-12)
+               for t in nf.resonant_terms)
+    assert abs(nf.delta) > 0
+    assert slope >= 3.2
+
+
+def test_dense_order3_normal_form_is_the_order4_one_truncated():
+    """The same field on an order-4 dictionary (order-4 coefficients zero)
+    gives the same survivors through order 3, and a residual that falls
+    faster than r^4."""
+    spec = spec_2d()
+    model3 = benchmark_models(0)[1]
+    d3 = model3.dictionary
+    coeffs = {(m.k2[0], m.k3[0], m.k5[0], m.k6[0]): c for m, c in
+              zip(d3.monomials, model3.coefficients[:, 0])}
+    model4 = reduced_model(coeffs, spec, 4)
+    nf3 = normalform.extended_normalform_2d(model3, spec)
+    nf4, slope = assert_residual_order(model4, spec)
+    low = [t for t in nf4.resonant_terms if t["a"][0] + t["b"][0] <= 3 + 1e-9]
+    assert_survivors(nf3, [(*t["a"], *t["b"], complex(*t["coeff"]))
+                           for t in low])
+    assert slope >= 4.0
