@@ -359,47 +359,22 @@ def _check_order(K):
         raise InputError(f"truncation order must be finite, got {K}")
 
 
-def _degrees(frac, K, top):
+def _degree_ranges(frac, K, top, skip_linear):
     """The integer degrees n in [0, top] for which n + frac is an
-    admissible order, 1 <= order <= K (within ORDER_SLACK), as (lo, hi)."""
-    return (max(0, math.ceil(1.0 - ORDER_SLACK - frac)),
-            min(top, math.floor(K + ORDER_SLACK - frac)))
+    admissible order, 1 <= order <= K (within ORDER_SLACK), as nonempty
+    (lo, hi) ranges; degree 1 is left out when skip_linear."""
+    lo = max(0, math.ceil(1.0 - ORDER_SLACK - frac))
+    hi = min(top, math.floor(K + ORDER_SLACK - frac))
+    ranges = ((lo, min(hi, 0)), (max(lo, 2), hi)) if skip_linear else ((lo, hi),)
+    return [(a, b) for a, b in ranges if a <= b]
 
 
-def _pair_count(n, top):
-    """Number of (k2, k3) in [0, top]^2 with k2 + k3 <= n."""
-    if n < 0:
-        return 0
-    if n <= top:
-        return (n + 1) * (n + 2) // 2
-    return (top + 1) ** 2 - (2 * top - n) * (2 * top - n + 1) // 2
-
-
-def _term_count(family, spec, K, include_linear=True, n_vars=0):
-    """Number of monomials the family's builder makes at order K, counted
-    from the same degree ranges without building them. A non-finite order,
-    or more than MAX_TERMS terms, is an InputError."""
-    _check_order(K)
-    top = max(int(K + ORDER_SLACK), 0)
-    if family == "integer":
-        count = math.comb(max(int(K), 0) + n_vars, n_vars) - 1
-    elif family.endswith("1d"):
-        count = 0
-        for k4, frac in _slaved_1d(spec, K):
-            lo, hi = _degrees(frac, K, top)
-            count += max(0, hi - lo + 1) - (
-                not include_linear and not any(k4) and lo <= 1 <= hi)
-    else:
-        count = 0
-        for k5, k6, frac, _ in _slaved_2d(spec, K):
-            lo, hi = _degrees(frac, K, 2 * top)
-            count += _pair_count(hi, top) - _pair_count(lo - 1, top) - 2 * (
-                not include_linear and not (any(k5) or any(k6))
-                and lo <= 1 <= hi)
+def _check_size(K, count):
+    """A library of more than MAX_TERMS terms is an InputError; counted
+    before any monomial is made, so a huge order fails at once."""
     if count > MAX_TERMS:
         raise InputError(f"order {K} gives {count} terms, more than "
                          f"{MAX_TERMS}")
-    return count
 
 
 def _library(spec, K, family, include_linear, build, *args):
@@ -408,31 +383,37 @@ def _library(spec, K, family, include_linear, build, *args):
     kind = family.split("_")[0]
     if spec.kind != kind:
         raise WrongShape(f"{kind} dictionary on a {spec.kind} spectrum")
-    _term_count(family, spec, K, include_linear)
+    _check_order(K)
     return Dictionary(build(spec, K, include_linear, *args), spec, float(K),
                       family, metadata={"include_linear": include_linear})
 
 
-def _slaved_1d(spec, K):
-    """(k4, fractional exponent) of every slaved multiplicity vector."""
+def _cells_1d(spec, K, include_linear):
+    """(k4, fractional exponent, ranges of k1) per slaved multiplicity
+    vector; graph libraries (include_linear False) leave out the bare
+    linear master term."""
     rhos = _ratios_1d(spec)
+    top = int(K + ORDER_SLACK)
     for k4 in _enumerate_k4([(rho, rho > 0) for rho in rhos], K):
-        yield k4, sum(k * rho for k, rho in zip(k4, rhos))
+        frac = sum(k * rho for k, rho in zip(k4, rhos))
+        yield k4, frac, _degree_ranges(frac, K, top,
+                                       not include_linear and not any(k4))
 
 
 def _build_1d(spec, K, include_linear, branch, flag_tol):
     rhos = _ratios_1d(spec)
+    cells = list(_cells_1d(spec, K, include_linear))
+    _check_size(K, sum(hi - lo + 1 for *_, ranges in cells
+                       for lo, hi in ranges))
     monos = []
-    for k4, frac in _slaved_1d(spec, K):
-        lo, hi = _degrees(frac, K, int(K + ORDER_SLACK))
-        for k1 in range(lo, hi + 1):
-            if not include_linear and k1 == 1 and not any(k4):
-                continue  # bare linear master term excluded from graph libraries
-            near = any(k > 0 and abs(rho - round(rho)) < flag_tol and round(rho) != 0
-                       for k, rho in zip(k4, rhos))
-            monos.append(FractionalMonomial(
-                k1=(k1,), k4=k4, amp_exponents=(frac,),
-                order=k1 + frac, branch=branch, near_integer=near))
+    for k4, frac, ranges in cells:
+        near = any(k > 0 and abs(rho - round(rho)) < flag_tol and round(rho) != 0
+                   for k, rho in zip(k4, rhos))
+        for lo, hi in ranges:
+            for k1 in range(lo, hi + 1):
+                monos.append(FractionalMonomial(
+                    k1=(k1,), k4=k4, amp_exponents=(frac,),
+                    order=k1 + frac, branch=branch, near_integer=near))
     return tuple(monos)
 
 
@@ -449,41 +430,54 @@ def dictionary_map_1d(spec, K, include_linear=True, branch="positive_only",
     return _library(spec, K, "map_1d", include_linear, _build_1d, branch, flag_tol)
 
 
-def _slaved_2d(spec, K):
-    """(k5, k6, fractional exponent, phase coefficient) of every pair of
-    slaved multiplicity vectors whose exponent stays within K."""
+def _cells_2d(spec, K, include_linear):
+    """(k5, k6, fractional exponent, phase coefficient, ranges of k2 + k3)
+    per pair of slaved multiplicity vectors whose exponent stays within K;
+    graph libraries (include_linear False) leave out the bare linear terms
+    z and zbar."""
     rates = _ratios_2d(spec)
     ks = _enumerate_k4([(xi, xi > 0) for xi, _ in rates], K)
     if len(ks) ** 2 > MAX_TERMS:
         raise InputError(f"order {K} gives more than {MAX_TERMS} slaved "
                          "multiplicity pairs")
+    top = 2 * int(K + ORDER_SLACK)
     for k5 in ks:
         for k6 in ks:
             frac = sum((a + b) * xi for a, b, (xi, _) in zip(k5, k6, rates))
             if frac <= K + ORDER_SLACK:
-                yield k5, k6, frac, sum((a - b) * g for a, b, (_, g)
-                                        in zip(k5, k6, rates))
+                phase = sum((a - b) * g for a, b, (_, g) in zip(k5, k6, rates))
+                yield k5, k6, frac, phase, _degree_ranges(
+                    frac, K, top, not include_linear and not any(k5 + k6))
+
+
+def _pair_count(n, top):
+    """Number of (k2, k3) in [0, top]^2 with k2 + k3 <= n."""
+    if n < 0:
+        return 0
+    if n <= top:
+        return (n + 1) * (n + 2) // 2
+    return (top + 1) ** 2 - (2 * top - n) * (2 * top - n + 1) // 2
 
 
 def _build_2d(spec, K, include_linear, flag_tol):
     rates = _ratios_2d(spec)
-    monos = []
     kmax = int(K + ORDER_SLACK)
-    for k5, k6, frac, phase in _slaved_2d(spec, K):
-        lo, hi = _degrees(frac, K, 2 * kmax)
+    cells = list(_cells_2d(spec, K, include_linear))
+    _check_size(K, sum(_pair_count(hi, kmax) - _pair_count(lo - 1, kmax)
+                       for *_, ranges in cells for lo, hi in ranges))
+    monos = []
+    for k5, k6, frac, phase, ranges in cells:
         near = any((a + b) > 0 and abs(xi - round(xi)) < flag_tol
                    and round(xi) != 0
                    for a, b, (xi, _) in zip(k5, k6, rates))
         for k2 in range(kmax + 1):
-            for k3 in range(max(0, lo - k2), min(kmax, hi - k2) + 1):
-                if (not include_linear and k2 + k3 == 1
-                        and not (any(k5) or any(k6))):
-                    continue
-                monos.append(FractionalMonomial(
-                    k2=(k2,), k3=(k3,), k5=k5, k6=k6,
-                    amp_exponents=(frac,), phase_coeff=phase,
-                    order=k2 + k3 + frac, branch="symmetric",
-                    near_integer=near))
+            for lo, hi in ranges:
+                for k3 in range(max(0, lo - k2), min(kmax, hi - k2) + 1):
+                    monos.append(FractionalMonomial(
+                        k2=(k2,), k3=(k3,), k5=k5, k6=k6,
+                        amp_exponents=(frac,), phase_coeff=phase,
+                        order=k2 + k3 + frac, branch="symmetric",
+                        near_integer=near))
     return tuple(monos)
 
 
@@ -505,7 +499,8 @@ def integer_dictionary(n_vars, K, spec=None, kind="flow"):
     """Plain integer monomial library in n_vars master variables, total
     degree 1..K. Used for multi-master graph fits and integer-only
     comparison models."""
-    _term_count("integer", spec, K, n_vars=n_vars)
+    _check_order(K)
+    _check_size(K, math.comb(max(int(K), 0) + n_vars, n_vars) - 1)
     monos = []
     for total in range(1, int(K) + 1) if n_vars else ():
         # stars and bars: n_vars - 1 cuts among total + n_vars - 1 slots

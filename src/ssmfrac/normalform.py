@@ -460,6 +460,16 @@ class _Lattice:
         keys = np.column_stack(np.unravel_index(codes[keep], dims)) + corner
         return keys.reshape(-1, len(dims)), total[keep]
 
+    def without(self, series, drop):
+        """The series without its terms keyed on a row of drop."""
+        keys, c = series
+        both = np.concatenate([keys, drop])
+        corner = both.min(axis=0)
+        dims = both.max(axis=0) - corner + 1
+        codes = np.ravel_multi_index((both - corner).T, dims)
+        keep = ~np.isin(codes[:len(keys)], codes[len(keys):])
+        return keys[keep], c[keep]
+
     def merge(self, keys, c):
         """Sum the coefficients of equal keys; sums of modulus <= COEFF_DROP
         are dropped."""
@@ -586,15 +596,16 @@ def _linear_step(lat, F, gamma, c):
     gamma1 = complex(gamma.real, root)
     # the linear part is gamma' xi exactly; conj(xi) keeps only round-off
     coeffs[lat.at(keys, 1, 0)] = gamma1
-    keep = ~lat.at(keys, 0, 1)
-    return (keys[keep], coeffs[keep]), gamma1, delta
+    return lat.without((keys, coeffs), lat.key(0, 1)), gamma1, delta
 
 
 def _sweep(lat, F, delta, K):
     """Field in xi after z = xi + Delta(xi, conj xi), truncated at order K.
     xidot solves xidot = F(xi + Delta) - D_xi Delta xidot - D_conj(xi) Delta
     conj(xidot); the Neumann series for it gains o - 1 in order per term,
-    o the order of Delta."""
+    o the order of Delta. The terms Delta removes cancel by construction,
+    c_k - denom_k Delta_k = 0; they are dropped, as their round-off (about
+    1e-16 |c_k|) may exceed COEFF_DROP."""
     keys, d = delta
     a, b = lat.exponents(keys)
     o = lat.order(keys).min()
@@ -609,7 +620,7 @@ def _sweep(lat, F, delta, K):
         k2, c2 = lat.mul(d_conj, lat.conj(term), K)
         term = lat.merge(np.concatenate([k1, k2]), -np.concatenate([c1, c2]))
         total.append(term)
-    return lat.merge(*map(np.concatenate, zip(*total)))
+    return lat.without(lat.merge(*map(np.concatenate, zip(*total))), keys)
 
 
 def _classify(lat, F, gamma, K):
@@ -660,9 +671,13 @@ class NormalForm2D:
     substitutions: list = field(default_factory=list, repr=False)
 
     def to_json(self, path=None):
+        """The constants and survivors, in the normal-form coordinate xi,
+        with delta as [re, im] (0 when the model had no linear conj(z)
+        term and xi starts from z itself)."""
         doc = {k: getattr(self, k) for k in
                ("alpha1", "omega1", "A", "B", "P1", "P2", "P3", "Q",
                 "R1", "R2", "R3", "ratio", "phase_exponent", "polar_valid")}
+        doc["delta"] = [self.delta.real, self.delta.imag]
         doc["resonant_terms"] = self.resonant_terms
         doc["small_divisor_log"] = [
             {"exponents": list(k), "divisor": d}

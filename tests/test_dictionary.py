@@ -551,6 +551,19 @@ def flow_2d_spec(*pairs):
         beta_nu=tuple((-ratio, phase) for ratio, phase in pairs))
 
 
+def assert_counted_exactly(build, monkeypatch):
+    """The library build() makes has distinct monomials, and the size its
+    builder checks against MAX_TERMS, counted before any monomial is made,
+    is its built size."""
+    d = build()
+    assert len(set(d.multi_indices)) == len(d)
+    counts = []
+    monkeypatch.setattr(dictionary, "_check_size",
+                        lambda K, count: counts.append(count))
+    build()
+    assert counts == [len(d)]
+
+
 @pytest.mark.parametrize("build, spec", [
     (dictionary.dictionary_flow_1d, planar_spec()),
     (dictionary.dictionary_map_1d, couette_spec()),
@@ -559,16 +572,16 @@ def flow_2d_spec(*pairs):
 ])
 @pytest.mark.parametrize("K", [0.5, 1, 2.6, 4, 6.3])
 @pytest.mark.parametrize("include_linear", [True, False])
-def test_term_count_is_the_built_size(build, spec, K, include_linear):
-    d = build(spec, K, include_linear=include_linear)
-    assert dictionary._term_count(d.family, spec, K, include_linear) == len(d)
+def test_term_count_is_the_built_size(build, spec, K, include_linear,
+                                      monkeypatch):
+    assert_counted_exactly(
+        lambda: build(spec, K, include_linear=include_linear), monkeypatch)
 
 
 @pytest.mark.parametrize("n_vars, K", [(1, 5), (2, 3), (3, 6.5), (2, 0)])
-def test_integer_term_count_is_the_built_size(n_vars, K):
-    d = dictionary.integer_dictionary(n_vars, K)
-    assert dictionary._term_count("integer", None, K, n_vars=n_vars) == len(d)
-    assert len(set(d.multi_indices)) == len(d)
+def test_integer_term_count_is_the_built_size(n_vars, K, monkeypatch):
+    assert_counted_exactly(lambda: dictionary.integer_dictionary(n_vars, K),
+                           monkeypatch)
 
 
 @pytest.mark.parametrize("build", [
