@@ -29,7 +29,6 @@ from .spectrum import SpectralPartition
 
 ORDER_SLACK = 1e-9          # order <= K + slack admits, keeps 4.000013 out at K=4
 TINY_AMPLITUDE = 1e-300     # below this, positive-exponent monomials evaluate to 0
-NEAR_INTEGER_FLAG_TOL = 0.05
 MAX_TERMS = 100_000         # terms (and slaved vectors) one library may hold
 
 
@@ -58,7 +57,6 @@ class FractionalMonomial:
     phase_coeff: float = 0.0
     order: float = 0.0
     branch: str = "symmetric"
-    near_integer: bool = False
     pruned: bool = False
 
     @property
@@ -400,34 +398,29 @@ def _cells_1d(spec, K, include_linear):
                                        not include_linear and not any(k4))
 
 
-def _build_1d(spec, K, include_linear, branch, flag_tol):
-    rhos = _ratios_1d(spec)
+def _build_1d(spec, K, include_linear, branch):
     cells = list(_cells_1d(spec, K, include_linear))
     _check_size(K, sum(hi - lo + 1 for *_, ranges in cells
                        for lo, hi in ranges))
     monos = []
     for k4, frac, ranges in cells:
-        near = any(k > 0 and abs(rho - round(rho)) < flag_tol and round(rho) != 0
-                   for k, rho in zip(k4, rhos))
         for lo, hi in ranges:
             for k1 in range(lo, hi + 1):
                 monos.append(FractionalMonomial(
                     k1=(k1,), k4=k4, amp_exponents=(frac,),
-                    order=k1 + frac, branch=branch, near_integer=near))
+                    order=k1 + frac, branch=branch))
     return tuple(monos)
 
 
-def dictionary_flow_1d(spec, K, include_linear=True, branch="symmetric",
-                       flag_tol=NEAR_INTEGER_FLAG_TOL):
+def dictionary_flow_1d(spec, K, include_linear=True, branch="symmetric"):
     """Truncated term library u^{k1} |u|^{sum k4_l kappa_l/lambda_1} for a
     flow with one real master direction."""
-    return _library(spec, K, "flow_1d", include_linear, _build_1d, branch, flag_tol)
+    return _library(spec, K, "flow_1d", include_linear, _build_1d, branch)
 
 
-def dictionary_map_1d(spec, K, include_linear=True, branch="positive_only",
-                      flag_tol=NEAR_INTEGER_FLAG_TOL):
+def dictionary_map_1d(spec, K, include_linear=True, branch="positive_only"):
     """Map analogue with log-ratio exponents log kappa_l / log |lambda_1|."""
-    return _library(spec, K, "map_1d", include_linear, _build_1d, branch, flag_tol)
+    return _library(spec, K, "map_1d", include_linear, _build_1d, branch)
 
 
 def _cells_2d(spec, K, include_linear):
@@ -459,40 +452,33 @@ def _pair_count(n, top):
     return (top + 1) ** 2 - (2 * top - n) * (2 * top - n + 1) // 2
 
 
-def _build_2d(spec, K, include_linear, flag_tol):
-    rates = _ratios_2d(spec)
+def _build_2d(spec, K, include_linear):
     kmax = int(K + ORDER_SLACK)
     cells = list(_cells_2d(spec, K, include_linear))
     _check_size(K, sum(_pair_count(hi, kmax) - _pair_count(lo - 1, kmax)
                        for *_, ranges in cells for lo, hi in ranges))
     monos = []
     for k5, k6, frac, phase, ranges in cells:
-        near = any((a + b) > 0 and abs(xi - round(xi)) < flag_tol
-                   and round(xi) != 0
-                   for a, b, (xi, _) in zip(k5, k6, rates))
         for k2 in range(kmax + 1):
             for lo, hi in ranges:
                 for k3 in range(max(0, lo - k2), min(kmax, hi - k2) + 1):
                     monos.append(FractionalMonomial(
                         k2=(k2,), k3=(k3,), k5=k5, k6=k6,
                         amp_exponents=(frac,), phase_coeff=phase,
-                        order=k2 + k3 + frac, branch="symmetric",
-                        near_integer=near))
+                        order=k2 + k3 + frac, branch="symmetric"))
     return tuple(monos)
 
 
-def dictionary_flow_2d(spec, K, include_linear=True,
-                       flag_tol=NEAR_INTEGER_FLAG_TOL):
+def dictionary_flow_2d(spec, K, include_linear=True):
     """Library z^{k2} zbar^{k3} |z|^{sum (k5+k6) beta_m/alpha_1}
     e^{i sum (k5-k6) (nu_m/alpha_1) log|z|} for one complex master pair."""
-    return _library(spec, K, "flow_2d", include_linear, _build_2d, flag_tol)
+    return _library(spec, K, "flow_2d", include_linear, _build_2d)
 
 
-def dictionary_map_2d(spec, K, include_linear=True,
-                      flag_tol=NEAR_INTEGER_FLAG_TOL):
+def dictionary_map_2d(spec, K, include_linear=True):
     """Map analogue using Xi (log-modulus quotients) and Gamma
     (arctan(nu/beta) / log-modulus) exponents."""
-    return _library(spec, K, "map_2d", include_linear, _build_2d, flag_tol)
+    return _library(spec, K, "map_2d", include_linear, _build_2d)
 
 
 def integer_dictionary(n_vars, K, spec=None, kind="flow"):

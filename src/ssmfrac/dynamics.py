@@ -135,7 +135,8 @@ def flow_map(sys, x0, T, tol=1e-10):
 
 
 class PoincareMap:
-    """Time-T flow map of a (forced) system; composable for iteration."""
+    """Time-T flow map of a (forced) system, evaluated with its
+    variational equations for Newton and Floquet analysis."""
 
     def __init__(self, sys, T=None, tol=1e-10):
         self.sys = sys
@@ -143,10 +144,6 @@ class PoincareMap:
         if self.T is None:
             raise InputError("system has no period and none was given")
         self.tol = tol
-
-    def __call__(self, x, cycles=1):
-        traj = integrate(self.sys, x, (0.0, cycles * self.T), tol=self.tol)
-        return traj.states[-1]
 
     def variational(self, x):
         """``flow_map`` over one period at this map's tol."""

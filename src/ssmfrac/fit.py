@@ -2,17 +2,19 @@
 models over a monomial dictionary, prediction with fitted models, error
 metrics, and the POD/DMD baselines.
 
-All fits are plain linear least squares on a design matrix of dictionary
-values. Columns are rescaled to unit RMS before solving (fractional
-high-order columns are otherwise tiny). One column-pivoted Householder QR
-of the scaled design gives the condition number (from R), the solve, a
-ridge (folded into R) and one step of iterative refinement with a blocked
-long-double residual; coefficients are reported in the original scale.
+All fits, the DMD baseline included, are plain linear least squares on a
+design matrix, solved by one routine. Columns are rescaled to unit RMS
+before solving (fractional high-order columns are otherwise tiny). One
+column-pivoted Householder QR of the scaled design, in double precision,
+gives the condition number (from R), the solve, a ridge (folded into R) and
+one step of iterative refinement. The refinement residual is accumulated in
+long double, in row blocks, so long-double data enters the fit there at full
+precision; coefficients are reported in the original scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -34,43 +36,19 @@ DIVERGENCE_NORM = 1e6
 # core solver
 # ---------------------------------------------------------------------------
 
-def _mgs_lstsq(A, b):
-    """Least squares by modified Gram-Schmidt QR with reorthogonalization.
-
-    Runs in the dtype of its inputs; used for the long-double path where
-    LAPACK is unavailable. A must have full column rank.
-    """
-    n_cols = A.shape[1]
-    Q = A.copy()
-    R = np.zeros((n_cols, n_cols), dtype=A.dtype)
-    for j in range(n_cols):
-        for _ in range(2):
-            for i in range(j):
-                s = np.conj(Q[:, i]) @ Q[:, j]
-                R[i, j] += s
-                Q[:, j] -= s * Q[:, i]
-        R[j, j] = np.sqrt((np.conj(Q[:, j]) @ Q[:, j]).real)
-        if R[j, j] == 0.0:
-            raise RankDeficient("zero pivot in high-precision factorization")
-        Q[:, j] /= R[j, j]
-    y = np.conj(Q.T) @ b
-    coeffs = np.zeros_like(y)
-    for j in range(n_cols - 1, -1, -1):
-        coeffs[j] = (y[j] - R[j, j + 1:] @ coeffs[j + 1:]) / R[j, j]
-    return coeffs
-
-
 def _scaled_lstsq(design, targets, ridge):
     """Column-scaled least squares with optional ridge on the unscaled
     coefficients; returns (coefficients, per-channel RMS residual, cond).
 
     The scaled design A is factored once, A P = Q R, by a column-pivoted
-    Householder QR. cond(A) is taken from R, a ridge is folded into R by a
-    small QR of [R; sqrt(ridge) diag(1/scale) P], and the solve and one
-    refinement step (residual in long double, in row blocks) reuse the
-    factors. Long-double inputs are solved entirely in long double so that
-    consistent round-trip systems are recovered beyond plain double forward
-    accuracy.
+    Householder QR in double precision. cond(A) is taken from R, a ridge is
+    folded into R by a small QR of [R; sqrt(ridge) diag(1/scale) P], and the
+    solve and one refinement step reuse the factors. The refinement residual
+    is formed in long double, in row blocks, from the design and targets as
+    given, so long-double data enters there at full precision and
+    consistent ill-conditioned round trips are recovered beyond plain double
+    forward accuracy. Long-double targets must lie in double range; the
+    design is scaled into it.
     """
     design = np.asarray(design)
     targets = np.asarray(targets)
@@ -84,22 +62,23 @@ def _scaled_lstsq(design, targets, ridge):
     if n_samp < n_cols:
         raise InsufficientData(
             f"{n_samp} samples for {n_cols} dictionary terms")
-    highprec = design.dtype in (np.longdouble, np.clongdouble) or \
-        targets.dtype in (np.longdouble, np.clongdouble)
 
     scale = np.sqrt(np.mean(np.abs(design) ** 2, axis=0))
-    # a design column holds NaN or inf exactly when its scale is not finite
-    if not (np.isfinite(scale).all() and np.isfinite(targets).all()):
-        raise NonFiniteData("design matrix or targets hold NaN or infinite "
-                            "values")
+    cplx = np.iscomplexobj(design) or np.iscomplexobj(targets)
+    b = np.asarray(targets, dtype=complex if cplx else float)
+    # a design column holds NaN or inf exactly when its scale is not finite;
+    # the targets are checked in the double precision the solve reads
+    if not (np.isfinite(scale).all() and np.isfinite(b).all()):
+        raise NonFiniteData("design matrix or targets hold values that are "
+                            "NaN or infinite in double precision")
     scale[scale == 0.0] = 1.0
-    # in Fortran order the double-precision factorization overwrites A in
-    # place; the refinement re-forms A's rows from the design
+    # unit-RMS columns put A in double range for long-double data too; in
+    # Fortran order the factorization overwrites A (or its double copy) in
+    # place, and the refinement re-forms A's rows from the design
     A = np.divide(design, scale, order="F")
-    cplx = np.iscomplexobj(A) or np.iscomplexobj(targets)
     (qr, tau), R, perm = scipy.linalg.qr(
-        np.asarray(A, dtype=complex if cplx else float), pivoting=True,
-        mode="raw", overwrite_a=not highprec, check_finite=False)
+        np.asarray(A, dtype=b.dtype), pivoting=True, mode="raw",
+        overwrite_a=True, check_finite=False)
     cond = np.linalg.cond(R)
     if ridge == 0.0 and cond > RANK_DEFICIENT_COND:
         raise RankDeficient(
@@ -107,43 +86,36 @@ def _scaled_lstsq(design, targets, ridge):
             f"{RANK_DEFICIENT_COND:.0e}")
 
     ld = np.clongdouble if cplx else np.longdouble
-    # penalty acts on the unscaled coefficients c = c_scaled / scale
-    penalty = np.sqrt(ridge) * (1.0 / scale)
-    if highprec:
-        b = targets
-        if ridge > 0.0:
-            A = np.vstack([A, np.diag(penalty).astype(A.dtype)])
-            b = np.vstack([b, np.zeros((n_cols, b.shape[1]), dtype=b.dtype)])
-        coeffs = _mgs_lstsq(A.astype(ld), b.astype(ld))
-    else:
-        b = np.asarray(targets, dtype=qr.dtype)
-        if ridge > 0.0:
-            q_ridge, R = np.linalg.qr(np.vstack([R, np.diag(penalty[perm])]))
-        unmqr, = scipy.linalg.get_lapack_funcs(
-            ("unmqr" if cplx else "ormqr",), (qr,))
+    # penalty acts on the unscaled coefficients c = c_scaled / scale; it
+    # joins the double factors, so it is rounded to double
+    penalty = (np.sqrt(ridge) * (1.0 / scale)).astype(float)
+    if ridge > 0.0:
+        q_ridge, R = np.linalg.qr(np.vstack([R, np.diag(penalty[perm])]))
+    unmqr, = scipy.linalg.get_lapack_funcs(
+        ("unmqr" if cplx else "ormqr",), (qr,))
 
-        def solve(top, bottom):
-            """Scaled c minimizing |A c - top|^2 + |D c - bottom|^2, D the
-            ridge penalty. The minimal workspace selects the unblocked
-            reflector application, cheaper for a few target channels."""
-            y = unmqr("L", "C" if cplx else "T", qr, tau, top,
-                      top.shape[1])[0][:n_cols]
-            if ridge > 0.0:
-                y = q_ridge.conj().T @ np.vstack([y, bottom[perm]])
-            return scipy.linalg.solve_triangular(
-                R, y, check_finite=False)[np.argsort(perm)]
+    def solve(top, bottom):
+        """Scaled c minimizing |A c - top|^2 + |D c - bottom|^2, D the
+        ridge penalty. The minimal workspace selects the unblocked
+        reflector application, cheaper for a few target channels."""
+        y = unmqr("L", "C" if cplx else "T", qr, tau, top,
+                  top.shape[1])[0][:n_cols]
+        if ridge > 0.0:
+            y = q_ridge.conj().T @ np.vstack([y, bottom[perm]])
+        return scipy.linalg.solve_triangular(
+            R, y, check_finite=False)[np.argsort(perm)]
 
-        coeffs = solve(b, np.zeros_like(b[:n_cols]))
-        # one step of iterative refinement with the residual accumulated in
-        # long double; tightens consistent ill-conditioned round trips
-        resid = np.empty(b.shape, dtype=ld)
-        for lo in range(0, n_samp, RESIDUAL_BLOCK_ROWS):
-            rows = slice(lo, lo + RESIDUAL_BLOCK_ROWS)
-            a_rows = (design[rows] / scale).astype(ld)
-            resid[rows] = b[rows] - a_rows @ coeffs.astype(ld)
-        delta = solve(resid.astype(b.dtype), -penalty[:, None] * coeffs)
-        if np.all(np.isfinite(delta)):
-            coeffs = coeffs + delta
+    coeffs = solve(b, np.zeros_like(b[:n_cols]))
+    # one step of iterative refinement with the residual accumulated in
+    # long double; tightens consistent ill-conditioned round trips
+    resid = np.empty(b.shape, dtype=ld)
+    for lo in range(0, n_samp, RESIDUAL_BLOCK_ROWS):
+        rows = slice(lo, lo + RESIDUAL_BLOCK_ROWS)
+        a_rows = (design[rows] / scale).astype(ld)
+        resid[rows] = targets[rows].astype(ld) - a_rows @ coeffs.astype(ld)
+    delta = solve(resid.astype(b.dtype), -penalty[:, None] * coeffs)
+    if np.all(np.isfinite(delta)):
+        coeffs = coeffs + delta
     coeffs = coeffs / scale[:, None]
 
     resid = targets - design @ coeffs
@@ -207,7 +179,7 @@ def _stack_states(data):
         data = [data]
     if not data:
         raise InputError("no training data")
-    return data, np.vstack([traj.states for traj in data])
+    return np.vstack([traj.states for traj in data])
 
 
 def _master_values(dictionary, states, master_coords):
@@ -236,7 +208,7 @@ def fit_graph(data, dictionary, master_coords, slaved_coords, ridge=0.0):
     slaved_coords = tuple(slaved_coords)
     if set(master_coords) & set(slaved_coords):
         raise InputError("master and slaved coordinate selectors overlap")
-    _, states = _stack_states(data)
+    states = _stack_states(data)
     design = dictionary.evaluate(_master_values(dictionary, states,
                                                 master_coords))
     targets = states[:, list(slaved_coords)]
@@ -348,8 +320,7 @@ def _central_differences(values, h):
     return d4, d2
 
 
-def fit_reduced_flow(data, dictionary, derivative_scheme="central4",
-                     ridge=0.0):
+def fit_reduced_flow(data, dictionary, ridge=0.0):
     """Regress estimated time derivatives on dictionary values.
 
     Derivatives come from 4th-order central differences on uniformly sampled
@@ -357,8 +328,6 @@ def fit_reduced_flow(data, dictionary, derivative_scheme="central4",
     the 4th- and 2nd-order estimates gives a step-size error bound; if that
     bound exceeds the training residual the sampling is too coarse to trust.
     """
-    if derivative_scheme != "central4":
-        raise InputError(f"unknown derivative scheme {derivative_scheme!r}")
     if isinstance(data, Trajectory):
         data = [data]
     designs, targets = [], []
@@ -492,18 +461,14 @@ def relative_error(true, pred):
 # ---------------------------------------------------------------------------
 
 def dmd_fit(snapshots):
-    """One-step linear propagator A with x(i+1) = A x(i), least squares."""
-    traj = snapshots
-    states = traj.states if isinstance(traj, Trajectory) else \
-        np.atleast_2d(np.asarray(traj, dtype=float))
+    """One-step linear propagator A with x(i+1) = A x(i), least squares
+    by the column-scaled solver of the dictionary fits."""
+    states = snapshots.states if isinstance(snapshots, Trajectory) else \
+        np.atleast_2d(np.asarray(snapshots, dtype=float))
     n_samp, n = states.shape
     if n_samp < n + 1:
         raise InsufficientData(f"need at least {n + 1} snapshots, got {n_samp}")
-    X, Y = states[:-1], states[1:]
-    if np.linalg.cond(X) > RANK_DEFICIENT_COND:
-        raise RankDeficient("snapshot matrix is rank deficient")
-    A, _, _, _ = np.linalg.lstsq(X, Y, rcond=None)
-    return A.T
+    return _scaled_lstsq(states[:-1], states[1:], 0.0)[0].T
 
 
 def pod_reduced_model_planar(a, b, c, K):

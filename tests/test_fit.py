@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from ssmfrac import dictionary, dynamics, fit, spectrum
 from ssmfrac.errors import (BadParams, Diverged, InputError, InsufficientData,
-                            LengthMismatch, OutOfRadius, RankDeficient,
-                            StepTooCoarse)
+                            LengthMismatch, NumericalError, OutOfRadius,
+                            RankDeficient, StepTooCoarse)
 from ssmfrac.trajectory import Trajectory
 
 COUETTE_MASTER_LOG = -0.035068
@@ -62,6 +62,48 @@ def test_scaled_lstsq_ridge_matches_normal_equations():
     coeffs, _, _ = fit._scaled_lstsq(A, y, ridge=ridge)
     ref = np.linalg.solve(A.T @ A + ridge * np.eye(3), A.T @ y)
     np.testing.assert_allclose(coeffs[:, 0], ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("ridge", [1e-8, 0.7])
+def test_scaled_lstsq_long_double_ridge_matches_double(cplx, ridge):
+    """Long-double design and targets go through the double factorization
+    with a ridge folded in, and agree with the solve of their double
+    roundings."""
+    rng = np.random.default_rng(2)
+    design = rng.normal(size=(60, 5)) * 10.0 ** np.arange(-2, 3)
+    targets = rng.normal(size=(60, 2))
+    if cplx:
+        design = design + 1j * rng.normal(size=design.shape)
+        targets = targets + 1j * rng.normal(size=targets.shape)
+    ld = np.clongdouble if cplx else np.longdouble
+    wiggle = 1.0 + np.longdouble(1e-18) * rng.normal(size=design.shape)
+    design_ld = design.astype(ld) * wiggle
+    targets_ld = targets.astype(ld) * wiggle[:, :2]
+    got, rms, cond = fit._scaled_lstsq(design_ld, targets_ld, ridge=ridge)
+    ref, ref_rms, ref_cond = fit._scaled_lstsq(design, targets, ridge=ridge)
+    assert np.all(np.isfinite(got))
+    assert np.linalg.norm(np.asarray(got, dtype=ref.dtype) - ref) <= \
+        1e-12 * np.linalg.norm(ref)
+    np.testing.assert_allclose(np.asarray(rms, dtype=float), ref_rms,
+                               rtol=1e-12)
+    assert cond == pytest.approx(ref_cond, rel=1e-12)
+
+
+def test_scaled_lstsq_long_double_design_beyond_double_range():
+    """Column scaling brings a long-double design that over- or underflows
+    double into range; targets beyond that range are an input error."""
+    rng = np.random.default_rng(4)
+    base = rng.normal(size=(20, 2)).astype(np.longdouble)
+    true = np.array([1.0, 2.0], dtype=np.longdouble)
+    for size in ("1e400", "1e-400"):
+        s = np.longdouble(size)
+        got, _, _ = fit._scaled_lstsq(base * s, base @ true, ridge=0.0)
+        np.testing.assert_allclose(np.asarray(got[:, 0] * s, dtype=float),
+                                   np.asarray(true, dtype=float), rtol=1e-12)
+    with pytest.raises(InputError), np.errstate(over="ignore"):
+        fit._scaled_lstsq(base, base @ true * np.longdouble("1e400"),
+                          ridge=0.0)
 
 
 def test_scaled_lstsq_rank_deficient():
@@ -500,6 +542,43 @@ def test_dmd_linear_decay():
     A = fit.dmd_fit(map_traj(vals))
     assert A.shape == (1, 1)
     assert A[0, 0] == pytest.approx(0.5, abs=1e-12)
+
+
+def linear_snapshots(scales=(1.0, 1.0)):
+    """A noisy two-state linear recurrence, one column per state."""
+    rng = np.random.default_rng(3)
+    A = np.array([[0.9, 0.1], [-0.2, 0.8]])
+    x = [np.array([1.0, 0.5])]
+    for _ in range(30):
+        x.append(A @ x[-1] + 1e-3 * rng.normal(size=2))
+    return np.array(x) * np.asarray(scales)
+
+
+def test_dmd_matches_numpy_lstsq_on_noisy_data():
+    states = linear_snapshots()
+    ref, _, _, _ = np.linalg.lstsq(states[:-1], states[1:], rcond=None)
+    np.testing.assert_allclose(fit.dmd_fit(states), ref.T, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_dmd_identical_state_columns_are_rank_deficient():
+    """A numerical failure, which the CLI reports with exit code 3."""
+    states = linear_snapshots()[:, [0, 0]]
+    with pytest.raises(RankDeficient):
+        fit.dmd_fit(states)
+    assert issubclass(RankDeficient, NumericalError)
+
+
+def test_dmd_badly_scaled_full_rank_snapshots_fit():
+    """The rank test reads the column-scaled factor: state scales 1e14
+    apart make cond(X) about 6e13 but leave the propagator well defined."""
+    scales = np.array([1e-7, 1e7])
+    states = linear_snapshots(scales)
+    assert np.linalg.cond(states[:-1]) > fit.RANK_DEFICIENT_COND
+    got = fit.dmd_fit(states)
+    unscaled = fit.dmd_fit(linear_snapshots())
+    np.testing.assert_allclose(got / np.outer(scales, 1.0 / scales),
+                               unscaled, rtol=1e-10)
 
 
 def test_dmd_insufficient_snapshots():
