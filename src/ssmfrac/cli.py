@@ -146,9 +146,6 @@ def _load_trajectories(path):
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args):
-    outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
-
     if args.map_logs:
         logs = spectrum.read_matrix_csv(args.map_logs).ravel()
         if len(logs) < 2:
@@ -165,18 +162,16 @@ def cmd_spectrum(args):
             raise InputError("need --matrix, --testbed, or --map-logs")
         part = spectrum.partition_spectrum(
             A, spectrum.slowest(args.masters, args.kind), kind=args.kind)
-
-    part.to_json(os.path.join(outdir, "spectrum.json"))
-
-    if part.kind == "map" and part.p == 1 and part.q == 0:
-        rows = spectrum.spectral_ratio_table(part)
-    else:
-        rate = part.master_rates()[0]
-        rows = [(i + 1, r / rate) for i, r in enumerate(part.slaved_rates())]
-    _write_csv(os.path.join(outdir, "ratios.csv"), ("slaved_index", "ratio"),
-               rows, ("", ".6f"))
-
+    # every number is computed before the first file is written
+    amp, _ = part.quotients()
     smooth = spectrum.smoothness_class(part)
+
+    outdir = args.outdir
+    os.makedirs(outdir, exist_ok=True)
+    part.to_json(os.path.join(outdir, "spectrum.json"))
+    _write_csv(os.path.join(outdir, "ratios.csv"), ("slaved_index", "ratio"),
+               [(i + 1, x) for i, x in enumerate(amp[:, 0].tolist())],
+               ("", ".6f"))
     dump_json({"eta": smooth.eta, "ratios": list(smooth.ratios)},
               os.path.join(outdir, "smoothness.json"))
 

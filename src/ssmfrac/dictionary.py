@@ -290,42 +290,34 @@ def dictionary_from_json(source):
 # ratio helpers
 # ---------------------------------------------------------------------------
 
-def _check_rates(spec):
-    """Exponent ratios divide by the master rate (Re, or log-modulus for
-    maps): it must be finite and nonzero, and the slaved rates finite."""
-    rates = spec.master_rates() + spec.slaved_rates()
-    if rates[0] == 0 or not all(map(math.isfinite, rates)):
-        raise InputError(f"fractional exponents need a finite nonzero master "
-                         f"rate and finite slaved rates, got {rates}")
+def _quotients(spec):
+    """``SpectralPartition.quotients`` of a spectrum that fractional terms
+    are built on: for maps, every kappa_l > 0."""
+    quotients = spec.quotients()
+    if spec.kind == "map" and any(k <= 0 for k in spec.kappa):
+        raise WrongShape("map families require kappa_l > 0 "
+                         "(orientation-preserving slaved directions)")
+    return quotients
 
 
 def _ratios_1d(spec):
-    """Fractional exponent per slaved real: kappa_l / lambda_1 (flow) or
-    log kappa_l / log |lambda_1| (map)."""
+    """Fractional exponent per slaved real: its spectral quotient over the
+    master, kappa_l / lambda_1 for flows and log kappa_l / log |lambda_1|
+    for maps."""
     if spec.p != 1 or spec.q != 0 or spec.s != 0:
         raise WrongShape("1D dictionary needs p=1, q=0, s=0")
-    _check_rates(spec)
-    if spec.kind == "flow":
-        return [k / spec.lam[0] for k in spec.kappa]
-    if any(k <= 0 for k in spec.kappa):
-        raise WrongShape("map dictionaries require kappa_l > 0 "
-                         "(orientation-preserving slaved directions)")
-    denom = math.log(abs(spec.lam[0]))
-    return [math.log(k) / denom for k in spec.kappa]
+    return _quotients(spec)[0][:, 0].tolist()
 
 
 def _ratios_2d(spec):
     """(amplitude exponent, phase rate) per slaved pair for a single complex
-    master pair."""
+    master pair: its spectral quotients (``SpectralPartition.quotients``),
+    beta_m / alpha_1 and nu_m / alpha_1 for flows, log-modulus quotients
+    Xi_m and atan2(nu_m, beta_m) / log |alpha_1 + i omega_1| for maps."""
     if spec.p != 0 or spec.q != 1 or spec.r != 0:
         raise WrongShape("2D dictionary needs p=0, q=1, r=0")
-    _check_rates(spec)
-    a, w = spec.alpha_omega[0]
-    if spec.kind == "flow":
-        return [(b / a, nu / a) for b, nu in spec.beta_nu]
-    denom = math.log(math.hypot(a, w))
-    return [(math.log(math.hypot(b, nu)) / denom,
-             math.atan2(nu, b) / denom) for b, nu in spec.beta_nu]
+    amp, phase = spec.quotients()
+    return list(zip(amp[:, 0].tolist(), phase[:, 0].tolist()))
 
 
 def _enumerate_k4(ratios, budget):
@@ -562,20 +554,18 @@ def prune_near_integer(dictionary, tol):
         return dictionary
     spec = dictionary.spec
     if dictionary.family.endswith("1d"):
-        used_ratios = {m: [rho for k, rho in zip(m.k4, _ratios_1d(spec)) if k > 0]
-                       for m in dictionary.monomials}
+        ratios = _ratios_1d(spec)
+        uses = lambda m: m.k4
     elif dictionary.family.endswith("2d"):
-        rates = _ratios_2d(spec)
-        used_ratios = {m: [xi for a, b, (xi, _) in zip(m.k5, m.k6, rates)
-                           if a + b > 0]
-                       for m in dictionary.monomials}
+        ratios = [xi for xi, _ in _ratios_2d(spec)]
+        uses = lambda m: [a + b for a, b in zip(m.k5, m.k6)]
     else:
         return dictionary
+    near = [abs(rho - round(rho)) < tol and round(rho) != 0 for rho in ratios]
     integer_orders = {round(m.order) for m in dictionary.monomials if m.is_integer}
     keep, removed = [], list(dictionary.removed)
     for m in dictionary.monomials:
-        collide = any(abs(rho - round(rho)) < tol and round(rho) != 0
-                      for rho in used_ratios[m])
+        collide = any(k > 0 and hit for k, hit in zip(uses(m), near))
         if collide and round(m.order) in integer_orders:
             removed.append(m)
         else:
@@ -615,76 +605,50 @@ class LinearGraphCoeffs:
                                  O=z(spec.s, spec.p), Q=z(spec.s, spec.q))
 
 
-def _graph_exponents(spec):
-    """Exponent/phase tables for the V/E families.
-
-    Returns (kv_u, kv_z, ke_u, ke_z, phase_u, phase_z) where each entry is a
-    nested list indexed [channel][master].
-    """
-    if spec.kind == "flow":
-        den_u = list(spec.lam)
-        den_z = [a for a, _ in spec.alpha_omega]
-        num_v = list(spec.kappa)
-        num_e = [b for b, _ in spec.beta_nu]
-        num_phase = [nu for _, nu in spec.beta_nu]
-    else:
-        if any(k <= 0 for k in spec.kappa):
-            raise WrongShape("map graph families require kappa_l > 0")
-        den_u = [math.log(abs(l)) for l in spec.lam]
-        den_z = [math.log(math.hypot(a, w)) for a, w in spec.alpha_omega]
-        num_v = [math.log(k) for k in spec.kappa]
-        num_e = [math.log(math.hypot(b, nu)) for b, nu in spec.beta_nu]
-        num_phase = [math.atan2(nu, b) / (spec.p + spec.q)
-                     for b, nu in spec.beta_nu]
-    return tuple([[n / d for d in den] for n in num]
-                 for num in (num_v, num_e, num_phase)
-                 for den in (den_u, den_z))
-
-
 def linear_graph_eval(spec, coeffs, point):
     """Evaluate (V, E) at a master point (u, z).
 
     u is a length-p real vector, z a length-q complex vector. Returns
-    (v in R^r, w in C^s). Coefficient entries attached to negative exponent
-    ratios must be zero; the term is skipped either way, matching the
-    constraint that forces them to vanish.
+    (v in R^r, w in C^s). Slaved channel i carries |x_j|^amp[i, j] for each
+    master x_j and, on a slaved pair, the phase e^{i sum_j phase[i, j]
+    log|x_j|}, where (amp, phase) = spec.quotients() and maps share the
+    phase among their p + q masters. Map families need kappa_l > 0.
+    Coefficient entries attached to negative exponent ratios must be zero;
+    the term is skipped either way, matching the constraint that forces
+    them to vanish.
     """
     u, z = point
     u = np.atleast_1d(np.asarray(u, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if len(u) != spec.p or len(z) != spec.q:
         raise InputError("point shape does not match the partition")
-    kv_u, kv_z, ke_u, ke_z, phase_u, phase_z = _graph_exponents(spec)
+    amp, phase = _quotients(spec)
+    if spec.kind == "map":
+        phase = phase / (spec.p + spec.q)
+    amp, phase = amp.tolist(), phase.tolist()
+    masters = list(u) + list(z)
 
-    def pow_abs(x, e):
-        ax = abs(x)
-        if ax <= TINY_AMPLITUDE:
-            if e > 0:
-                return 0.0
-            raise DomainError("zero amplitude with nonpositive exponent")
-        return ax ** e
-
-    def terms(ch, on_u, neg_u, exp_u, on_z, exp_z):
+    def terms(ch, on_u, neg_u, on_z, exps):
         """c |x|^e for each master x whose coefficient c is nonzero and
         whose exponent e is positive; on_u/neg_u hold u > 0 / u <= 0."""
-        pairs = [(neg_u[ch][j] if neg_u is not None and u[j] <= 0
-                  else on_u[ch][j], u[j], exp_u[ch][j]) for j in range(spec.p)]
-        pairs += [(on_z[ch][k] if on_z else 0.0, z[k], exp_z[ch][k])
-                  for k in range(spec.q)]
-        return [c * pow_abs(x, e) for c, x, e in pairs if c and e > 0]
+        cs = [neg_u[ch][j] if neg_u is not None and u[j] <= 0
+              else on_u[ch][j] for j in range(spec.p)]
+        cs += [on_z[ch][k] if on_z else 0.0 for k in range(spec.q)]
+        return [c * (abs(x) ** e if abs(x) > TINY_AMPLITUDE else 0.0)
+                for c, x, e in zip(cs, masters, exps) if c and e > 0]
 
     v = np.zeros(spec.r)
     for ell in range(spec.r):
-        v[ell] = sum(terms(ell, coeffs.K, coeffs.K_neg, kv_u, coeffs.L, kv_z),
+        v[ell] = sum(terms(ell, coeffs.K, coeffs.K_neg, coeffs.L, amp[ell]),
                      0.0)
 
     w = np.zeros(spec.s, dtype=complex)
-    masters = list(u) + list(z)
     for m in range(spec.s):
-        active = terms(m, coeffs.O, coeffs.O_neg, ke_u, coeffs.Q, ke_z)
+        row = spec.r + m
+        active = terms(m, coeffs.O, coeffs.O_neg, coeffs.Q, amp[row])
         if active:
             theta = sum((ph * math.log(abs(x)) for ph, x in
-                         zip(phase_u[m] + phase_z[m], masters)
+                         zip(phase[row], masters)
                          if abs(x) > TINY_AMPLITUDE), 0.0)
             w[m] = sum(active, 0.0 + 0.0j) * np.exp(1j * theta)
     return v, w

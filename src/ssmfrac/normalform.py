@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import _ratios_2d, linear_graph_eval
+from .dictionary import linear_graph_eval
 from .errors import (InputError, NoConvergence, OutOfRadius, SmallDivisor,
                      WrongShape)
 from .jsonio import dump_json
+from .spectrum import conjugate_partners
 
 SMALL_DIVISOR_FACTOR = 1e-8
 COEFF_DROP = 1e-14
@@ -163,31 +164,14 @@ def _near_identity(terms, n, points):
 # PolySystem
 # ---------------------------------------------------------------------------
 
-def _canonical_eig_order(w, kind="flow"):
-    """Indices ordering eigenvalues by slowness (|Re| for flows), conjugate
+def _canonical_eig_order(w):
+    """Indices ordering eigenvalues by slowness |Re|, stably, conjugate
     pairs adjacent with the positive-imaginary member first."""
-    idx = list(range(len(w)))
-    used, groups = set(), []
-    for i in idx:
-        if i in used:
-            continue
-        if abs(w[i].imag) > 1e-12:
-            partner = None
-            for j in idx:
-                if j not in used and j != i and \
-                        abs(w[j] - np.conj(w[i])) < 1e-8 * (1 + abs(w[i])):
-                    partner = j
-                    break
-            if partner is None:
-                raise InputError("complex eigenvalue without conjugate partner")
-            pair = (i, partner) if w[i].imag > 0 else (partner, i)
-            groups.append((abs(w[i].real), list(pair)))
-            used.update(pair)
-        else:
-            groups.append((abs(w[i].real), [i]))
-            used.add(i)
-    groups.sort(key=lambda g: g[0])
-    return [i for _, grp in groups for i in grp]
+    partner = conjugate_partners(w)
+    firsts = sorted((i for i in range(len(w)) if i <= partner[i]),
+                    key=lambda i: abs(w[i].real))
+    return [int(k) for i in firsts
+            for k in sorted({i, partner[i]}, key=lambda k: -w[k].imag)]
 
 
 @dataclass
@@ -203,13 +187,13 @@ class PolySystem:
         return len(self.eigenvalues)
 
     @classmethod
-    def from_real_system(cls, A, nonlinear_terms, K=10, kind="flow"):
+    def from_real_system(cls, A, nonlinear_terms, K=10):
         """Diagonalize xdot = A x + f(x); nonlinear_terms are {multi-index:
         real coefficient vector} in the original coordinates. Returns
         (system, V) with x_original = V x_modal."""
         A = np.asarray(A, dtype=float)
         w, V = np.linalg.eig(A)
-        order = _canonical_eig_order(w, kind)
+        order = _canonical_eig_order(w)
         w, V = w[order], V[:, order]
         basis = _basis(len(w), K)
         C = np.linalg.inv(V) @ basis.matrix(nonlinear_terms)
@@ -221,8 +205,7 @@ class PolySystem:
     def conjugate_symmetry_error(self):
         """Largest violation of the real-system symmetry: the coefficient at
         the conjugate-permuted index equals the conjugate coefficient."""
-        lam = np.asarray(self.eigenvalues)
-        perm = np.argmin(np.abs(lam[None, :] - np.conj(lam)[:, None]), axis=1)
+        perm = conjugate_partners(self.eigenvalues)
         basis = _basis(self.dimension,
                        max((sum(m) for m in self.terms), default=1))
         C = basis.matrix(self.terms)
@@ -394,15 +377,20 @@ class _Lattice:
     A term c xi^a conj(xi)^b is keyed on the dictionary's integer
     multiplicities k = (k2, k3, k5..., k6...): a = k2 + s and b = k3 + s
     with s = sum k5 theta + sum k6 conj(theta), theta_m = (Xi_m + i
-    Gamma_m) / 2 from the generators of dictionary._ratios_2d, which are
-    never rounded. Keys add as exponents add, conjugation swaps k2 with k3
-    and k5 with k6, and a - b = k2 - k3 is the rotational index. A series
+    Gamma_m) / 2 from the spectral quotients of the spectrum (one master
+    pair, slaved pairs only), which are never rounded. Keys add as
+    exponents add, conjugation swaps k2 with k3 and k5 with k6, and
+    a - b = k2 - k3 is the rotational index. A series
     is a pair (keys, coeffs): an (n, dim) integer array and an (n,)
     complex array.
     """
 
-    def __init__(self, rates):
-        theta = np.array([complex(xi, g) / 2.0 for xi, g in rates],
+    def __init__(self, spec):
+        if (spec.p, spec.q, spec.r) != (0, 1, 0):
+            raise WrongShape("the exponent lattice needs p=0, q=1, r=0")
+        amp, phase = spec.quotients()
+        theta = np.array([complex(xi, g) / 2.0
+                          for xi, g in zip(amp[:, 0], phase[:, 0])],
                          dtype=complex)
         s = len(theta)
         self.dim = 2 + 2 * s
@@ -691,7 +679,7 @@ def _model_to_field(reduced):
     d = reduced.dictionary
     if not d.family.endswith("2d"):
         raise InputError("extended normal form needs a 2D dictionary model")
-    lat = _Lattice(_ratios_2d(d.spec))
+    lat = _Lattice(d.spec)
     keys = np.array([(m.k2 or (0,)) + (m.k3 or (0,)) + m.k5 + m.k6
                      for m in d.monomials], dtype=np.int64)
     coeffs = np.asarray(reduced.coefficients, dtype=complex).ravel()
@@ -779,9 +767,10 @@ def extended_normalform_2d(reduced, spec, drop_resonant=True):
     survivors = [{"a": [x.real, x.imag], "b": [y.real, y.imag],
                   "coeff": [z.real, z.imag]} for x, y, z in zip(a, b, coeffs)]
 
-    beta1, nu1 = spec.beta_nu[0]
-    ratio = beta1 / spec.alpha_omega[0][0] if spec.alpha_omega else None
-    phase = nu1 / spec.alpha_omega[0][0] if spec.alpha_omega else None
+    ratio = phase = None
+    if spec.q:
+        amp, turn = spec.quotients()
+        ratio, phase = float(amp[spec.r, spec.p]), float(turn[spec.r, spec.p])
     nf = NormalForm2D(alpha1=gamma.real, omega1=gamma.imag, ratio=ratio,
                       phase_exponent=phase, resonant_terms=survivors,
                       small_divisor_log=sd_log, delta=delta,

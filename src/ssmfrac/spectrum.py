@@ -5,14 +5,20 @@ to a chosen spectral subspace, checks nonresonance, predicts the smoothness
 class of the generic invariant-manifold family, and runs the pseudo-unstable
 subspace test.
 
+This module is the one place that computes an eigenvalue's rate, the
+spectral quotients of a partition and the pairing of conjugate eigenvalues;
+the dictionaries, the normal forms and the command line read them from here.
+
 Conventions
 -----------
 * Flows compare eigenvalue real parts against zero; maps compare moduli
-  against one.
+  against one. The rate of an eigenvalue is Re for flows and log-modulus
+  for maps (``rate``); a spectral quotient is a slaved rate over a master
+  rate (``SpectralPartition.quotients``).
 * Complex eigenvalues are stored as (real, imag) pairs with positive
   imaginary part; conjugates are implicit.
-* Within each block entries are sorted by |Re| (flow) or |log modulus| (map),
-  ascending, so the "slowest" entry comes first.
+* Within each block entries are sorted by |rate|, ascending, so the
+  "slowest" entry comes first.
 """
 
 from __future__ import annotations
@@ -32,8 +38,65 @@ FLOW_HYPERBOLICITY_RTOL = 1e-10
 MAP_HYPERBOLICITY_TOL = 1e-10
 # resonance equality tolerance, and the 1:1 dedup tolerance
 RESONANCE_TOL = 1e-9
+# |Im| at or below this times the spectral scale counts as real, and a
+# conjugate partner must lie this close to the exact conjugate
+CONJUGATE_RTOL = 1e-10
 # eigenvector matrix condition number beyond which we refuse to proceed
 DEFECTIVE_COND = 1e8
+
+
+def rate(z, kind):
+    """Decay or growth rate of an eigenvalue, the quantity every spectral
+    quotient divides: Re z for flows, log|z| for maps (-inf at z = 0)."""
+    z = complex(z)
+    if kind == "flow":
+        return z.real
+    mod = math.hypot(z.real, z.imag)
+    return math.log(mod) if mod > 0 else -math.inf
+
+
+def conjugate_partners(eigs, tol=None):
+    """Index of each eigenvalue's conjugate partner, every eigenvalue
+    paired exactly once: itself when |Im| <= tol, else the nearest
+    still-unpaired eigenvalue within tol of its conjugate, so repeated
+    pairs are matched one to one. tol defaults to CONJUGATE_RTOL times the
+    largest modulus. A complex eigenvalue left without partner raises
+    InputError."""
+    eigs = np.asarray(eigs, dtype=complex)
+    if tol is None:
+        tol = CONJUGATE_RTOL * np.abs(eigs).max(initial=0.0)
+    partner = np.arange(len(eigs))
+    free = np.abs(eigs.imag) > tol
+    for i in np.flatnonzero(free):
+        if free[i]:
+            free[i] = False
+            gap = np.where(free, np.abs(eigs - eigs[i].conjugate()), np.inf)
+            j = int(np.argmin(gap))
+            if not gap[j] <= tol:
+                raise InputError(f"complex eigenvalue {eigs[i]} has no "
+                                 "conjugate partner")
+            partner[[i, j]], free[j] = (j, i), False
+    return partner
+
+
+def _check_hyperbolic(eigs, kind, scale=1.0):
+    """Raise unless every eigenvalue is off the critical set: for flows
+    |Re| above FLOW_HYPERBOLICITY_RTOL * scale; for maps a finite nonzero
+    multiplier with ||z| - 1| above MAP_HYPERBOLICITY_TOL (InputError for a
+    zero or infinite multiplier, NotHyperbolic for a critical one)."""
+    eigs = np.asarray(eigs, dtype=complex)
+    if kind == "flow":
+        bad = np.abs(eigs.real) <= FLOW_HYPERBOLICITY_RTOL * scale
+    elif kind == "map":
+        mod = np.abs(eigs)
+        if not np.all(np.isfinite(mod) & (mod > 0)):
+            raise InputError(f"map multipliers must be finite and nonzero, "
+                             f"got {eigs}")
+        bad = np.abs(mod - 1.0) <= MAP_HYPERBOLICITY_TOL
+    else:
+        raise InputError(f"unknown kind {kind!r}")
+    if np.any(bad):
+        raise NotHyperbolic(f"eigenvalues on the critical set: {eigs[bad]}")
 
 
 # the eigenvalue lists of a spectrum document: entry shape, and the key of
@@ -60,19 +123,13 @@ class SpectralPartition:
     def __post_init__(self):
         if self.kind not in ("flow", "map"):
             raise InputError(f"kind must be 'flow' or 'map', got {self.kind!r}")
-        rate = self._rate
-        object.__setattr__(self, "lam",
-                           tuple(sorted((float(x) for x in self.lam),
-                                        key=lambda v: abs(rate(complex(v))))))
-        object.__setattr__(self, "alpha_omega",
-                           tuple(sorted(((float(a), abs(float(w))) for a, w in self.alpha_omega),
-                                        key=lambda p: abs(rate(complex(p[0], p[1]))))))
-        object.__setattr__(self, "kappa",
-                           tuple(sorted((float(x) for x in self.kappa),
-                                        key=lambda v: abs(rate(complex(v))))))
-        object.__setattr__(self, "beta_nu",
-                           tuple(sorted(((float(b), abs(float(n))) for b, n in self.beta_nu),
-                                        key=lambda p: abs(rate(complex(p[0], p[1]))))))
+        for name in ("lam", "alpha_omega", "kappa", "beta_nu"):
+            pairs = name in ("alpha_omega", "beta_nu")
+            vals = ((float(v[0]), abs(float(v[1]))) if pairs else float(v)
+                    for v in getattr(self, name))
+            object.__setattr__(self, name, tuple(sorted(
+                vals, key=lambda v: abs(rate(complex(*v) if pairs else v,
+                                             self.kind)))))
 
     # -- shape ---------------------------------------------------------------
 
@@ -98,14 +155,6 @@ class SpectralPartition:
 
     # -- eigenvalue access ---------------------------------------------------
 
-    def _rate(self, z: complex) -> float:
-        """Decay/growth rate entering every exponent ratio: Re for flows,
-        log-modulus for maps."""
-        if self.kind == "flow":
-            return z.real
-        mod = abs(z)
-        return math.log(mod) if mod > 0 else -math.inf
-
     def master_eigenvalues(self, conjugates=False):
         vals = [complex(x) for x in self.lam]
         vals += [complex(a, w) for a, w in self.alpha_omega]
@@ -124,12 +173,25 @@ class SpectralPartition:
         return (self.master_eigenvalues(conjugates)
                 + self.slaved_eigenvalues(conjugates))
 
-    # master decay rates (denominators of the spectral quotients)
-    def master_rates(self):
-        return [self._rate(z) for z in self.master_eigenvalues()]
-
-    def slaved_rates(self):
-        return [self._rate(z) for z in self.slaved_eigenvalues()]
+    def quotients(self):
+        """Spectral quotients of every slaved entry (rows: ``kappa``, then
+        ``beta_nu``) over every master (columns: ``lam``, then
+        ``alpha_omega``), as (amplitude, phase) arrays of shape
+        (r + s, p + q). The amplitude is the slaved rate over the master
+        rate; the phase is nu (flows) or atan2(nu, beta) (maps) over the
+        master rate, and 0 for slaved reals. A zero or non-finite master
+        rate, or a non-finite slaved rate, raises InputError."""
+        den = np.array([rate(z, self.kind) for z in self.master_eigenvalues()])
+        num = np.array([rate(z, self.kind) for z in self.slaved_eigenvalues()])
+        if not (np.isfinite(den).all() and den.all()
+                and np.isfinite(num).all()):
+            raise InputError(f"spectral quotients need finite nonzero master "
+                             f"rates and finite slaved rates, got master "
+                             f"{den.tolist()}, slaved {num.tolist()}")
+        turn = np.array([0.0] * self.r + [
+            nu if self.kind == "flow" else math.atan2(nu, b)
+            for b, nu in self.beta_nu])
+        return num[:, None] / den, turn[:, None] / den
 
     # -- serialization -------------------------------------------------------
 
@@ -176,11 +238,18 @@ class SpectralPartition:
     def from_map_logs(cls, master_logs, slaved_logs):
         """Map-kind partition from log-moduli of real positive eigenvalues.
 
-        Convenience for tabulated data given as log eigenvalues.
+        Convenience for tabulated data given as log eigenvalues. The
+        multipliers obey partition_spectrum's map rule: one that is zero or
+        overflows in floating point raises InputError, one within
+        MAP_HYPERBOLICITY_TOL of modulus 1 raises NotHyperbolic.
         """
-        return cls(kind="map",
-                   lam=tuple(math.exp(v) for v in master_logs),
-                   kappa=tuple(math.exp(v) for v in slaved_logs))
+        try:
+            lam = [math.exp(v) for v in master_logs]
+            kappa = [math.exp(v) for v in slaved_logs]
+        except OverflowError as exc:
+            raise InputError("a log-modulus overflows its multiplier") from exc
+        _check_hyperbolic(lam + kappa, "map")
+        return cls(kind="map", lam=tuple(lam), kappa=tuple(kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +263,18 @@ def slowest(n_dims, kind="flow"):
         raise InputError(f"need at least one master dimension, got {n_dims}")
 
     def select(eigs):
-        rate = (lambda z: abs(z.real)) if kind == "flow" \
-            else (lambda z: abs(math.log(abs(z))))
-        order = sorted(range(len(eigs)), key=lambda i: (rate(eigs[i]), abs(eigs[i].imag)))
+        partner = conjugate_partners(eigs)
+        order = sorted(range(len(eigs)), key=lambda i: (
+            abs(rate(eigs[i], kind)), abs(eigs[i].imag)))
         mask = np.zeros(len(eigs), dtype=bool)
         taken = 0
         for i in order:
-            if mask[i]:
+            # a complex eigenvalue takes its conjugate partner along
+            group = [i] if partner[i] == i else [i, partner[i]]
+            if mask[i] or taken + len(group) > n_dims:
                 continue
-            if abs(eigs[i].imag) > 0:
-                # take the conjugate partner along
-                j = int(np.argmin(np.abs(eigs - np.conj(eigs[i]))))
-                if taken + 2 > n_dims:
-                    continue
-                mask[i] = mask[j] = True
-                taken += 2
-            else:
-                if taken + 1 > n_dims:
-                    continue
-                mask[i] = True
-                taken += 1
+            mask[group] = True
+            taken += len(group)
             if taken == n_dims:
                 break
         if taken != n_dims:
@@ -253,40 +314,20 @@ def partition_spectrum(A, master_selector, kind="flow"):
             f"eigenvector condition number {cond:.3g} exceeds {DEFECTIVE_COND:.0e}")
 
     scale = max(np.linalg.norm(A, 2), 1e-300)
-    if kind == "flow":
-        bad = np.abs(eigs.real) <= FLOW_HYPERBOLICITY_RTOL * scale
-    elif kind == "map":
-        bad = np.abs(np.abs(eigs) - 1.0) <= MAP_HYPERBOLICITY_TOL
-    else:
-        raise InputError(f"unknown kind {kind!r}")
-    if np.any(bad):
-        raise NotHyperbolic(f"eigenvalues on the critical set: {eigs[bad]}")
+    _check_hyperbolic(eigs, kind, scale)
 
     mask = np.asarray(master_selector(eigs), dtype=bool)
     if mask.shape != eigs.shape:
         raise InputError("master selector returned a mask of wrong length")
-
-    # conjugate closure of the selection
-    imag_tol = 1e-10 * scale
-    for i, z in enumerate(eigs):
-        if abs(z.imag) > imag_tol:
-            j = int(np.argmin(np.abs(eigs - np.conj(z))))
-            if mask[i] != mask[j]:
-                raise InputError("master selection is not closed under conjugation")
+    partner = conjugate_partners(eigs, CONJUGATE_RTOL * scale)
+    if np.any(mask != mask[partner]):
+        raise InputError("master selection is not closed under conjugation")
 
     def collect(sel):
-        reals, pairs = [], []
-        used = np.zeros(len(eigs), dtype=bool)
-        for i, z in enumerate(eigs):
-            if not sel[i] or used[i]:
-                continue
-            if abs(z.imag) <= imag_tol:
-                reals.append(z.real)
-                used[i] = True
-            elif z.imag > 0:
-                j = int(np.argmin(np.abs(eigs - np.conj(z))))
-                pairs.append((z.real, z.imag))
-                used[i] = used[j] = True
+        reals = [z.real for i, z in enumerate(eigs)
+                 if sel[i] and partner[i] == i]
+        pairs = [(z.real, z.imag) for i, z in enumerate(eigs)
+                 if sel[i] and partner[i] != i and z.imag > 0]
         return reals, pairs
 
     lam, alpha_omega = collect(mask)
@@ -367,9 +408,8 @@ def smoothness_class(spec: SpectralPartition) -> SmoothnessReport:
     negative the family collapses to the unique C-infinity member and eta is
     "infinity".
     """
-    num = spec.slaved_rates()
-    den = spec.master_rates()
-    positive = tuple(sorted(a / b for a in num for b in den if a / b > 0))
+    amp, _ = spec.quotients()
+    positive = tuple(sorted(float(x) for x in amp.ravel() if x > 0))
     if not positive:
         return SmoothnessReport(eta="infinity", ratios=())
     return SmoothnessReport(eta=int(math.floor(min(positive) + 1e-12)),
@@ -381,8 +421,8 @@ def spectral_ratio_table(spec: SpectralPartition):
     spectrum with a single real master direction, in stored order."""
     if spec.kind != "map" or spec.p != 1 or spec.q != 0:
         raise InputError("ratio table requires a map spectrum with p=1, q=0")
-    denom = math.log(abs(spec.lam[0]))
-    return [(i + 1, math.log(abs(k)) / denom) for i, k in enumerate(spec.kappa)]
+    amp, _ = spec.quotients()
+    return [(i + 1, float(x)) for i, x in enumerate(amp[:spec.r, 0])]
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,43 @@ def test_spectrum_identity_matrix_is_input_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("logs", ["0.0,-0.5,-1.2", "1e-320,-0.5", "800,-0.5",
+                                  "-0.1,-800", "-0.1,0.0", "-0.1,1e-12"])
+def test_spectrum_degenerate_map_logs_are_input_errors(tmp_path, capsys,
+                                                       logs):
+    """A multiplier that is critical, or zero or infinite once
+    exponentiated, exits 2 before any file is written."""
+    path = tmp_path / "logs.csv"
+    path.write_text(logs + "\n")
+    out = tmp_path / "out"
+    code = cli.main(["spectrum", "--map-logs", str(path), "--kind", "map",
+                     "--outdir", str(out)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_singular_map_matrix_is_input_error(tmp_path, capsys):
+    mat = tmp_path / "m.csv"
+    mat.write_text("0.5,0\n0,0\n")
+    out = tmp_path / "out"
+    code = cli.main(["spectrum", "--matrix", str(mat), "--kind", "map",
+                     "--masters", "1", "--outdir", str(out)])
+    assert code == 2
+    assert "nonzero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_repeated_conjugate_pairs(tmp_path):
+    mat = tmp_path / "m.csv"
+    mat.write_text("-0.1,1,0,0\n-1,-0.1,0,0\n0,0,-0.1,1\n0,0,-1,-0.1\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--matrix", str(mat), "--masters", "2",
+                     "--outdir", str(out)]) == 0
+    part = spectrum.SpectralPartition.from_json(out / "spectrum.json")
+    assert (part.p, part.q, part.r, part.s) == (0, 1, 0, 1)
+
+
 def test_spectrum_without_source_is_input_error(tmp_path):
     code = cli.main(["spectrum", "--outdir", str(tmp_path / "out")])
     assert code == 2
@@ -445,6 +482,52 @@ def test_fuzz_spectrum_config(fuzz_inputs, config):
         with open(path, "w") as fh:
             json.dump(config, fh)
         run_cli(["spectrum", "--testbed", "planar", "--config", path,
+                 "--outdir", os.path.join(work, "out")])
+
+
+# log-moduli that are exactly critical, or zero, subnormal or infinite once
+# exponentiated, first
+MAP_LOG = st.one_of(st.sampled_from([0.0, 1e-320, -1e-320, 800.0, -800.0,
+                                     1e-12, -1e-12]),
+                    st.floats(-5.0, 5.0))
+ENTRY = st.one_of(st.sampled_from([0.0, 1.0, -1.0, -0.1]),
+                  st.floats(-3.0, 3.0))
+
+
+@st.composite
+def spectrum_sources(draw):
+    """Arguments for a spectrum run: a map-logs vector, or a small flow or
+    map matrix, possibly with a zero row or two copies of one 2 x 2
+    block, plus the CSV text to write."""
+    if draw(st.booleans()):
+        logs = draw(st.lists(MAP_LOG, min_size=2, max_size=5))
+        return ["--map-logs", "--kind", "map"], ",".join(map(repr, logs))
+    if draw(st.booleans()):
+        block = np.array(draw(st.lists(ENTRY, min_size=4, max_size=4)))
+        A = np.kron(np.eye(2), block.reshape(2, 2))
+    else:
+        n = draw(st.integers(1, 4))
+        A = np.array(draw(st.lists(ENTRY, min_size=n * n, max_size=n * n)))
+        A = A.reshape(n, n)
+    if draw(st.booleans()):
+        A[draw(st.integers(0, len(A) - 1))] = 0.0
+    kind = draw(st.sampled_from(["flow", "map"]))
+    masters = draw(st.integers(1, len(A)))
+    text = "\n".join(",".join(map(repr, row)) for row in A.tolist())
+    return ["--matrix", "--kind", kind, "--masters", str(masters)], text
+
+
+@settings(max_examples=80, deadline=None)
+@given(source=spectrum_sources())
+def test_fuzz_spectrum_numbers(fuzz_inputs, source):
+    """Any spectrum, degenerate or not, ends in a documented exit code;
+    an uncaught exception would propagate out of cli.main."""
+    (flag, *rest), text = source
+    with tempfile.TemporaryDirectory(dir=fuzz_inputs.base) as work:
+        path = os.path.join(work, "in.csv")
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+        run_cli(["spectrum", flag, path, *rest,
                  "--outdir", os.path.join(work, "out")])
 
 

@@ -162,6 +162,16 @@ def test_from_real_system_conjugate_symmetry():
     assert abs(lam[0].real) < abs(lam[2].real)
 
 
+@pytest.mark.parametrize("w, order", [
+    ([-3.0, -0.1 - 1.0j, -2.0, -0.1 + 1.0j, -0.5], [3, 1, 4, 2, 0]),
+    ([-0.1 - 1.0j, -0.1 + 1.0j, -0.1 - 1.0j, -0.1 + 1.0j, -0.1],
+     [1, 0, 3, 2, 4])], ids=["mixed", "repeated-pair"])
+def test_canonical_eig_order(w, order):
+    """Stable by |Re|, groups in order of first appearance, the
+    positive-imaginary member of a pair first."""
+    assert normalform._canonical_eig_order(np.array(w)) == order
+
+
 def test_transform_json_round_trip(tmp_path):
     sys = normalform.PolySystem(eigenvalues=(-1.5,),
                                 terms={(2,): np.array([1.0 + 0.0j])})

@@ -70,6 +70,82 @@ def test_from_map_logs_recovers_ratios():
     assert part.p == 1 and part.r == 4
 
 
+@pytest.mark.parametrize("master, slaved, error", [
+    (0.0, (-0.5, -1.2), NotHyperbolic), (1e-320, (-0.5,), NotHyperbolic),
+    (-0.1, (0.0,), NotHyperbolic), (-0.1, (1e-12,), NotHyperbolic),
+    (800.0, (-0.5,), InputError), (-0.1, (-800.0,), InputError)])
+def test_from_map_logs_applies_the_map_rule(master, slaved, error):
+    """Multipliers that are critical, or zero or infinite once
+    exponentiated, are rejected as partition_spectrum rejects them."""
+    with pytest.raises(error):
+        spectrum.SpectralPartition.from_map_logs([master], slaved)
+
+
+# ---------------------------------------------------------------------------
+# rates and spectral quotients
+# ---------------------------------------------------------------------------
+
+def test_rate_is_real_part_or_log_modulus():
+    assert spectrum.rate(-2.0 + 3.0j, "flow") == -2.0
+    assert spectrum.rate(0.6 + 0.8j, "map") == 0.0
+    assert spectrum.rate(-0.5, "map") == np.log(0.5)
+    assert spectrum.rate(0.0, "map") == -np.inf
+
+
+def test_quotients_flow_table():
+    part = spectrum.SpectralPartition(
+        kind="flow", lam=(-1.0,), alpha_omega=((-0.5, 2.0),),
+        kappa=(-3.0,), beta_nu=((-2.0, 5.0),))
+    amp, phase = part.quotients()
+    np.testing.assert_array_equal(amp, [[3.0, 6.0], [2.0, 4.0]])
+    np.testing.assert_array_equal(phase, [[0.0, 0.0], [-5.0, -10.0]])
+
+
+def test_quotients_map_table():
+    beta, nu = 0.1, 0.2
+    part = spectrum.SpectralPartition(kind="map", lam=(0.5,),
+                                      kappa=(0.25,), beta_nu=((beta, nu),))
+    amp, phase = part.quotients()
+    den = np.log(0.5)
+    np.testing.assert_allclose(
+        amp, [[2.0], [np.log(np.hypot(beta, nu)) / den]], rtol=1e-15)
+    np.testing.assert_allclose(
+        phase, [[0.0], [np.arctan2(nu, beta) / den]], rtol=1e-15)
+
+
+@pytest.mark.parametrize("part", [
+    spectrum.SpectralPartition(kind="flow", lam=(0.0,), kappa=(-1.0,)),
+    spectrum.SpectralPartition(kind="flow", lam=(-1.0, 0.0)),
+    spectrum.SpectralPartition(kind="map", lam=(1.0,), kappa=(0.5,)),
+    spectrum.SpectralPartition(kind="map", lam=(0.0,), kappa=(0.5,)),
+    spectrum.SpectralPartition(kind="map", lam=(0.5,), kappa=(0.0,)),
+    spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
+                               kappa=(float("inf"),))],
+    ids=["flow-zero", "flow-second-zero", "map-unit", "map-zero-master",
+         "map-zero-slaved", "flow-infinite-slaved"])
+def test_quotients_reject_degenerate_rates(part):
+    with pytest.raises(InputError, match="spectral quotients"):
+        part.quotients()
+
+
+# ---------------------------------------------------------------------------
+# conjugate pairing
+# ---------------------------------------------------------------------------
+
+def test_conjugate_partners_pair_repeats_one_to_one():
+    z = -0.1 + 1.0j
+    eigs = np.array([z, z.conjugate(), -2.0, z, z.conjugate()])
+    partner = spectrum.conjugate_partners(eigs)
+    np.testing.assert_array_equal(partner[partner], np.arange(5))
+    assert partner[2] == 2
+    assert sorted(partner[[0, 3]]) == [1, 4]
+
+
+def test_conjugate_partners_reject_an_unpaired_value():
+    with pytest.raises(InputError, match="conjugate partner"):
+        spectrum.conjugate_partners(np.array([1.0 + 1.0j, -1.0]))
+
+
 @given(st.lists(st.floats(min_value=-5.0, max_value=-0.01), min_size=1,
                 max_size=5))
 @settings(max_examples=40, deadline=None)
@@ -105,6 +181,30 @@ def test_partition_spectrum_flow_zero_eigenvalue():
     A = np.diag([0.0, -1.0])
     with pytest.raises(NotHyperbolic):
         spectrum.partition_spectrum(A, spectrum.slowest(1), kind="flow")
+
+
+def test_partition_spectrum_map_rejects_zero_multiplier():
+    with pytest.raises(InputError, match="nonzero"):
+        spectrum.partition_spectrum(np.diag([0.5, 0.0]),
+                                    spectrum.slowest(1, "map"), kind="map")
+
+
+ROTATION = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+
+
+@pytest.mark.parametrize("extra", [(), (-2.0,)], ids=["pairs", "pairs+real"])
+@pytest.mark.parametrize("masters, q, s", [(2, 1, 1), (4, 2, 0)])
+def test_partition_repeated_conjugate_pairs(extra, masters, q, s):
+    """Each copy of a repeated pair keeps its own partner, so both
+    selections are closed under conjugation."""
+    n = 4 + len(extra)
+    A = np.zeros((n, n))
+    A[:2, :2] = A[2:4, 2:4] = ROTATION
+    A[4:, 4:] = np.diag(extra)
+    part = spectrum.partition_spectrum(A, spectrum.slowest(masters))
+    assert (part.p, part.q, part.r, part.s) == (0, q, len(extra), s)
+    np.testing.assert_allclose(part.alpha_omega, [(-0.1, 1.0)] * q,
+                               rtol=1e-12)
 
 
 def test_select_where():
