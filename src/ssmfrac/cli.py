@@ -38,7 +38,7 @@ from . import (__version__, dictionary as dct, dynamics, examples, fit,
                spectrum)
 from .errors import BadParams, InputError, NumericalError, SSMError
 from .jsonio import dump_json, load_json
-from .trajectory import Trajectory
+from .trajectory import Trajectory, read_table
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -147,7 +147,7 @@ def _load_trajectories(path):
 
 def cmd_spectrum(args):
     if args.map_logs:
-        logs = spectrum.read_matrix_csv(args.map_logs).ravel()
+        logs = read_table(args.map_logs)[1].ravel()
         if len(logs) < 2:
             raise InputError("map-logs needs a master log plus slaved logs")
         part = spectrum.SpectralPartition.from_map_logs([logs[0]], logs[1:])
@@ -157,7 +157,7 @@ def cmd_spectrum(args):
                                     params=_parse_params(args.params))
             A = sys_.jacobian(0.0, np.zeros(sys_.dim))
         elif args.matrix:
-            A = spectrum.read_matrix_csv(args.matrix)
+            A = read_table(args.matrix)[1]
         else:
             raise InputError("need --matrix, --testbed, or --map-logs")
         part = spectrum.partition_spectrum(
@@ -186,10 +186,10 @@ def cmd_spectrum(args):
 
 def _build_dictionary(part, args):
     if args.integer_only:
-        n_vars = 1 if part.p == 1 and part.q == 0 else 2
-        # whole degrees; the builder rejects a non-finite order
-        return dct.integer_dictionary(n_vars, args.order // 1, spec=part,
-                                      kind=part.kind)
+        # one variable per master state column; whole degrees, and the
+        # builder rejects a non-finite order
+        return dct.integer_dictionary(part.p + 2 * part.q, args.order // 1,
+                                      spec=part)
     if part.p == 1 and part.q == 0:
         build = dct.dictionary_flow_1d if part.kind == "flow" \
             else dct.dictionary_map_1d
@@ -235,10 +235,7 @@ def cmd_fit(args):
             else:
                 pred = fit.predict(model, traj.states[0],
                                    (traj.times[0], traj.times[-1]))
-                pred = Trajectory(
-                    times=traj.times,
-                    states=np.array([pred.interpolant(t) for t in traj.times]),
-                    kind="flow") if pred.interpolant is not None else pred
+                pred = pred.sample(traj.times)
             _, mean = fit.relative_error(traj, pred)
             errors.append(mean)
         report["test_mean_relative_errors"] = errors

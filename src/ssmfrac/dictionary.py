@@ -200,6 +200,26 @@ class Dictionary:
     def _exponents(self):
         return _compile(self.monomials)
 
+    @property
+    def width(self):
+        """State columns of one master point: the p real masters, then the
+        real and imaginary parts of the q master pairs."""
+        return self.spec.p + 2 * self.spec.q
+
+    def masters(self, states):
+        """(n, width) real state rows as the master samples ``evaluate``
+        reads: the rows themselves for integer libraries, u for 1D
+        families, z = Re + i Im for 2D ones; long double is kept. Any other
+        shape raises WrongShape."""
+        rows = np.asarray(states)
+        if rows.ndim != 2 or rows.shape[1] != self.width:
+            raise WrongShape(f"{self.family} library reads (n, {self.width}) "
+                             f"state rows, got shape {rows.shape}")
+        if self.family == "integer":
+            return rows
+        return rows[:, 0] + 1j * rows[:, 1] if self.family.endswith("2d") \
+            else rows[:, 0]
+
     def evaluate(self, points):
         """Monomial values at master samples: (n_samples, n_monomials).
 
@@ -262,7 +282,8 @@ def dictionary_from_json(source):
         else {}
     p, q, r, s = spec.p, spec.q, spec.r, spec.s
     splits = (p, q, q, r, s, s)
-    entries = [_monomial_entry(e, None if family == "integer" else sum(splits))
+    entries = [_monomial_entry(e, p + 2 * q if family == "integer"
+                               else sum(splits))
                for e in member(doc, "monomials", list, what)]
     if family == "integer":
         active = tuple(IntegerMonomial(powers=tuple(e.multi_index),
@@ -271,6 +292,8 @@ def dictionary_from_json(source):
         return IntegerDictionary(monomials=active, spec=spec,
                                  truncation=truncation, family="integer",
                                  metadata=metadata)
+    # a fractional family reads the master block it is built on
+    (_ratios_2d if family.endswith("2d") else _ratios_1d)(spec)
     active, removed = [], []
     for e in entries:
         parts, pos = [], 0
@@ -476,7 +499,12 @@ def dictionary_map_2d(spec, K, include_linear=True):
 def integer_dictionary(n_vars, K, spec=None, kind="flow"):
     """Plain integer monomial library in n_vars master variables, total
     degree 1..K. Used for multi-master graph fits and integer-only
-    comparison models."""
+    comparison models; a spec must have n_vars = p + 2q state columns."""
+    if spec is None:
+        spec = SpectralPartition(kind=kind, lam=tuple([-1.0] * n_vars))
+    if spec.p + 2 * spec.q != n_vars:
+        raise WrongShape(f"{n_vars} variables on a spectrum with p + 2q = "
+                         f"{spec.p + 2 * spec.q} master columns")
     _check_order(K)
     _check_size(K, math.comb(max(int(K), 0) + n_vars, n_vars) - 1)
     monos = []
@@ -488,8 +516,6 @@ def integer_dictionary(n_vars, K, spec=None, kind="flow"):
             monos.append(IntegerMonomial(
                 powers=tuple(b - a - 1 for a, b in zip(edges, edges[1:])),
                 order=float(total)))
-    if spec is None:
-        spec = SpectralPartition(kind=kind, lam=tuple([-1.0] * n_vars))
     return IntegerDictionary(monomials=tuple(monos), spec=spec,
                              truncation=float(K), family="integer")
 
@@ -524,13 +550,10 @@ class IntegerDictionary(Dictionary):
         return np.array([m.powers for m in self.monomials], dtype=np.int64)
 
     def evaluate(self, points):
-        """(n_samples, n_monomials) values at (n_samples, n_vars) rows."""
-        X = np.atleast_2d(np.asarray(points, dtype=float))
-        powers = self._exponents
-        if powers.size and X.shape[1] != powers.shape[1]:
-            X = X.T
-        out = np.ones((X.shape[0], len(powers)))
-        for j, column in enumerate(powers.T):
+        """(n_samples, n_monomials) values at (n_samples, width) rows."""
+        X = np.asarray(self.masters(points), dtype=float)
+        out = np.ones((len(X), len(self.monomials)))
+        for j, column in enumerate(self._exponents.T):
             out *= X[:, j, None] ** column
         return out
 
@@ -611,8 +634,9 @@ def linear_graph_eval(spec, coeffs, point):
     u is a length-p real vector, z a length-q complex vector. Returns
     (v in R^r, w in C^s). Slaved channel i carries |x_j|^amp[i, j] for each
     master x_j and, on a slaved pair, the phase e^{i sum_j phase[i, j]
-    log|x_j|}, where (amp, phase) = spec.quotients() and maps share the
-    phase among their p + q masters. Map families need kappa_l > 0.
+    log|x_j|}, where (amp, phase) = spec.quotients() with the phase shared
+    among the p + q masters, so that w turns at the slaved pair's own rate
+    along the linear dynamics. Map families need kappa_l > 0.
     Coefficient entries attached to negative exponent ratios must be zero;
     the term is skipped either way, matching the constraint that forces
     them to vanish.
@@ -623,9 +647,7 @@ def linear_graph_eval(spec, coeffs, point):
     if len(u) != spec.p or len(z) != spec.q:
         raise InputError("point shape does not match the partition")
     amp, phase = _quotients(spec)
-    if spec.kind == "map":
-        phase = phase / (spec.p + spec.q)
-    amp, phase = amp.tolist(), phase.tolist()
+    amp, phase = amp.tolist(), (phase / (spec.p + spec.q)).tolist()
     masters = list(u) + list(z)
 
     def terms(ch, on_u, neg_u, on_z, exps):

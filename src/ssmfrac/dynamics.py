@@ -92,14 +92,11 @@ def sample_as_map(traj, delta):
     iteration-indexed trajectory."""
     if delta <= 0:
         raise InputError("delta must be positive")
-    if traj.interpolant is None:
-        raise InputError("trajectory carries no dense output")
     t0, t1 = traj.times[0], traj.times[-1]
     n = int(math.floor((t1 - t0) / delta + 1e-12)) + 1
     if n < 2:
         raise OutOfRange("delta exceeds the trajectory span")
-    ts = t0 + delta * np.arange(n)
-    states = np.array([traj.interpolant(t) for t in ts])
+    states = traj.sample(t0 + delta * np.arange(n))
     return Trajectory(times=np.arange(n, dtype=float), states=states, kind="map")
 
 

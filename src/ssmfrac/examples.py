@@ -49,8 +49,8 @@ def planar():
         errors = []
         for model in (frac, integer):
             pred = fit.predict(model, traj.states[0], tspan, tol=1e-10)
-            resampled = np.array([pred.interpolant(t) for t in traj.times])
-            errors.append(fit.relative_error(traj.states, resampled)[1])
+            errors.append(fit.relative_error(traj.states,
+                                             pred.sample(traj.times))[1])
         dmd_states = [traj.states[0]]
         for _ in range(len(traj) - 1):
             dmd_states.append(dmd @ dmd_states[-1])
@@ -65,7 +65,7 @@ def planar():
 
     xg = np.linspace(0.02, 0.95, 200)
     true_vf = vf(xg)
-    pred_vf = np.array([float(frac.rhs(x)) for x in xg])
+    pred_vf = np.array([frac.rhs([[x]])[0, 0] for x in xg])
     vf_err = float(np.max(np.abs(true_vf - pred_vf))
                    / np.max(np.abs(true_vf)))
 

@@ -174,28 +174,13 @@ class GraphFit:
         return dump_json(doc, path)
 
 
-def _stack_states(data):
-    if isinstance(data, Trajectory):
-        data = [data]
+def _trajectories(data):
+    """Training data, one Trajectory or a list of them, as a non-empty
+    list."""
+    data = [data] if isinstance(data, Trajectory) else list(data)
     if not data:
         raise InputError("no training data")
-    return np.vstack([traj.states for traj in data])
-
-
-def _master_values(dictionary, states, master_coords):
-    """Per-sample master values as the dictionary reads them (real scalar,
-    complex scalar, or row vector)."""
-    master_coords = tuple(master_coords)
-    if dictionary.family.endswith("2d"):
-        if len(master_coords) != 2:
-            raise InputError("a 2D dictionary needs two master coordinates "
-                             "(real and imaginary parts)")
-        return states[:, master_coords[0]] + 1j * states[:, master_coords[1]]
-    if dictionary.family.endswith("1d"):
-        if len(master_coords) != 1:
-            raise InputError("a 1D dictionary needs one master coordinate")
-        return states[:, master_coords[0]]
-    return states[:, list(master_coords)]
+    return data
 
 
 def fit_graph(data, dictionary, master_coords, slaved_coords, ridge=0.0):
@@ -208,9 +193,9 @@ def fit_graph(data, dictionary, master_coords, slaved_coords, ridge=0.0):
     slaved_coords = tuple(slaved_coords)
     if set(master_coords) & set(slaved_coords):
         raise InputError("master and slaved coordinate selectors overlap")
-    states = _stack_states(data)
-    design = dictionary.evaluate(_master_values(dictionary, states,
-                                                master_coords))
+    states = np.vstack([traj.states for traj in _trajectories(data)])
+    design = dictionary.evaluate(
+        dictionary.masters(states[:, list(master_coords)]))
     targets = states[:, list(slaved_coords)]
     coeffs, rms, cond = _scaled_lstsq(design, targets, ridge)
     return GraphFit(dictionary=dictionary, coefficients=coeffs,
@@ -233,14 +218,14 @@ class ReducedFit:
     condition_number: float
     training_amplitude: float       # max |master| seen during training
 
-    def rhs(self, point):
-        """Model value (next sample for a map, derivative for a flow)."""
-        phi = self.dictionary.evaluate(np.atleast_1d(point))
-        out = (phi @ self.coefficients)[0]
-        if self.dictionary.family.endswith("2d"):
-            return out[0]                       # complex scalar
-        if not np.iscomplexobj(out):
-            return out if len(out) > 1 else float(out[0])
+    def rhs(self, states):
+        """Model value at (n, width) state rows (next sample for a map,
+        derivative for a flow), as state rows; a complex channel comes back
+        as its real and imaginary parts."""
+        d = self.dictionary
+        out = d.evaluate(d.masters(states)) @ self.coefficients
+        if np.iscomplexobj(out):
+            out = np.stack([out.real, out.imag], axis=-1).reshape(len(out), -1)
         return out
 
     def to_json(self, path=None):
@@ -292,17 +277,14 @@ def model_from_json(source):
 
 def fit_reduced_map(series, dictionary, ridge=0.0):
     """Regress the next sample on dictionary values of the current sample."""
-    if isinstance(series, Trajectory):
-        series = [series]
     designs, targets = [], []
     amp = 0.0
-    for traj in series:
+    for traj in _trajectories(series):
         if len(traj) < 2:
             raise InsufficientData("need at least 2 samples per trajectory")
-        vals = _master_values(dictionary, traj.states, range(traj.dim))
+        vals = dictionary.masters(traj.states)
         designs.append(dictionary.evaluate(vals[:-1]))
-        nxt = vals[1:]
-        targets.append(nxt[:, None] if nxt.ndim == 1 else nxt)
+        targets.append(vals[1:].reshape(len(vals) - 1, -1))
         amp = max(amp, float(np.max(np.abs(vals))))
     coeffs, rms, cond = _scaled_lstsq(np.vstack(designs), np.vstack(targets),
                                       ridge)
@@ -328,21 +310,19 @@ def fit_reduced_flow(data, dictionary, ridge=0.0):
     the 4th- and 2nd-order estimates gives a step-size error bound; if that
     bound exceeds the training residual the sampling is too coarse to trust.
     """
-    if isinstance(data, Trajectory):
-        data = [data]
     designs, targets = [], []
     amp = 0.0
     err2_sq, dot_sq, n_rows = 0.0, 0.0, 0
-    for traj in data:
+    for traj in _trajectories(data):
         h = traj.uniform_step
         if h is None:
             raise InputError("flow fits need uniformly sampled trajectories")
         if len(traj) < 5:
             raise InsufficientData("4th-order differences need >= 5 samples")
-        vals = _master_values(dictionary, traj.states, range(traj.dim))
+        vals = dictionary.masters(traj.states)
         d4, d2 = _central_differences(vals, h)
         designs.append(dictionary.evaluate(vals[2:-2]))
-        targets.append(d4[:, None] if d4.ndim == 1 else d4)
+        targets.append(d4.reshape(len(d4), -1))
         amp = max(amp, float(np.max(np.abs(vals))))
         err2_sq += float(np.sum(np.abs(d4 - d2) ** 2))
         dot_sq += float(np.sum(np.abs(d4) ** 2))
@@ -368,71 +348,46 @@ def fit_reduced_flow(data, dictionary, ridge=0.0):
 # prediction and error metrics
 # ---------------------------------------------------------------------------
 
-def _point_to_dict_input(model, ic):
-    ic = np.atleast_1d(np.asarray(ic, dtype=float))
-    if model.dictionary.family.endswith("2d"):
-        if len(ic) != 2:
-            raise InputError("2D model initial condition needs (Re z, Im z)")
-        return complex(ic[0], ic[1])
-    if model.dictionary.family.endswith("1d"):
-        if len(ic) != 1:
-            raise InputError("1D model initial condition needs one value")
-        return float(ic[0])
-    return ic
-
-
-def _to_state_row(value):
-    if np.iscomplexobj(np.asarray(value)):
-        z = complex(value)
-        return np.array([z.real, z.imag])
-    return np.atleast_1d(np.asarray(value, dtype=float))
-
-
 def predict(model, ic, steps_or_tspan, tol=1e-9):
-    """Iterate (map) or integrate (flow) a fitted reduced model.
+    """Iterate (map) or integrate (flow) a fitted reduced model from the
+    state row ``ic``.
 
-    The initial condition must lie within 1.2x the training amplitude; the
-    returned trajectory carries left_trust_region=True if the prediction
-    later leaves that region.
+    The initial master amplitude must lie within 1.2x the training
+    amplitude; the returned trajectory carries left_trust_region=True if
+    the prediction later leaves that region.
     """
-    x0 = _point_to_dict_input(model, ic)
+    masters = model.dictionary.masters
+    x0 = np.asarray(ic, dtype=float).reshape(1, -1)
     radius = TRUST_FACTOR * model.training_amplitude
-    if abs(np.max(np.abs(np.atleast_1d(x0)))) > radius:
-        raise OutOfRadius(
-            f"initial amplitude {np.max(np.abs(np.atleast_1d(x0))):.3g} "
-            f"outside trust region {radius:.3g}")
-    left = False
+    amp0 = np.max(np.abs(masters(x0)))
+    if amp0 > radius:
+        raise OutOfRadius(f"initial amplitude {amp0:.3g} outside trust "
+                          f"region {radius:.3g}")
 
     if model.kind == "map":
         steps = int(steps_or_tspan)
-        rows = [_to_state_row(x0)]
-        x = x0
+        rows, left = [x0], False
         for _ in range(steps):
-            x = model.rhs(x)
-            row = _to_state_row(x)
-            if np.linalg.norm(row) > DIVERGENCE_NORM:
+            x = model.rhs(rows[-1])
+            if np.linalg.norm(x) > DIVERGENCE_NORM:
                 raise Diverged("prediction norm exceeded 1e6")
-            if np.max(np.abs(np.atleast_1d(x))) > radius:
-                left = True
-            rows.append(row)
+            left = left or np.max(np.abs(masters(x))) > radius
+            rows.append(x)
         traj = Trajectory(times=np.arange(steps + 1, dtype=float),
-                          states=np.array(rows), kind="map")
-        traj.left_trust_region = left
+                          states=np.vstack(rows), kind="map")
+        traj.left_trust_region = bool(left)
         return traj
 
     from . import dynamics
 
-    def f(t, x):
-        val = model.rhs(_point_to_dict_input(model, x))
-        return _to_state_row(val)
-
-    dim = len(np.atleast_1d(np.asarray(ic, dtype=float)))
-    sys = dynamics.FlowSystem(dim=dim, f=f, name="fitted reduced model")
-    traj = dynamics.integrate(sys, np.atleast_1d(ic), steps_or_tspan, tol=tol)
+    sys = dynamics.FlowSystem(dim=x0.shape[1],
+                              f=lambda t, x: model.rhs(x[None])[0],
+                              name="fitted reduced model")
+    traj = dynamics.integrate(sys, x0[0], steps_or_tspan, tol=tol)
     if np.max(np.abs(traj.states)) > DIVERGENCE_NORM:
         raise Diverged("prediction norm exceeded 1e6")
     traj.left_trust_region = bool(
-        np.max(np.abs(traj.states)) > radius + 1e-12)
+        np.max(np.abs(masters(traj.states))) > radius + 1e-12)
     return traj
 
 

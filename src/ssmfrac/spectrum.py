@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DefectiveMatrix, InputError, NonFiniteData,
-                     NonInvariantSplit, NotHyperbolic)
+from .errors import (DefectiveMatrix, InputError, NonInvariantSplit,
+                     NotHyperbolic)
 from .jsonio import dump_json, load_json, member, numbers
 
 # hyperbolicity margins (relative to ||A|| for flows, absolute for maps)
@@ -486,37 +486,3 @@ def pseudo_unstable_check(Df0, split, r):
     return PseudoUnstableResult(holds=holds, a_interval=(lo, hi),
                                 a_below_one=holds and lo < 1.0)
 
-
-# ---------------------------------------------------------------------------
-# CSV matrix ingestion (row-major, header optional)
-# ---------------------------------------------------------------------------
-
-def _number(text):
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def read_matrix_csv(path):
-    """Rows of finite numbers; the first line is a header (and skipped) only
-    when none of its fields is a number."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    rows = []
-    for n, line in enumerate(lines):
-        cells = [_number(x) for x in line.split(",")]
-        if n == 0 and all(c is None for c in cells):
-            continue
-        if None in cells:
-            raise InputError(f"non-numeric row in {path}: {line!r}")
-        rows.append(cells)
-    if not rows:
-        raise InputError(f"no numeric rows in {path}")
-    try:
-        matrix = np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise InputError(f"ragged rows in {path}") from exc
-    if not np.isfinite(matrix).all():
-        raise NonFiniteData(f"non-finite cell in {path}")
-    return matrix

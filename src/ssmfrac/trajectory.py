@@ -1,7 +1,9 @@
 """Sampled trajectory container and CSV I/O.
 
-CSV schema: header ``t,x1,...,xn`` for flow data or ``idx,x1,...,xn`` for
-iteration-indexed (map) data, one sample per row.
+Every CSV table the toolkit reads (trajectories, matrices, log-eigenvalue
+lists) is parsed by ``read_table``. Trajectory schema: header
+``t,x1,...,xn`` for flow data or ``idx,x1,...,xn`` for iteration-indexed
+(map) data, one sample per row.
 """
 
 from __future__ import annotations
@@ -11,6 +13,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NonFiniteData
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def read_table(path):
+    """(header, rows) of a comma-separated table of finite numbers.
+
+    Blank lines are skipped; there is no comment syntax. The first line is
+    a header, returned as its list of fields, only when none of its fields
+    is a number; otherwise header is None. A NaN or infinite cell raises
+    NonFiniteData; any other cell that is not a number, ragged rows or no
+    rows at all raise InputError.
+    """
+    try:
+        with open(path) as fh:
+            lines = [line for line in fh if line.strip()]
+        fields = lines[0].split(",") if lines else []
+        header = [f.strip() for f in fields] \
+            if fields and not any(map(_is_number, fields)) else None
+        rows = lines[header is not None:]
+        if not rows:
+            raise InputError(f"{path}: no numeric rows")
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:            # a bad cell, ragged rows, encoding
+        raise InputError(f"{path}: not a numeric CSV table ({exc})") from None
+    if not np.isfinite(table).all():
+        raise NonFiniteData(f"{path}: NaN or infinite values")
+    return header, table
 
 
 @dataclass
@@ -52,8 +88,12 @@ class Trajectory:
             return float(h)
         return None
 
-    def column(self, j):
-        return self.states[:, j]
+    def sample(self, times):
+        """(len(times), dim) states at ``times`` from the dense output,
+        evaluated one time at a time."""
+        if self.interpolant is None:
+            raise InputError("trajectory carries no dense output")
+        return np.array([self.interpolant(t) for t in times])
 
     def write_csv(self, path):
         label = "t" if self.kind == "flow" else "idx"
@@ -63,17 +103,9 @@ class Trajectory:
 
     @classmethod
     def read_csv(cls, path):
-        with open(path) as fh:
-            first = fh.readline().strip()
-        kind = "map" if first.lower().startswith("idx") else "flow"
-        skip = 0 if first and first[0].isdigit() or first.startswith("-") else 1
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-        except ValueError as exc:
-            raise InputError(f"{path}: not a numeric CSV table ({exc})") \
-                from None
+        header, data = read_table(path)
+        kind = "map" if header and header[0].lower().startswith("idx") \
+            else "flow"
         if data.shape[1] < 2:
             raise InputError(f"{path}: need an index column plus state columns")
-        if not np.isfinite(data).all():
-            raise NonFiniteData(f"{path}: NaN or infinite values")
         return cls(times=data[:, 0], states=data[:, 1:], kind=kind)

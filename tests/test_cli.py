@@ -162,6 +162,41 @@ def test_spectrum_malformed_matrix_is_input_error(tmp_path, capsys, text):
     assert "m.csv" in err and "square" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("first", [".5", "+0.5"])
+def test_first_row_of_bare_or_signed_numbers_is_data(tmp_path, first):
+    """A first line is a header only when none of its fields is a number,
+    for trajectories and matrices alike."""
+    csv = tmp_path / "traj.csv"
+    csv.write_text(f"{first},1.0\n1.5,2.0\n")
+    np.testing.assert_array_equal(Trajectory.read_csv(csv).times, [0.5, 1.5])
+    mat = tmp_path / "m.csv"
+    mat.write_text(f"{first},0\n0,-2\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--matrix", str(mat), "--masters", "1",
+                     "--outdir", str(out)]) == 0
+    part = spectrum.SpectralPartition.from_json(str(out / "spectrum.json"))
+    assert (part.lam, part.kappa) == ((0.5,), (-2.0,))
+
+
+@pytest.mark.parametrize("first", ["nan", "inf"])
+def test_non_finite_first_row_is_input_error(tmp_path, capsys, first):
+    """A non-finite first row is data, not a header, and exits 2."""
+    spec_path = couette_spectrum_json(tmp_path / "spectrum.json")
+    data_dir = tmp_path / "data"
+    write_model_data(data_dir)
+    csv = data_dir / "traj1.csv"
+    lines = csv.read_text().splitlines()
+    csv.write_text("\n".join([f"{first},0.1"] + lines[2:]) + "\n")
+    mat = tmp_path / "m.csv"
+    mat.write_text(f"{first},0\n0,-2\n")
+    for argv in (["fit", "--data", str(data_dir), "--spectrum", spec_path,
+                  "--order", "5", "--prune", "0.05", "--kind", "map"],
+                 ["spectrum", "--matrix", str(mat), "--masters", "1"]):
+        assert cli.main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "NaN or infinite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("config", ["{bad", "[1, 2]", '{"masters": "two"}',
                                     '{"func": 3}', '{"nonsense": 3}',
                                     '{"kind": "neither"}'])
@@ -244,6 +279,32 @@ def test_fit_integer_only(tmp_path):
     assert code == 0
     model = fit.model_from_json(out / "model.json")
     assert model.dictionary.family == "integer"
+
+
+def test_fit_integer_only_reads_every_master_column(tmp_path, capsys):
+    """One real master and one pair span p + 2q = 3 state columns: the
+    integer library fits 3-column data and rejects 2-column data."""
+    mu = 0.8 * np.exp(0.5j)
+    spec_path = tmp_path / "spectrum.json"
+    spectrum.SpectralPartition(kind="map", lam=(0.9,),
+                               alpha_omega=((mu.real, mu.imag),),
+                               kappa=(0.3,)).to_json(spec_path)
+    matrix = np.array([[0.9, 0.0, 0.0], [0.0, mu.real, -mu.imag],
+                       [0.0, mu.imag, mu.real]])
+    for width, code in ((3, 0), (2, 2)):
+        data_dir = tmp_path / f"data{width}"
+        data_dir.mkdir()
+        for i, x in enumerate(([0.3, 0.2, 0.1], [-0.2, 0.1, -0.25],
+                               [0.1, -0.3, 0.2])):
+            rows = [np.array(x)]
+            for _ in range(30):
+                rows.append(matrix @ rows[-1])
+            Trajectory(times=np.arange(31.0), states=np.array(rows)[:, :width],
+                       kind="map").write_csv(data_dir / f"traj{i}.csv")
+        assert cli.main(["fit", "--data", str(data_dir), "--spectrum",
+                         str(spec_path), "--order", "2", "--integer-only",
+                         "--outdir", str(tmp_path / f"out{width}")]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_fit_empty_data_dir_is_input_error(tmp_path):

@@ -393,6 +393,50 @@ def test_compiled_kernel_zero_at_origin_and_long_double(d, data):
                                rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("d, width", [
+    (dictionary.dictionary_flow_1d(planar_spec(), K=3), 1),
+    (dictionary.dictionary_flow_2d(shaw_pierre_spec(), K=3), 2),
+    (dictionary.integer_dictionary(3, 2), 3)], ids=["1d", "2d", "integer"])
+def test_masters_reads_width_columns_only(d, width):
+    rows = np.arange(4.0 * width).reshape(4, width)
+    assert d.width == width
+    got = d.masters(rows)
+    if d.family.endswith("2d"):
+        np.testing.assert_array_equal(got, rows[:, 0] + 1j * rows[:, 1])
+    elif d.family.endswith("1d"):
+        np.testing.assert_array_equal(got, rows[:, 0])
+    else:
+        np.testing.assert_array_equal(got, rows)
+    for bad in (np.zeros((4, width + 1)), np.zeros((4, width - 1)),
+                np.zeros(width), np.zeros((2, 4, width))):
+        with pytest.raises(WrongShape):
+            d.masters(bad)
+
+
+def test_integer_library_width_must_match_its_spectrum():
+    """p + 2q state columns: one real master and one pair make three."""
+    spec = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
+                                      alpha_omega=((-0.5, 2.0),))
+    assert dictionary.integer_dictionary(3, 2, spec=spec).width == 3
+    with pytest.raises(WrongShape):
+        dictionary.integer_dictionary(2, 2, spec=spec)
+    d = dictionary.integer_dictionary(2, 2)
+    with pytest.raises(WrongShape):
+        d.evaluate(np.zeros((4, 3)))
+    doc = d.to_dict()
+    doc["spectrum"] = spec.to_dict()
+    with pytest.raises(InputError):
+        dictionary.dictionary_from_json(doc)
+
+
+def test_fractional_library_json_must_match_its_spectrum():
+    """A 2D family reads a master pair, which the planar spectrum lacks."""
+    doc = dictionary.dictionary_flow_1d(planar_spec(), K=3).to_dict()
+    doc["family"] = "flow_2d"
+    with pytest.raises(WrongShape):
+        dictionary.dictionary_from_json(doc)
+
+
 def test_empty_integer_dictionary_evaluates_to_no_columns():
     d = dictionary.integer_dictionary(2, 0)
     assert len(d) == 0
@@ -529,6 +573,43 @@ def test_linear_graph_zero_at_origin():
     v, w = dictionary.linear_graph_eval(spec, coeffs, ([0.0], []))
     np.testing.assert_array_equal(v, [0.0])
     assert w.size == 0
+
+
+@pytest.mark.parametrize("spec, coeffs", [
+    (spectrum.SpectralPartition(kind="flow", lam=(-1.0, -1.5),
+                                beta_nu=((-3.0, 2.0),)),
+     dictionary.LinearGraphCoeffs(O=((0.4 + 0.1j, -0.2 + 0.3j),),
+                                  Q=((),))),
+    (spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
+                                alpha_omega=((-0.5, 2.0),),
+                                beta_nu=((-3.0, 2.0),)),
+     dictionary.LinearGraphCoeffs(O=((0.4 + 0.1j,),), Q=((-0.2 + 0.3j,),))),
+    (spectrum.SpectralPartition(kind="map", lam=(0.5, 0.4),
+                                beta_nu=((0.1, 0.05),)),
+     dictionary.LinearGraphCoeffs(O=((0.4 + 0.1j, -0.2 + 0.3j),),
+                                  Q=((),))),
+    (spectrum.SpectralPartition(kind="map", lam=(0.5,),
+                                alpha_omega=((0.3, 0.4),),
+                                beta_nu=((0.1, 0.05),)),
+     dictionary.LinearGraphCoeffs(O=((0.4 + 0.1j,),), Q=((-0.2 + 0.3j,),))),
+], ids=["flow-p2", "flow-p1q1", "map-p2", "map-p1q1"])
+def test_linear_graph_is_invariant_under_the_linear_dynamics(spec, coeffs):
+    """With two masters, w(u(t), z(t)) = e^{(beta + i nu) t} w(u0, z0) for
+    a flow at t = 0.1, and w(Lambda u, mu z) = sigma w(u, z) for one step
+    of a map; the phase is shared among the p + q masters."""
+    u0, z0 = np.array([0.3, 0.2][:spec.p]), np.array([0.25 - 0.1j][:spec.q])
+    lam = np.array(spec.lam)
+    mu = np.array([complex(a, w) for a, w in spec.alpha_omega])
+    sigma = complex(*spec.beta_nu[0])
+    if spec.kind == "flow":
+        t = 0.1
+        u1, z1, factor = u0 * np.exp(lam * t), z0 * np.exp(mu * t), \
+            np.exp(sigma * t)
+    else:
+        u1, z1, factor = u0 * lam, z0 * mu, sigma
+    _, w0 = dictionary.linear_graph_eval(spec, coeffs, (u0, z0))
+    _, w1 = dictionary.linear_graph_eval(spec, coeffs, (u1, z1))
+    assert abs(w1[0] - factor * w0[0]) <= 1e-12 * abs(w1[0])
 
 
 def test_linear_graph_two_sided_branch():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ssmfrac import dictionary, dynamics, fit, spectrum
 from ssmfrac.errors import (BadParams, Diverged, InputError, InsufficientData,
                             LengthMismatch, NumericalError, OutOfRadius,
-                            RankDeficient, StepTooCoarse)
+                            RankDeficient, StepTooCoarse, WrongShape)
 from ssmfrac.trajectory import Trajectory
 
 COUETTE_MASTER_LOG = -0.035068
@@ -384,6 +384,56 @@ def test_fit_reduced_map_needs_two_samples():
         fit.fit_reduced_map(map_traj([0.1]), d)
 
 
+@pytest.mark.parametrize("fit_reduced", [fit.fit_reduced_map,
+                                         fit.fit_reduced_flow])
+def test_reduced_fits_reject_empty_training_data(fit_reduced):
+    with pytest.raises(InputError):
+        fit_reduced([], couette_dict())
+
+
+def linear_map_rows(matrix, starts, steps=12):
+    """Map trajectories x(i+1) = matrix x(i) from each start row."""
+    trajs = []
+    for x in starts:
+        rows = [np.asarray(x, dtype=float)]
+        for _ in range(steps):
+            rows.append(matrix @ rows[-1])
+        trajs.append(Trajectory(times=np.arange(steps + 1, dtype=float),
+                                states=np.array(rows), kind="map"))
+    return trajs
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "integer"])
+def test_rhs_maps_state_rows_to_state_rows(case):
+    """A map model fitted on linear data sends each state row to the next
+    one; a 2D model's complex channel comes back as (Re, Im) columns."""
+    if case == "1d":
+        d, matrix = couette_dict(), np.array([[0.9]])
+        starts = [[0.5], [0.3]]           # the positive-only branch
+    elif case == "2d":
+        spec = spectrum.SpectralPartition(kind="map",
+                                          alpha_omega=((0.6, 0.5),))
+        d = dictionary.dictionary_map_2d(spec, 2)
+        matrix = np.array([[0.6, -0.5], [0.5, 0.6]])
+        starts = [[0.3, 0.1], [-0.2, 0.25]]
+    else:
+        d = dictionary.integer_dictionary(2, 2)
+        matrix = np.array([[0.8, 0.1], [-0.2, 0.7]])
+        starts = [[0.3, 0.1], [-0.2, 0.25], [0.1, -0.3]]
+    trajs = linear_map_rows(matrix, starts)
+    m = fit.fit_reduced_map(trajs, d, ridge=1e-12)
+    for traj in trajs:
+        out = m.rhs(traj.states[:-1])
+        assert out.shape == traj.states[1:].shape
+        np.testing.assert_allclose(out, traj.states[1:], atol=1e-8)
+        pred = fit.predict(m, traj.states[0], len(traj) - 1)
+        np.testing.assert_allclose(pred.states, traj.states, atol=1e-8)
+    with pytest.raises(WrongShape):
+        m.rhs(np.zeros((3, d.width + 1)))
+    with pytest.raises(WrongShape):
+        fit.predict(m, np.zeros(d.width + 1), 3)
+
+
 # ---------------------------------------------------------------------------
 # reduced flow fits
 # ---------------------------------------------------------------------------
@@ -503,7 +553,7 @@ def test_reduced_fit_json_round_trip(tmp_path):
     assert clone.training_amplitude == m.training_amplitude
     np.testing.assert_allclose(clone.coefficients, m.coefficients,
                                atol=1e-14)
-    assert clone.rhs(0.2) == pytest.approx(m.rhs(0.2), abs=1e-14)
+    np.testing.assert_allclose(clone.rhs([[0.2]]), m.rhs([[0.2]]), atol=1e-14)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ssmfrac import dynamics, spectrum
 from ssmfrac.errors import (InputError, NonInvariantSplit, NotHyperbolic,
                             WrongShape)
+from ssmfrac.trajectory import read_table
 
 COUETTE_MASTER_LOG = -0.035068
 COUETTE_SLAVED_LOGS = (-0.069776, -0.073369, -0.140274, -0.168877)
@@ -355,7 +356,7 @@ def test_pseudo_unstable_rejects_non_invariant_split():
 def test_read_matrix_csv(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
-    M = spectrum.read_matrix_csv(path)
+    _, M = read_table(path)
     np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -363,4 +364,4 @@ def test_read_matrix_csv_rejects_ragged(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(InputError):
-        spectrum.read_matrix_csv(path)
+        read_table(path)
