@@ -123,13 +123,14 @@ def _compile(monomials):
 
 
 def _samples(points, complex_):
-    """Flat float samples, or complex ones for 2D families, where a real
-    (n, 2) array is read as columns (Re z, Im z); long double is kept."""
+    """A scalar or a 1-D array as float samples, or complex ones for 2D
+    families; long double is kept. More dimensions raise WrongShape."""
     x = np.asarray(points)
+    if x.ndim > 1:
+        raise WrongShape(f"master samples are a 1-D array, got shape "
+                         f"{x.shape}; state rows go through masters")
     if not complex_:
         return np.ravel(x if x.dtype == np.longdouble else x.astype(float))
-    if x.ndim == 2 and x.shape[1] == 2 and not np.iscomplexobj(x):
-        x = x[:, 0] + 1j * x[:, 1]
     return np.ravel(x if x.dtype == np.clongdouble else x.astype(complex))
 
 
@@ -221,12 +222,10 @@ class Dictionary:
             else rows[:, 0]
 
     def evaluate(self, points):
-        """Monomial values at master samples: (n_samples, n_monomials).
-
-        1D families take real samples; 2D families take complex samples (or
-        (n, 2) real arrays read as columns (Re z, Im z)) and return complex
-        values.
-        """
+        """Monomial values at master samples, as ``masters`` returns them:
+        (n_samples, n_monomials). 1D families take a 1-D array of real
+        samples; 2D families take complex samples and return complex
+        values."""
         return _evaluate(_samples(points, self.family.endswith("2d")),
                          self._exponents)
 
@@ -496,12 +495,12 @@ def dictionary_map_2d(spec, K, include_linear=True):
     return _library(spec, K, "map_2d", include_linear, _build_2d)
 
 
-def integer_dictionary(n_vars, K, spec=None, kind="flow"):
+def integer_dictionary(n_vars, K, spec=None):
     """Plain integer monomial library in n_vars master variables, total
     degree 1..K. Used for multi-master graph fits and integer-only
     comparison models; a spec must have n_vars = p + 2q state columns."""
     if spec is None:
-        spec = SpectralPartition(kind=kind, lam=tuple([-1.0] * n_vars))
+        spec = SpectralPartition(kind="flow", lam=tuple([-1.0] * n_vars))
     if spec.p + 2 * spec.q != n_vars:
         raise WrongShape(f"{n_vars} variables on a spectrum with p + 2q = "
                          f"{spec.p + 2 * spec.q} master columns")

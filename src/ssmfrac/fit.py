@@ -154,8 +154,10 @@ class GraphFit:
     master_coords: tuple
     slaved_coords: tuple
 
-    def predict_slaved(self, master_points):
-        phi = self.dictionary.evaluate(master_points)
+    def predict_slaved(self, master_states):
+        """Slaved coordinates at (n, width) rows of the master columns."""
+        d = self.dictionary
+        phi = d.evaluate(d.masters(master_states))
         out = phi @ self.coefficients
         return out.real if not np.iscomplexobj(self.coefficients) else out
 

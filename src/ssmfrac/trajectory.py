@@ -26,22 +26,23 @@ def _is_number(text):
 def read_table(path):
     """(header, rows) of a comma-separated table of finite numbers.
 
-    Blank lines are skipped; there is no comment syntax. The first line is
-    a header, returned as its list of fields, only when none of its fields
-    is a number; otherwise header is None. A NaN or infinite cell raises
-    NonFiniteData; any other cell that is not a number, ragged rows or no
-    rows at all raise InputError.
+    '#' starts a comment, and blank or comment-only lines are skipped. The
+    first remaining line is a header, returned as its list of fields, only
+    when none of its fields is a number; otherwise header is None. A NaN or
+    infinite cell raises NonFiniteData; any other cell that is not a
+    number, ragged rows or no rows at all raise InputError.
     """
     try:
         with open(path) as fh:
-            lines = [line for line in fh if line.strip()]
+            lines = [text for text in (line.split("#", 1)[0] for line in fh)
+                     if text.strip()]
         fields = lines[0].split(",") if lines else []
         header = [f.strip() for f in fields] \
             if fields and not any(map(_is_number, fields)) else None
         rows = lines[header is not None:]
         if not rows:
             raise InputError(f"{path}: no numeric rows")
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:            # a bad cell, ragged rows, encoding
         raise InputError(f"{path}: not a numeric CSV table ({exc})") from None
     if not np.isfinite(table).all():

@@ -178,6 +178,27 @@ def test_first_row_of_bare_or_signed_numbers_is_data(tmp_path, first):
     assert (part.lam, part.kappa) == ((0.5,), (-2.0,))
 
 
+def test_csv_comments_are_skipped(tmp_path):
+    """'#' starts a comment in trajectories and matrices: numpy's
+    multi-line savetxt header, comment lines and trailing comments."""
+    csv = tmp_path / "traj.csv"
+    np.savetxt(csv, [[0.0, 1.0], [0.5, 2.0]], delimiter=",",
+               header="t,x1\nwritten by numpy")
+    with open(csv, "a") as fh:
+        fh.write("# one more\n1.0,3.0  # last row\n")
+    traj = Trajectory.read_csv(csv)
+    np.testing.assert_array_equal(traj.times, [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(traj.states[:, 0], [1.0, 2.0, 3.0])
+    mat = tmp_path / "m.csv"
+    mat.write_text("# a diagonal matrix\na,b\n-0.5,0  # master\n"
+                   "# slaved row next\n0,-2\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--matrix", str(mat), "--masters", "1",
+                     "--outdir", str(out)]) == 0
+    part = spectrum.SpectralPartition.from_json(str(out / "spectrum.json"))
+    assert (part.lam, part.kappa) == ((-0.5,), (-2.0,))
+
+
 @pytest.mark.parametrize("first", ["nan", "inf"])
 def test_non_finite_first_row_is_input_error(tmp_path, capsys, first):
     """A non-finite first row is data, not a header, and exits 2."""

@@ -256,10 +256,14 @@ def test_eval_zero_at_origin():
 
 
 def test_evaluate_accepts_real_pairs_for_2d():
+    """Real (Re z, Im z) rows reach evaluate only through masters."""
     d = dictionary.dictionary_flow_2d(shaw_pierre_spec(), K=3)
     z = np.array([0.2 + 0.1j, -0.3 + 0.05j])
     pairs = np.column_stack([z.real, z.imag])
-    np.testing.assert_allclose(d.evaluate(pairs), d.evaluate(z), atol=1e-14)
+    np.testing.assert_allclose(d.evaluate(d.masters(pairs)), d.evaluate(z),
+                               atol=1e-14)
+    with pytest.raises(WrongShape):
+        d.evaluate(pairs)
 
 
 @given(st.floats(min_value=1e-6, max_value=10.0),

@@ -273,9 +273,38 @@ def test_graph_fit_json_round_trip(tmp_path):
     np.testing.assert_allclose(clone.coefficients, g.coefficients,
                                atol=1e-14)
     assert clone.master_coords == (0,) and clone.slaved_coords == (1,)
-    pts = np.array([0.3, -0.8])
+    pts = np.array([[0.3], [-0.8]])
     np.testing.assert_allclose(clone.predict_slaved(pts),
                                g.predict_slaved(pts), atol=1e-14)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "integer"])
+def test_predict_slaved_reads_master_state_rows(case):
+    """Every family reads (n, width) rows of the master columns; flat
+    arrays and complex samples are not state rows."""
+    xs = np.linspace(-0.5, 0.5, 21)
+    if case == "1d":
+        d = dictionary.dictionary_flow_1d(planar_spec(), K=3)
+        states = np.column_stack([xs, 0.7 * xs ** 2])
+    else:
+        if case == "2d":
+            spec = spectrum.SpectralPartition(kind="flow",
+                                              alpha_omega=((-0.1, 1.0),))
+            d = dictionary.dictionary_flow_2d(spec, K=3)
+        else:
+            d = dictionary.integer_dictionary(2, 3)
+        ys = np.cos(3.0 * xs)
+        states = np.column_stack([xs, ys, 0.5 * xs * ys])
+    traj = Trajectory(times=np.arange(len(xs), dtype=float), states=states)
+    g = fit.fit_graph(traj, d, master_coords=range(d.width),
+                      slaved_coords=(d.width,))
+    rows = states[:5, :d.width]
+    np.testing.assert_allclose(g.predict_slaved(rows), states[:5, d.width:],
+                               atol=1e-8)
+    for bad in (rows[:, 0], rows[:, 0] + 1j * rows[:, -1],
+                np.zeros((5, d.width + 1))):
+        with pytest.raises(WrongShape):
+            g.predict_slaved(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +582,8 @@ def test_reduced_fit_json_round_trip(tmp_path):
     assert clone.training_amplitude == m.training_amplitude
     np.testing.assert_allclose(clone.coefficients, m.coefficients,
                                atol=1e-14)
-    np.testing.assert_allclose(clone.rhs([[0.2]]), m.rhs([[0.2]]), atol=1e-14)
+    np.testing.assert_allclose(clone.rhs([[0.2]]), m.rhs([[0.2]]), rtol=0,
+                               atol=1e-14)
 
 
 @pytest.mark.parametrize("key, value", [
