@@ -10,7 +10,9 @@ Two layers:
   z^{k2} zbar^{k3} |z|^{Xi} e^{i Gamma log|z|} for a complex master pair.
 
 Monomial "order" is the homogeneous real degree used for truncation; a term
-is admitted when 1 <= order <= K + 1e-9.
+is admitted when 1 <= order <= K + 1e-9. A term stores only its integer
+multiplicities: its |.| exponent, phase coefficient and order follow from
+them and the spectral quotients, computed once per library.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ MAX_TERMS = 100_000         # terms (and slaved vectors) one library may hold
 
 @dataclass(frozen=True)
 class FractionalMonomial:
-    """One dictionary term.
+    """One dictionary term, stored as its multiplicities only.
 
     ``k1`` holds the integer power of the real master u (length p<=1 here);
     ``k2``/``k3`` the powers of z and zbar; ``k4`` the slaved-real fractional
-    multiplicities; ``k5``/``k6`` the slaved-pair ones. ``amp_exponents``
-    stores the fractional |.| exponent per master variable, ``phase_coeff``
-    the coefficient of log|.| inside the oscillatory factor.
+    multiplicities; ``k5``/``k6`` the slaved-pair ones. The term's |.|
+    exponent, phase coefficient and order follow from these and the
+    spectrum: ``Dictionary.exponents``.
     """
 
     k1: tuple = ()
@@ -53,47 +55,88 @@ class FractionalMonomial:
     k4: tuple = ()
     k5: tuple = ()
     k6: tuple = ()
-    amp_exponents: tuple = ()
-    phase_coeff: float = 0.0
-    order: float = 0.0
-    branch: str = "symmetric"
-    pruned: bool = False
 
     @property
     def multi_index(self):
         return self.k1 + self.k2 + self.k3 + self.k4 + self.k5 + self.k6
 
     @property
-    def degree(self):
-        return sum(self.multi_index)
-
-    @property
     def is_integer(self):
         return not (any(self.k4) or any(self.k5) or any(self.k6))
 
-    # -- evaluation ----------------------------------------------------------
 
-    def eval_real(self, u):
-        """Value at real master samples u (1D family)."""
-        return _evaluate(_samples(u, False), _compile((self,)))[:, 0]
+@dataclass(frozen=True)
+class IntegerMonomial:
+    """Integer monomial over several real master variables."""
+    powers: tuple
 
-    def eval_complex(self, z):
-        """Value at complex master samples z (2D family)."""
-        return _evaluate(_samples(z, True), _compile((self,)))[:, 0]
+    @property
+    def multi_index(self):
+        return self.powers
 
-    def to_dict(self):
-        return {
-            "multi_index": list(self.multi_index),
-            "amp_exponent": list(self.amp_exponents),
-            "phase_coeff": self.phase_coeff,
-            "order": self.order,
-            "branch": self.branch,
-            "pruned": self.pruned,
-        }
+    @property
+    def is_integer(self):
+        return True
 
 
-def _canonical_sort(monomials):
-    return tuple(sorted(monomials, key=lambda m: (m.order, m.multi_index)))
+# ---------------------------------------------------------------------------
+# term exponents
+# ---------------------------------------------------------------------------
+
+def _quotients(spec):
+    """``SpectralPartition.quotients`` of a spectrum that fractional terms
+    are built on: for maps, every kappa_l > 0."""
+    quotients = spec.quotients()
+    if spec.kind == "map" and any(k <= 0 for k in spec.kappa):
+        raise WrongShape("map families require kappa_l > 0 "
+                         "(orientation-preserving slaved directions)")
+    return quotients
+
+
+def _rates(spec, family):
+    """(amplitude, phase) quotients of every slaved entry over the one
+    master of a fractional family (``SpectralPartition.quotients``):
+    kappa_l / lambda_1 for flows and log kappa_l / log |lambda_1| for maps
+    in 1D, phase 0; beta_m / alpha_1 and nu_m / alpha_1 for flows, the
+    log-modulus quotient Xi_m and atan2(nu_m, beta_m) /
+    log |alpha_1 + i omega_1| for maps in 2D."""
+    if family.endswith("1d") and (spec.p, spec.q, spec.s) != (1, 0, 0):
+        raise WrongShape("1D dictionary needs p=1, q=0, s=0")
+    if family.endswith("2d") and (spec.p, spec.q, spec.r) != (0, 1, 0):
+        raise WrongShape("2D dictionary needs p=0, q=1, r=0")
+    amp, phase = _quotients(spec)
+    return amp[:, 0].tolist(), phase[:, 0].tolist()
+
+
+def _weighted(counts, weights):
+    """sum_l counts[:, l] weights[l], added left to right from an integer 0,
+    so that a library without slaved entries writes integer exponents."""
+    return sum((c * w for c, w in zip(counts.T, weights)),
+               np.zeros(len(counts), dtype=np.int64))
+
+
+def _term_exponents(spec, family, indices):
+    """|.| exponent, phase coefficient and order (arrays ``amp``, ``phase``
+    and ``order``) of the terms with multi-indices ``indices`` in a
+    ``family`` library over ``spec``: sum_l k4_l rho_l, 0 and k1 plus the
+    exponent in 1D; sum_m (k5_m + k6_m) Xi_m, sum_m (k5_m - k6_m) Gamma_m
+    and k2 + k3 plus the exponent in 2D; 0, 0 and the total degree for
+    integer libraries."""
+    masters = spec.p + 2 * spec.q
+    width = masters + (0 if family == "integer" else spec.r + 2 * spec.s)
+    index = np.array(indices, dtype=np.int64).reshape(len(indices), width)
+    degree, k = index[:, :masters].sum(axis=1), index[:, masters:]
+    zero = np.zeros(len(index))
+    if family == "integer":
+        return SimpleNamespace(amp=zero, phase=zero,
+                               order=degree.astype(float))
+    amp, phase = _rates(spec, family)
+    if family.endswith("1d"):
+        frac, turn = _weighted(k, amp), zero
+    else:
+        k5, k6 = k[:, :spec.s], k[:, spec.s:]
+        frac, turn = _weighted(k5 + k6, amp), _weighted(k5 - k6, phase)
+    return SimpleNamespace(amp=frac, phase=turn, order=degree + frac)
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +146,24 @@ def _canonical_sort(monomials):
 EVAL_BLOCK_ROWS = 4096      # bounds the (samples, terms) temporaries
 
 
-def _compile(monomials):
+def _compile(monomials, exponents, positive_only):
     """Exponent arrays, one entry per column: powers k1, k2, k3 of u, z and
     zbar, fractional |.| exponent, phase coefficient of log|.|, and value
     where |.| <= TINY_AMPLITUDE (1 for the constant term); plus the distinct
     |.| exponents and phase coefficients, each with its column map."""
-    table = np.array([[(m.k1 or (0,))[0], (m.k2 or (0,))[0],
-                       (m.k3 or (0,))[0], (m.amp_exponents or (0.0,))[0],
-                       m.phase_coeff] for m in monomials]).reshape(-1, 5)
-    k1, k2, k3 = table[:, :3].T.astype(np.int64)
-    fracs, frac_col = np.unique(table[:, 3], return_inverse=True)
-    phases, phase_col = np.unique(table[:, 4], return_inverse=True)
+    k1, k2, k3 = np.array([[(m.k1 or (0,))[0], (m.k2 or (0,))[0],
+                            (m.k3 or (0,))[0]] for m in monomials],
+                          dtype=np.int64).reshape(-1, 3).T
+    frac = exponents.amp.astype(float)
+    fracs, frac_col = np.unique(frac, return_inverse=True)
+    phases, phase_col = np.unique(exponents.phase.astype(float),
+                                  return_inverse=True)
     return SimpleNamespace(
-        k1=k1, k2=k2, k3=k3, frac=table[:, 3], fracs=fracs,
+        k1=k1, k2=k2, k3=k3, frac=frac, fracs=fracs,
         frac_col=frac_col, phases=phases, phase_col=phase_col,
         kmax=int(max(k2.max(initial=0), k3.max(initial=0))),
-        const=np.all(table[:, :4] == 0, axis=1).astype(float),
-        positive_only=any(m.branch == "positive_only" for m in monomials))
+        const=((k1 == 0) & (k2 == 0) & (k3 == 0) & (frac == 0)).astype(float),
+        positive_only=positive_only)
 
 
 def _samples(points, complex_):
@@ -170,21 +214,34 @@ def _evaluate(x, ex):
 
 @dataclass(frozen=True)
 class Dictionary:
+    """A term library over ``spec``, its terms in canonical order (by
+    order, then multi-index). Its ``family`` (flow_1d, map_1d, flow_2d or
+    map_2d) is the spectrum's kind and master block, and ``exponents``
+    holds the |.| exponent, phase coefficient and order of every term,
+    computed once from the multi-indices and the spectral quotients."""
+
     monomials: tuple
     spec: SpectralPartition
     truncation: float
-    family: str                       # flow_1d | map_1d | flow_2d | map_2d | integer
     removed: tuple = ()               # monomials dropped by pruning
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "monomials", _canonical_sort(self.monomials))
-        seen = set()
-        for m in self.monomials:
-            key = m.multi_index
-            if key in seen:
-                raise InputError(f"duplicate multi-index {key}")
-            seen.add(key)
+        indices = self.multi_indices
+        ex = _term_exponents(self.spec, self.family, indices)
+        keys = list(zip(ex.order.tolist(), indices))
+        rank = sorted(range(len(keys)), key=keys.__getitem__)
+        for a, b in zip(rank, rank[1:]):     # equal terms sort together
+            if indices[a] == indices[b]:
+                raise InputError(f"duplicate multi-index {indices[a]}")
+        object.__setattr__(self, "monomials",
+                           tuple(self.monomials[i] for i in rank))
+        object.__setattr__(self, "exponents", SimpleNamespace(
+            **{name: v[rank] for name, v in vars(ex).items()}))
+
+    @cached_property
+    def family(self):
+        return f"{self.spec.kind}_{'2d' if self.spec.q else '1d'}"
 
     def __len__(self):
         return len(self.monomials)
@@ -195,11 +252,12 @@ class Dictionary:
 
     @property
     def orders(self):
-        return [m.order for m in self.monomials]
+        return self.exponents.order.tolist()
 
     @cached_property
-    def _exponents(self):
-        return _compile(self.monomials)
+    def _kernel(self):
+        return _compile(self.monomials, self.exponents,
+                        self.family == "map_1d")
 
     @property
     def width(self):
@@ -227,16 +285,30 @@ class Dictionary:
         samples; 2D families take complex samples and return complex
         values."""
         return _evaluate(_samples(points, self.family.endswith("2d")),
-                         self._exponents)
+                         self._kernel)
+
+    def _entries(self, monomials, exponents, pruned):
+        branch = "positive_only" if self.family == "map_1d" else "symmetric"
+        return [{"multi_index": list(m.multi_index),
+                 "amp_exponent": [] if self.family == "integer" else [amp],
+                 "phase_coeff": phase, "order": order, "branch": branch,
+                 "pruned": pruned}
+                for m, amp, phase, order in zip(
+                    monomials, exponents.amp.tolist(),
+                    exponents.phase.tolist(), exponents.order.tolist())]
 
     def to_dict(self):
-        entries = [m.to_dict() for m in self.monomials]
-        entries += [replace(m, pruned=True).to_dict() for m in self.removed]
+        """The library as a document: each term's multi-index with the
+        exponents, order and branch that follow from it, the active terms
+        first, then the pruned ones."""
+        removed = _term_exponents(self.spec, self.family,
+                                  [m.multi_index for m in self.removed])
         return {
             "family": self.family,
             "truncation": self.truncation,
             "spectrum": self.spec.to_dict(),
-            "monomials": entries,
+            "monomials": self._entries(self.monomials, self.exponents, False)
+            + self._entries(self.removed, removed, True),
             "metadata": self.metadata,
         }
 
@@ -244,103 +316,83 @@ class Dictionary:
         return dump_json(self.to_dict(), path)
 
 
+@dataclass(frozen=True)
+class IntegerDictionary(Dictionary):
+    """Integer monomials over the p + 2q master state columns."""
+
+    family = "integer"
+
+    @cached_property
+    def _kernel(self):
+        """(n_monomials, n_vars) integer power matrix."""
+        return np.array([m.powers for m in self.monomials], dtype=np.int64)
+
+    def evaluate(self, points):
+        """(n_samples, n_monomials) values at (n_samples, width) rows."""
+        X = np.asarray(self.masters(points), dtype=float)
+        out = np.ones((len(X), len(self.monomials)))
+        for j, column in enumerate(self._kernel.T):
+            out *= X[:, j, None] ** column
+        return out
+
+
 _FAMILIES = ("flow_1d", "map_1d", "flow_2d", "map_2d", "integer")
 
 
-def _monomial_entry(e, width):
-    """The fields of one monomial document with ``width`` multi-index
-    entries (None: any); InputError when one is missing or malformed."""
+def _term(e, spec, integer):
+    """The monomial of one term document, read from its multi-index alone
+    (p + 2q entries for integer libraries, p + 2q + r + 2s split into
+    k1..k6 for fractional ones), and its pruned flag; InputError when
+    either is missing or malformed."""
     what = "dictionary monomial"
+    splits = (spec.p + 2 * spec.q,) if integer else \
+        (spec.p, spec.q, spec.q, spec.r, spec.s, spec.s)
     index = numbers(member(e, "multi_index", list, what),
-                    f"{what} 'multi_index'", (width,))
+                    f"{what} 'multi_index'", (sum(splits),))
     if np.any(index < 0) or np.any(index != np.round(index)):
         raise InputError(f"{what}: 'multi_index' must hold non-negative "
                          f"integers, got {e['multi_index']}")
-    numbers(member(e, "amp_exponent", list, what), f"{what} 'amp_exponent'",
-            (None,))
-    return SimpleNamespace(
-        multi_index=[int(k) for k in index],
-        amp_exponent=tuple(e["amp_exponent"]),
-        phase_coeff=number(e, "phase_coeff", what),
-        order=number(e, "order", what), branch=member(e, "branch", str, what),
-        pruned=member(e, "pruned", bool, what))
+    parts = [tuple(part.tolist()) for part in
+             np.split(index.astype(np.int64), np.cumsum(splits)[:-1])]
+    return (IntegerMonomial(*parts) if integer else FractionalMonomial(*parts),
+            member(e, "pruned", bool, what))
 
 
 def dictionary_from_json(source):
     """Inverse of Dictionary.to_json (JSON text, a path, or the parsed
-    dict); pruned entries go to ``removed``. A document with a missing key
-    or a value of the wrong type raises InputError."""
+    dict); pruned entries go to ``removed``. Only each term's multi-index
+    and pruned flag are read: the library is rebuilt from them, and a
+    document whose terms differ from what the rebuilt library writes, in
+    the same order, raises InputError, as does a missing key or a value of
+    the wrong type. A family the spectrum's master block does not give
+    raises WrongShape."""
     doc = source if isinstance(source, dict) else load_json(source)
     what = "dictionary document"
     spec = SpectralPartition.from_dict(member(doc, "spectrum", dict, what))
     family = member(doc, "family", str, what)
     if family not in _FAMILIES:
         raise InputError(f"{what}: unknown family {family!r}")
-    truncation = number(doc, "truncation", what)
-    metadata = member(doc, "metadata", dict, what) if "metadata" in doc \
-        else {}
-    p, q, r, s = spec.p, spec.q, spec.r, spec.s
-    splits = (p, q, q, r, s, s)
-    entries = [_monomial_entry(e, p + 2 * q if family == "integer"
-                               else sum(splits))
-               for e in member(doc, "monomials", list, what)]
-    if family == "integer":
-        active = tuple(IntegerMonomial(powers=tuple(e.multi_index),
-                                       order=e.order, branch=e.branch)
-                       for e in entries if not e.pruned)
-        return IntegerDictionary(monomials=active, spec=spec,
-                                 truncation=truncation, family="integer",
-                                 metadata=metadata)
-    # a fractional family reads the master block it is built on
-    (_ratios_2d if family.endswith("2d") else _ratios_1d)(spec)
-    active, removed = [], []
-    for e in entries:
-        parts, pos = [], 0
-        for w in splits:
-            parts.append(tuple(e.multi_index[pos:pos + w]))
-            pos += w
-        mono = FractionalMonomial(*parts, amp_exponents=e.amp_exponent,
-                                  phase_coeff=e.phase_coeff, order=e.order,
-                                  branch=e.branch, pruned=e.pruned)
-        (removed if e.pruned else active).append(replace(mono, pruned=False))
-    return Dictionary(monomials=tuple(active), spec=spec,
-                      truncation=truncation, family=family,
-                      removed=tuple(removed), metadata=metadata)
+    entries = member(doc, "monomials", list, what)
+    terms = [_term(e, spec, family == "integer") for e in entries]
+    built = (IntegerDictionary if family == "integer" else Dictionary)(
+        monomials=tuple(m for m, cut in terms if not cut), spec=spec,
+        truncation=number(doc, "truncation", what),
+        removed=tuple(m for m, cut in terms if cut),
+        metadata=member(doc, "metadata", dict, what) if "metadata" in doc
+        else {})
+    if built.family != family:
+        raise WrongShape(f"{what}: a {family} library on a spectrum whose "
+                         f"master block gives {built.family}")
+    if built.to_dict()["monomials"] != entries:
+        raise InputError(f"{what}: the terms differ from what their "
+                         "multi-indices and the spectrum give, in canonical "
+                         "order")
+    return built
 
 
 # ---------------------------------------------------------------------------
-# ratio helpers
+# dictionary generators
 # ---------------------------------------------------------------------------
-
-def _quotients(spec):
-    """``SpectralPartition.quotients`` of a spectrum that fractional terms
-    are built on: for maps, every kappa_l > 0."""
-    quotients = spec.quotients()
-    if spec.kind == "map" and any(k <= 0 for k in spec.kappa):
-        raise WrongShape("map families require kappa_l > 0 "
-                         "(orientation-preserving slaved directions)")
-    return quotients
-
-
-def _ratios_1d(spec):
-    """Fractional exponent per slaved real: its spectral quotient over the
-    master, kappa_l / lambda_1 for flows and log kappa_l / log |lambda_1|
-    for maps."""
-    if spec.p != 1 or spec.q != 0 or spec.s != 0:
-        raise WrongShape("1D dictionary needs p=1, q=0, s=0")
-    return _quotients(spec)[0][:, 0].tolist()
-
-
-def _ratios_2d(spec):
-    """(amplitude exponent, phase rate) per slaved pair for a single complex
-    master pair: its spectral quotients (``SpectralPartition.quotients``),
-    beta_m / alpha_1 and nu_m / alpha_1 for flows, log-modulus quotients
-    Xi_m and atan2(nu_m, beta_m) / log |alpha_1 + i omega_1| for maps."""
-    if spec.p != 0 or spec.q != 1 or spec.r != 0:
-        raise WrongShape("2D dictionary needs p=0, q=1, r=0")
-    amp, phase = spec.quotients()
-    return list(zip(amp[:, 0].tolist(), phase[:, 0].tolist()))
-
 
 def _enumerate_k4(ratios, budget):
     """All multiplicity vectors over the positive-ratio slaved entries whose
@@ -361,10 +413,6 @@ def _enumerate_k4(ratios, budget):
         out = new
     return [tuple(v) for v in out]
 
-
-# ---------------------------------------------------------------------------
-# dictionary generators
-# ---------------------------------------------------------------------------
 
 def _check_order(K):
     if not math.isfinite(K):
@@ -389,72 +437,64 @@ def _check_size(K, count):
                          f"{MAX_TERMS}")
 
 
-def _library(spec, K, family, include_linear, build, *args):
+def _library(spec, K, family, include_linear, build):
     """Dictionary of ``family`` with the monomials of build(spec, K,
-    include_linear, *args); spec must be of the family's kind."""
+    include_linear, family); spec must be of the family's kind."""
     kind = family.split("_")[0]
     if spec.kind != kind:
         raise WrongShape(f"{kind} dictionary on a {spec.kind} spectrum")
     _check_order(K)
-    return Dictionary(build(spec, K, include_linear, *args), spec, float(K),
-                      family, metadata={"include_linear": include_linear})
+    return Dictionary(build(spec, K, include_linear, family), spec, float(K),
+                      metadata={"include_linear": include_linear})
 
 
-def _cells_1d(spec, K, include_linear):
-    """(k4, fractional exponent, ranges of k1) per slaved multiplicity
-    vector; graph libraries (include_linear False) leave out the bare
-    linear master term."""
-    rhos = _ratios_1d(spec)
+def _cells_1d(spec, K, include_linear, family):
+    """(k4, ranges of k1) per slaved multiplicity vector; graph libraries
+    (include_linear False) leave out the bare linear master term."""
+    ks = _enumerate_k4([(rho, rho > 0) for rho in _rates(spec, family)[0]], K)
+    fracs = _term_exponents(spec, family, [(0,) + k4 for k4 in ks]).amp
     top = int(K + ORDER_SLACK)
-    for k4 in _enumerate_k4([(rho, rho > 0) for rho in rhos], K):
-        frac = sum(k * rho for k, rho in zip(k4, rhos))
-        yield k4, frac, _degree_ranges(frac, K, top,
-                                       not include_linear and not any(k4))
+    for k4, frac in zip(ks, fracs.tolist()):
+        yield k4, _degree_ranges(frac, K, top,
+                                 not include_linear and not any(k4))
 
 
-def _build_1d(spec, K, include_linear, branch):
-    cells = list(_cells_1d(spec, K, include_linear))
-    _check_size(K, sum(hi - lo + 1 for *_, ranges in cells
+def _build_1d(spec, K, include_linear, family):
+    cells = list(_cells_1d(spec, K, include_linear, family))
+    _check_size(K, sum(hi - lo + 1 for _, ranges in cells
                        for lo, hi in ranges))
-    monos = []
-    for k4, frac, ranges in cells:
-        for lo, hi in ranges:
-            for k1 in range(lo, hi + 1):
-                monos.append(FractionalMonomial(
-                    k1=(k1,), k4=k4, amp_exponents=(frac,),
-                    order=k1 + frac, branch=branch))
-    return tuple(monos)
+    return tuple(FractionalMonomial(k1=(k1,), k4=k4) for k4, ranges in cells
+                 for lo, hi in ranges for k1 in range(lo, hi + 1))
 
 
-def dictionary_flow_1d(spec, K, include_linear=True, branch="symmetric"):
+def dictionary_flow_1d(spec, K, include_linear=True):
     """Truncated term library u^{k1} |u|^{sum k4_l kappa_l/lambda_1} for a
     flow with one real master direction."""
-    return _library(spec, K, "flow_1d", include_linear, _build_1d, branch)
+    return _library(spec, K, "flow_1d", include_linear, _build_1d)
 
 
-def dictionary_map_1d(spec, K, include_linear=True, branch="positive_only"):
-    """Map analogue with log-ratio exponents log kappa_l / log |lambda_1|."""
-    return _library(spec, K, "map_1d", include_linear, _build_1d, branch)
+def dictionary_map_1d(spec, K, include_linear=True):
+    """Map analogue with log-ratio exponents log kappa_l / log |lambda_1|,
+    on the positive-only branch u > 0."""
+    return _library(spec, K, "map_1d", include_linear, _build_1d)
 
 
-def _cells_2d(spec, K, include_linear):
-    """(k5, k6, fractional exponent, phase coefficient, ranges of k2 + k3)
-    per pair of slaved multiplicity vectors whose exponent stays within K;
-    graph libraries (include_linear False) leave out the bare linear terms
-    z and zbar."""
-    rates = _ratios_2d(spec)
-    ks = _enumerate_k4([(xi, xi > 0) for xi, _ in rates], K)
+def _cells_2d(spec, K, include_linear, family):
+    """(k5, k6, ranges of k2 + k3) per pair of slaved multiplicity vectors
+    whose exponent stays within K; graph libraries (include_linear False)
+    leave out the bare linear terms z and zbar."""
+    ks = _enumerate_k4([(xi, xi > 0) for xi in _rates(spec, family)[0]], K)
     if len(ks) ** 2 > MAX_TERMS:
         raise InputError(f"order {K} gives more than {MAX_TERMS} slaved "
                          "multiplicity pairs")
+    pairs = [(k5, k6) for k5 in ks for k6 in ks]
+    fracs = _term_exponents(spec, family,
+                            [(0, 0) + k5 + k6 for k5, k6 in pairs]).amp
     top = 2 * int(K + ORDER_SLACK)
-    for k5 in ks:
-        for k6 in ks:
-            frac = sum((a + b) * xi for a, b, (xi, _) in zip(k5, k6, rates))
-            if frac <= K + ORDER_SLACK:
-                phase = sum((a - b) * g for a, b, (_, g) in zip(k5, k6, rates))
-                yield k5, k6, frac, phase, _degree_ranges(
-                    frac, K, top, not include_linear and not any(k5 + k6))
+    for (k5, k6), frac in zip(pairs, fracs.tolist()):
+        if frac <= K + ORDER_SLACK:
+            yield k5, k6, _degree_ranges(
+                frac, K, top, not include_linear and not any(k5 + k6))
 
 
 def _pair_count(n, top):
@@ -466,21 +506,15 @@ def _pair_count(n, top):
     return (top + 1) ** 2 - (2 * top - n) * (2 * top - n + 1) // 2
 
 
-def _build_2d(spec, K, include_linear):
+def _build_2d(spec, K, include_linear, family):
     kmax = int(K + ORDER_SLACK)
-    cells = list(_cells_2d(spec, K, include_linear))
+    cells = list(_cells_2d(spec, K, include_linear, family))
     _check_size(K, sum(_pair_count(hi, kmax) - _pair_count(lo - 1, kmax)
                        for *_, ranges in cells for lo, hi in ranges))
-    monos = []
-    for k5, k6, frac, phase, ranges in cells:
-        for k2 in range(kmax + 1):
-            for lo, hi in ranges:
-                for k3 in range(max(0, lo - k2), min(kmax, hi - k2) + 1):
-                    monos.append(FractionalMonomial(
-                        k2=(k2,), k3=(k3,), k5=k5, k6=k6,
-                        amp_exponents=(frac,), phase_coeff=phase,
-                        order=k2 + k3 + frac, branch="symmetric"))
-    return tuple(monos)
+    return tuple(FractionalMonomial(k2=(k2,), k3=(k3,), k5=k5, k6=k6)
+                 for k5, k6, ranges in cells for k2 in range(kmax + 1)
+                 for lo, hi in ranges
+                 for k3 in range(max(0, lo - k2), min(kmax, hi - k2) + 1))
 
 
 def dictionary_flow_2d(spec, K, include_linear=True):
@@ -513,48 +547,9 @@ def integer_dictionary(n_vars, K, spec=None):
                                            n_vars - 1):
             edges = (-1,) + cuts + (total + n_vars - 1,)
             monos.append(IntegerMonomial(
-                powers=tuple(b - a - 1 for a, b in zip(edges, edges[1:])),
-                order=float(total)))
+                powers=tuple(b - a - 1 for a, b in zip(edges, edges[1:]))))
     return IntegerDictionary(monomials=tuple(monos), spec=spec,
-                             truncation=float(K), family="integer")
-
-
-@dataclass(frozen=True)
-class IntegerMonomial:
-    """Integer monomial over several real master variables."""
-    powers: tuple
-    order: float
-    branch: str = "symmetric"
-    pruned: bool = False
-
-    @property
-    def multi_index(self):
-        return self.powers
-
-    @property
-    def is_integer(self):
-        return True
-
-    def to_dict(self):
-        return {"multi_index": list(self.powers), "amp_exponent": [],
-                "phase_coeff": 0.0, "order": self.order,
-                "branch": self.branch, "pruned": self.pruned}
-
-
-@dataclass(frozen=True)
-class IntegerDictionary(Dictionary):
-    @cached_property
-    def _exponents(self):
-        """(n_monomials, n_vars) integer power matrix."""
-        return np.array([m.powers for m in self.monomials], dtype=np.int64)
-
-    def evaluate(self, points):
-        """(n_samples, n_monomials) values at (n_samples, width) rows."""
-        X = np.asarray(self.masters(points), dtype=float)
-        out = np.ones((len(X), len(self.monomials)))
-        for j, column in enumerate(self._exponents.T):
-            out *= X[:, j, None] ** column
-        return out
+                             truncation=float(K))
 
 
 # ---------------------------------------------------------------------------
@@ -572,26 +567,21 @@ def prune_near_integer(dictionary, tol):
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol must be finite and >= 0, got {tol}")
-    if tol == 0 or not dictionary.monomials:
+    family = dictionary.family
+    if tol == 0 or not dictionary.monomials or family == "integer":
         return dictionary
     spec = dictionary.spec
-    if dictionary.family.endswith("1d"):
-        ratios = _ratios_1d(spec)
-        uses = lambda m: m.k4
-    elif dictionary.family.endswith("2d"):
-        ratios = [xi for xi, _ in _ratios_2d(spec)]
-        uses = lambda m: [a + b for a, b in zip(m.k5, m.k6)]
-    else:
-        return dictionary
-    near = [abs(rho - round(rho)) < tol and round(rho) != 0 for rho in ratios]
-    integer_orders = {round(m.order) for m in dictionary.monomials if m.is_integer}
+    near = [abs(rho - round(rho)) < tol and round(rho) != 0
+            for rho in _rates(spec, family)[0]]
+    # the slaved multiplicities: k4 in 1D, k5 then k6 (same ratios) in 2D
+    near = near if family.endswith("1d") else near + near
+    terms = list(zip(dictionary.monomials, dictionary.orders))
+    integer_orders = {round(o) for m, o in terms if m.is_integer}
     keep, removed = [], list(dictionary.removed)
-    for m in dictionary.monomials:
-        collide = any(k > 0 and hit for k, hit in zip(uses(m), near))
-        if collide and round(m.order) in integer_orders:
-            removed.append(m)
-        else:
-            keep.append(m)
+    for m, o in terms:
+        slaved = m.multi_index[spec.p + 2 * spec.q:]
+        collide = any(k > 0 and hit for k, hit in zip(slaved, near))
+        (removed if collide and round(o) in integer_orders else keep).append(m)
     meta = dict(dictionary.metadata)
     meta["prune_tol"] = tol
     meta["pruned_indices"] = [list(m.multi_index) for m in removed]

@@ -16,10 +16,16 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import lambertw
 
-from .errors import (BadParams, InputError, NoConvergence, NonFinite,
-                     NotPeriodic, OutOfDomain, OutOfRange, StepUnderflow,
-                     UnknownTestbed)
+from .errors import (BadParams, EvaluationBudget, InputError, NoConvergence,
+                     NonFinite, NotPeriodic, OutOfDomain, OutOfRange,
+                     StepUnderflow, UnknownTestbed)
 from .trajectory import Trajectory
+
+# Right-hand-side evaluations one integration may make: over 50 times the
+# most that the examples (3,884, a flow map of the forced pass) and the tests
+# (11,504, the undamped Shaw-Pierre energy test) need, so only a stiff or
+# runaway system reaches it.
+MAX_RHS_EVALS = 600_000
 
 
 # ---------------------------------------------------------------------------
@@ -67,22 +73,36 @@ def _check_solution(sol, saw_bad):
         raise NonFinite("integration produced non-finite values")
 
 
+def _solve(rhs, t_span, y0, tol, **options):
+    """solve_ivp with the embedded 5(4) Runge-Kutta pair at rtol = tol,
+    atol = tol * 1e-3; every integration goes through here. A failed or
+    non-finite result raises NonFinite or StepUnderflow (_check_solution),
+    and more than MAX_RHS_EVALS evaluations of rhs raise EvaluationBudget."""
+    saw_bad, calls = False, 0
+
+    def f(t, y):
+        nonlocal saw_bad, calls
+        calls += 1
+        if calls > MAX_RHS_EVALS:
+            raise EvaluationBudget(f"integration over {t_span} needs more "
+                                   f"than {MAX_RHS_EVALS} right-hand-side "
+                                   f"evaluations (stopped at t = {t:.6g})")
+        dy = np.asarray(rhs(t, y), dtype=float)
+        if not np.isfinite(dy).all():
+            saw_bad = True
+        return dy
+
+    sol = solve_ivp(f, t_span, y0, method="RK45", rtol=tol, atol=tol * 1e-3,
+                    **options)
+    _check_solution(sol, saw_bad)
+    return sol
+
+
 def integrate(sys, ic, t_span, tol=1e-9, t_eval=None, max_step=np.inf):
     """Integrate with the embedded 5(4) Runge-Kutta pair; dense output kept
     on the returned trajectory for stroboscopic resampling."""
-    ic = _check_start(ic, tol)
-    saw_bad = [False]
-
-    def f(t, x):
-        dx = np.asarray(sys.f(t, x), dtype=float)
-        if not np.isfinite(dx).all():
-            saw_bad[0] = True
-        return dx
-
-    sol = solve_ivp(f, t_span, ic, method="RK45", rtol=tol,
-                    atol=tol * 1e-3, dense_output=True, t_eval=t_eval,
-                    max_step=max_step)
-    _check_solution(sol, saw_bad[0])
+    sol = _solve(sys.f, t_span, _check_start(ic, tol), tol,
+                 dense_output=True, t_eval=t_eval, max_step=max_step)
     return Trajectory(times=sol.t, states=sol.y.T, kind="flow",
                       interpolant=sol.sol)
 
@@ -110,7 +130,6 @@ def flow_map(sys, x0, T, tol=1e-10):
     and the trace of J, integrated together on one 5(4) Runge-Kutta mesh."""
     x0 = _check_start(x0, tol)
     n = len(x0)
-    saw_bad = [False]
 
     def rhs(t, y):                  # y = (x, Phi row by row, int tr J)
         x = y[:n]
@@ -119,15 +138,10 @@ def flow_map(sys, x0, T, tol=1e-10):
         dy[:n] = sys.f(t, x)
         np.matmul(J, y[n:-1].reshape(n, n), out=dy[n:-1].reshape(n, n))
         dy[-1] = J.trace()
-        if not np.isfinite(dy).all():
-            saw_bad[0] = True
         return dy
 
-    y0 = np.concatenate([x0, np.eye(n).ravel(), [0.0]])
-    sol = solve_ivp(rhs, (0.0, T), y0, method="RK45", rtol=tol,
-                    atol=tol * 1e-3)
-    _check_solution(sol, saw_bad[0])
-    yT = sol.y[:, -1]
+    yT = _solve(rhs, (0.0, T), np.concatenate([x0, np.eye(n).ravel(), [0.0]]),
+                tol).y[:, -1]
     return yT[:n], yT[n:-1].reshape(n, n), float(yT[-1])
 
 

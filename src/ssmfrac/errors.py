@@ -88,6 +88,11 @@ class NonFinite(NumericalError):
     """NaN or infinity encountered during integration."""
 
 
+class EvaluationBudget(NumericalError):
+    """An integration needed more right-hand-side evaluations than
+    dynamics.MAX_RHS_EVALS, as a stiff system does."""
+
+
 class OutOfRange(InputError):
     """Stroboscopic sampling grid exceeds the stored trajectory span."""
 

@@ -591,14 +591,18 @@ def _sweep(lat, F, delta, K):
     """Field in xi after z = xi + Delta(xi, conj xi), truncated at order K.
     xidot solves xidot = F(xi + Delta) - D_xi Delta xidot - D_conj(xi) Delta
     conj(xidot); the Neumann series for it gains o - 1 in order per term,
-    o the order of Delta. The terms Delta removes cancel by construction,
-    c_k - denom_k Delta_k = 0; they are dropped, as their round-off (about
-    1e-16 |c_k|) may exceed COEFF_DROP."""
+    o the order of Delta. F(xi + Delta) needs the powers of Delta / xi up
+    to n = (K - o_low) / (o - 1), o_low the lowest order of F's terms other
+    than the linear xi term, which needs only the first power; higher
+    powers reach only orders above K. The terms Delta removes cancel by
+    construction, c_k - denom_k Delta_k = 0; they are dropped, as their
+    round-off (about 1e-16 |c_k|) may exceed COEFF_DROP."""
     keys, d = delta
     a, b = lat.exponents(keys)
     o = lat.order(keys).min()
     P = (keys - lat.key(1, 0), d)                  # Delta / xi
-    n = int((K - 1.0) / (o - 1.0) + ORDER_TOL)
+    low = lat.order(F[0])[~lat.at(F[0], 1, 0)].min(initial=K)
+    n = max(1, int((K - low) / (o - 1.0) + ORDER_TOL))
     term = lat.compose(F, P, n, K)
     d_xi = (P[0], a * d)
     d_conj = (keys - lat.key(0, 1), b * d)

@@ -265,13 +265,13 @@ def test_criterion_11_normal_form_structure():
                 round(complex(*t["b"]).imag, 6))
                for t in nf.resonant_terms}
     seeded_kept = True
-    for m, c in zip(d.monomials, coeffs):
+    for m, c, frac, phase in zip(d.monomials, coeffs, d.exponents.amp,
+                                 d.exponents.phase):
         k = (m.k2[0], m.k3[0], m.k5[0], m.k6[0])
         if abs(c) == 0.0 or k not in rule:
             continue
-        frac = m.amp_exponents[0] if m.amp_exponents else 0.0
-        a = k[0] + frac / 2.0 + 1j * m.phase_coeff / 2.0
-        b = k[1] + frac / 2.0 + 1j * m.phase_coeff / 2.0
+        a = k[0] + frac / 2.0 + 1j * phase / 2.0
+        b = k[1] + frac / 2.0 + 1j * phase / 2.0
         seeded_kept = seeded_kept and (
             round(a.real, 6), round(a.imag, 6),
             round(b.real, 6), round(b.imag, 6)) in surv_ab

@@ -85,8 +85,9 @@ def test_flow_2d_shaw_pierre_k6_gains_fractional_terms():
     assert frac
     pure = [m for m in frac if m.k2 == (0,) and m.k3 == (0,)]
     assert {m.k5 + m.k6 for m in pure} == {(1, 0), (0, 1)}
+    amp = dict(zip(d.multi_indices, d.exponents.amp))
     for m in pure:
-        assert m.amp_exponents[0] == pytest.approx(ratio, abs=1e-9)
+        assert amp[m.multi_index] == pytest.approx(ratio, abs=1e-9)
     # order 1 + 5.0688 exceeds 6, so linear-shifted fractional terms
     # only enter at K=7
     assert not [m for m in frac if m.k2 + m.k3 in ((1, 0), (0, 1))]
@@ -103,7 +104,8 @@ def test_flow_2d_integer_coincidence_flagged():
     d = dictionary.dictionary_flow_2d(spec, K=3)
     frac = [m for m in d.monomials if not m.is_integer]
     assert frac
-    assert any(m.is_integer and m.order == 2.0 for m in d.monomials)
+    assert any(m.is_integer and order == 2.0
+               for m, order in zip(d.monomials, d.orders))
 
 
 def test_flow_2d_phase_cancels_when_k5_equals_k6():
@@ -111,9 +113,9 @@ def test_flow_2d_phase_cancels_when_k5_equals_k6():
                                       alpha_omega=((-1.0, 2.0),),
                                       beta_nu=((-1.3, 0.7),))
     d = dictionary.dictionary_flow_2d(spec, K=4)
-    for m in d.monomials:
+    for m, phase in zip(d.monomials, d.exponents.phase):
         if m.k5 == m.k6:
-            assert m.phase_coeff == 0.0
+            assert phase == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,8 @@ def test_map_2d_log_modulus_exponent():
             if m.k2 == (0,) and m.k3 == (0,) and m.k5 == (1,)
             and m.k6 == (0,)]
     assert len(pure) == 1
-    assert pure[0].amp_exponents[0] == pytest.approx(2.0, abs=1e-12)
+    amp = d.exponents.amp[d.multi_indices.index(pure[0].multi_index)]
+    assert amp == pytest.approx(2.0, abs=1e-12)
 
 
 def test_map_2d_truncation_below_fractional_order():
@@ -223,28 +226,36 @@ def test_prune_records_removals_in_metadata():
 # evaluation
 # ---------------------------------------------------------------------------
 
+def column(d, multi_index, x):
+    """Values of the term with ``multi_index`` of dictionary d at x."""
+    return d.evaluate(x)[:, d.multi_indices.index(multi_index)]
+
+
 def test_eval_real_fractional_term():
-    m = dictionary.FractionalMonomial(k1=(1,), k4=(1,),
-                                      amp_exponents=(2.5,), order=3.5)
+    d = dictionary.dictionary_flow_1d(planar_spec(), K=4)
     u = np.array([-2.0, 0.0, 0.5])
     expected = u * np.abs(u) ** 2.5
-    np.testing.assert_allclose(m.eval_real(u), expected, atol=1e-14)
+    np.testing.assert_allclose(column(d, (1, 1), u), expected, atol=1e-14)
 
 
 def test_eval_real_positive_only_rejects_negative():
-    m = dictionary.FractionalMonomial(k1=(1,), order=1.0,
-                                      branch="positive_only")
+    d = dictionary.dictionary_map_1d(couette_spec(), K=1)
+    assert d.multi_indices == [(1, 0, 0, 0, 0)]
     with pytest.raises(DomainError):
-        m.eval_real([-1.0])
+        d.evaluate([-1.0])
 
 
 def test_eval_complex_phase_factor():
-    m = dictionary.FractionalMonomial(k2=(1,), k3=(0,), k5=(1,), k6=(0,),
-                                      amp_exponents=(1.5,), phase_coeff=0.7,
-                                      order=2.5)
+    """z |z|^1.5 e^{0.7 i log|z|} is the k6 = 1 term when beta / alpha = 1.5
+    and nu / alpha = -0.7."""
+    spec = spectrum.SpectralPartition(kind="flow",
+                                      alpha_omega=((-1.0, 2.0),),
+                                      beta_nu=((-1.5, 0.7),))
+    d = dictionary.dictionary_flow_2d(spec, K=3)
     z = np.array([0.3 + 0.4j])
     expected = z * np.abs(z) ** 1.5 * np.exp(0.7j * np.log(np.abs(z)))
-    np.testing.assert_allclose(m.eval_complex(z), expected, atol=1e-14)
+    np.testing.assert_allclose(column(d, (1, 0, 0, 1), z), expected,
+                               atol=1e-14)
 
 
 def test_eval_zero_at_origin():
@@ -271,11 +282,10 @@ def test_evaluate_accepts_real_pairs_for_2d():
 @settings(max_examples=40, deadline=None)
 def test_eval_real_scales_as_order(scale, u):
     """Homogeneity: m(s*u) = s^order * m(u) for u, s > 0."""
-    m = dictionary.FractionalMonomial(k1=(2,), k4=(1,),
-                                      amp_exponents=(2.5,), order=4.5)
+    d = dictionary.dictionary_flow_1d(planar_spec(), K=5)
     u = abs(u) + 0.1
-    left = m.eval_real([scale * u])[0]
-    right = scale ** 4.5 * m.eval_real([u])[0]
+    left = column(d, (2, 1), [scale * u])[0]
+    right = scale ** 4.5 * column(d, (2, 1), [u])[0]
     assert left == pytest.approx(right, rel=1e-9)
 
 
@@ -375,10 +385,10 @@ def test_compiled_columns_scale_with_order(d, data, s):
     x = draw_samples(d, data)
     scaled = d.evaluate(s * x)
     base = d.evaluate(x)
-    for j, m in enumerate(d.monomials):
-        factor = s ** m.order
+    for j, (order, phase) in enumerate(zip(d.orders, d.exponents.phase)):
+        factor = s ** order
         if d.family.endswith("2d"):
-            factor = factor * np.exp(1j * m.phase_coeff * np.log(s))
+            factor = factor * np.exp(1j * phase * np.log(s))
         np.testing.assert_allclose(scaled[:, j], factor * base[:, j],
                                    rtol=1e-10, atol=0)
 
@@ -455,10 +465,10 @@ def test_orders_recomputable_from_multi_index():
     spec = couette_spec()
     ratios = [np.log(k) / np.log(abs(spec.lam[0])) for k in spec.kappa]
     d = dictionary.dictionary_map_1d(spec, K=5)
-    for m in d.monomials:
+    for m, got in zip(d.monomials, d.orders):
         order = m.k1[0] + sum(k * r for k, r in zip(m.k4, ratios))
-        assert m.order == pytest.approx(order, abs=1e-12)
-        assert 1.0 - 1e-12 <= m.order <= 5.0 + 1e-9
+        assert got == pytest.approx(order, abs=1e-12)
+        assert 1.0 - 1e-12 <= got <= 5.0 + 1e-9
 
 
 def test_serialization_deterministic():
@@ -505,6 +515,26 @@ def test_from_json_rejects_malformed_documents(path, value):
         del target[key]
     else:
         target[key] = value
+    with pytest.raises(InputError):
+        dictionary.dictionary_from_json(doc)
+
+
+def _set(index, **fields):
+    return lambda doc: doc["monomials"][index].update(fields)
+
+
+@pytest.mark.parametrize("edit", [
+    _set(2, amp_exponent=[]), _set(2, order=99),
+    lambda doc: doc.update(family="map_1d"), _set(0, branch="symetric")],
+    ids=["amp_exponent", "order", "family", "branch"])
+def test_from_json_rejects_what_the_multi_index_does_not_give(edit):
+    """A term's exponent, order and branch, and the library's family,
+    follow from the multi-indices and the spectrum; a document that states
+    other values does not load."""
+    doc = dictionary.dictionary_flow_1d(planar_spec(), K=5).to_dict()
+    assert doc["monomials"][2]["multi_index"] == [0, 1]
+    dictionary.dictionary_from_json(doc)
+    edit(doc)
     with pytest.raises(InputError):
         dictionary.dictionary_from_json(doc)
 

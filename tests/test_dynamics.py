@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 from ssmfrac import dynamics
-from ssmfrac.errors import (BadParams, InputError, NoConvergence, NonFinite,
-                            NotPeriodic, OutOfDomain, StepUnderflow,
+from ssmfrac.errors import (BadParams, EvaluationBudget, InputError,
+                            NoConvergence, NonFinite, NotPeriodic,
+                            NumericalError, OutOfDomain, StepUnderflow,
                             UnknownTestbed)
 
 FORCED_PARAMS = {"c": 0.03, "A": 0.11, "Omega": 1.07}
@@ -48,6 +49,21 @@ def test_integrate_blowup_raises():
     sys = dynamics.FlowSystem(dim=1, f=lambda t, x: x ** 2)
     with pytest.raises((NonFinite, StepUnderflow)):
         dynamics.integrate(sys, [1.0], (0.0, 5.0), tol=1e-9)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda sys: dynamics.integrate(sys, [1.0], (0.0, 10.0)),
+    lambda sys: dynamics.flow_map(sys, [1.0], 10.0)],
+    ids=["integrate", "flow_map"])
+def test_stiff_system_exhausts_the_evaluation_budget(solve):
+    """x' = -1e7 x keeps an explicit Runge-Kutta pair at steps of about
+    3e-7, so [0, 10] would take some 2e8 evaluations; the budget stops it
+    with a numerical error (CLI exit 3)."""
+    stiff = dynamics.FlowSystem(dim=1, f=lambda t, x: -1e7 * x,
+                                jac=lambda t, x: np.array([[-1e7]]))
+    assert issubclass(EvaluationBudget, NumericalError)
+    with pytest.raises(EvaluationBudget, match=str(dynamics.MAX_RHS_EVALS)):
+        solve(stiff)
 
 
 def test_energy_conserved_without_damping():

@@ -603,6 +603,24 @@ def test_model_from_json_rejects_malformed_documents(key, value):
         fit.model_from_json(json.dumps(doc))
 
 
+def test_model_from_json_rejects_terms_out_of_canonical_order():
+    """Coefficient rows follow the dictionary's canonical term order; a
+    model listing its terms and rows in another order does not load (it
+    would pair each row with another term)."""
+    d = dictionary.dictionary_flow_1d(planar_spec(), K=3)
+    model = fit.ReducedFit(dictionary=d,
+                           coefficients=np.arange(1.0, len(d) + 1)[:, None],
+                           kind="flow", residuals=np.zeros(1),
+                           condition_number=1.0, training_amplitude=1.0)
+    doc = json.loads(model.to_json())
+    np.testing.assert_array_equal(
+        fit.model_from_json(json.dumps(doc)).rhs([[0.4]]), model.rhs([[0.4]]))
+    doc["dictionary"]["monomials"].reverse()
+    doc["coefficients"].reverse()
+    with pytest.raises(InputError):
+        fit.model_from_json(json.dumps(doc))
+
+
 def test_graph_model_from_json_rejects_fractional_coordinates(tmp_path):
     d = dictionary.dictionary_flow_1d(planar_spec(), K=3)
     traj = graph_traj(np.linspace(-1.0, 1.0, 41), lambda x: x ** 2)

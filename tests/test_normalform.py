@@ -565,9 +565,9 @@ def first_order_above(model, K):
     orders of the model's nonzero terms: every term the substitutions make
     has such an order, so the truncation error starts there (inf for a
     linear model)."""
-    steps = {round(m.order - 1.0, 9) for m, c in zip(
-        model.dictionary.monomials, model.coefficients[:, 0])
-        if c != 0 and m.order > 1.0 + 1e-9}
+    steps = {round(order - 1.0, 9) for order, c in zip(
+        model.dictionary.orders, model.coefficients[:, 0])
+        if c != 0 and order > 1.0 + 1e-9}
     reach, frontier = {0.0}, {0.0}
     while frontier:
         frontier = {round(s + t, 9) for s in frontier for t in steps
@@ -686,8 +686,9 @@ def test_dense_order3_normal_form_scales_with_the_model():
     COEFF_DROP; the form still returns."""
     spec, s = spec_2d(), 0.01
     model = benchmark_models(0)[1]
-    scale = np.array([s ** complex(1.0 - m.order, -m.phase_coeff)
-                      for m in model.dictionary.monomials])
+    ex = model.dictionary.exponents
+    scale = np.array([s ** complex(1.0 - order, -phase)
+                      for order, phase in zip(ex.order, ex.phase)])
     scaled = fit.ReducedFit(
         dictionary=model.dictionary, coefficients=model.coefficients
         * scale[:, None], kind="flow", residuals=np.zeros(1),
