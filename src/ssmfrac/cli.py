@@ -185,20 +185,10 @@ def cmd_spectrum(args):
 # ---------------------------------------------------------------------------
 
 def _build_dictionary(part, args):
-    if args.integer_only:
-        # one variable per master state column; whole degrees, and the
-        # builder rejects a non-finite order
-        return dct.integer_dictionary(part.p + 2 * part.q, args.order // 1,
-                                      spec=part)
-    if part.p == 1 and part.q == 0:
-        build = dct.dictionary_flow_1d if part.kind == "flow" \
-            else dct.dictionary_map_1d
-    elif part.p == 0 and part.q == 1:
-        build = dct.dictionary_flow_2d if part.kind == "flow" \
-            else dct.dictionary_map_2d
-    else:
-        raise InputError("dictionary fitting needs a 1D or 2D master block")
-    built = build(part, args.order)
+    """The library the spectrum gives (``dictionary.family_of``), or the
+    integer one over its p + 2q master columns, pruned at --prune."""
+    family = "integer" if args.integer_only else dct.family_of(part)
+    built = dct.BUILDERS[family](part, args.order)
     if args.prune is not None:
         built = dct.prune_near_integer(built, args.prune)
     return built

@@ -13,6 +13,12 @@ Monomial "order" is the homogeneous real degree used for truncation; a term
 is admitted when 1 <= order <= K + 1e-9. A term stores only its integer
 multiplicities: its |.| exponent, phase coefficient and order follow from
 them and the spectral quotients, computed once per library.
+
+The spectrum alone picks a fractional library's family (``family_of``), and
+``BUILDERS`` maps each family to its builder. A library is its recipe:
+``dictionary_from_json`` rebuilds it from the family, spectrum, truncation,
+``include_linear`` and ``prune_tol`` a document records, and rejects a
+document that differs from what the rebuilt library writes.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, InputError, WrongShape
-from .jsonio import dump_json, load_json, member, number, numbers
+from .jsonio import dump_json, load_json, member, number
 from .spectrum import SpectralPartition
 
 ORDER_SLACK = 1e-9          # order <= K + slack admits, keeps 4.000013 out at K=4
@@ -93,17 +99,27 @@ def _quotients(spec):
     return quotients
 
 
-def _rates(spec, family):
+def family_of(spec):
+    """The fractional library family a spectrum gives, the one place it is
+    derived: ``<kind>_1d`` for one real master and no slaved pair (p=1,
+    q=0, s=0), ``<kind>_2d`` for one master pair and no slaved real (p=0,
+    q=1, r=0). Any other master block raises WrongShape."""
+    if (spec.p, spec.q, spec.s) == (1, 0, 0):
+        return f"{spec.kind}_1d"
+    if (spec.p, spec.q, spec.r) == (0, 1, 0):
+        return f"{spec.kind}_2d"
+    raise WrongShape(f"fractional libraries need p=1, q=0, s=0 or p=0, "
+                     f"q=1, r=0; the spectrum has p={spec.p}, q={spec.q}, "
+                     f"r={spec.r}, s={spec.s}")
+
+
+def _rates(spec):
     """(amplitude, phase) quotients of every slaved entry over the one
     master of a fractional family (``SpectralPartition.quotients``):
     kappa_l / lambda_1 for flows and log kappa_l / log |lambda_1| for maps
     in 1D, phase 0; beta_m / alpha_1 and nu_m / alpha_1 for flows, the
     log-modulus quotient Xi_m and atan2(nu_m, beta_m) /
     log |alpha_1 + i omega_1| for maps in 2D."""
-    if family.endswith("1d") and (spec.p, spec.q, spec.s) != (1, 0, 0):
-        raise WrongShape("1D dictionary needs p=1, q=0, s=0")
-    if family.endswith("2d") and (spec.p, spec.q, spec.r) != (0, 1, 0):
-        raise WrongShape("2D dictionary needs p=0, q=1, r=0")
     amp, phase = _quotients(spec)
     return amp[:, 0].tolist(), phase[:, 0].tolist()
 
@@ -130,7 +146,7 @@ def _term_exponents(spec, family, indices):
     if family == "integer":
         return SimpleNamespace(amp=zero, phase=zero,
                                order=degree.astype(float))
-    amp, phase = _rates(spec, family)
+    amp, phase = _rates(spec)
     if family.endswith("1d"):
         frac, turn = _weighted(k, amp), zero
     else:
@@ -241,7 +257,7 @@ class Dictionary:
 
     @cached_property
     def family(self):
-        return f"{self.spec.kind}_{'2d' if self.spec.q else '1d'}"
+        return family_of(self.spec)
 
     def __len__(self):
         return len(self.monomials)
@@ -336,60 +352,6 @@ class IntegerDictionary(Dictionary):
         return out
 
 
-_FAMILIES = ("flow_1d", "map_1d", "flow_2d", "map_2d", "integer")
-
-
-def _term(e, spec, integer):
-    """The monomial of one term document, read from its multi-index alone
-    (p + 2q entries for integer libraries, p + 2q + r + 2s split into
-    k1..k6 for fractional ones), and its pruned flag; InputError when
-    either is missing or malformed."""
-    what = "dictionary monomial"
-    splits = (spec.p + 2 * spec.q,) if integer else \
-        (spec.p, spec.q, spec.q, spec.r, spec.s, spec.s)
-    index = numbers(member(e, "multi_index", list, what),
-                    f"{what} 'multi_index'", (sum(splits),))
-    if np.any(index < 0) or np.any(index != np.round(index)):
-        raise InputError(f"{what}: 'multi_index' must hold non-negative "
-                         f"integers, got {e['multi_index']}")
-    parts = [tuple(part.tolist()) for part in
-             np.split(index.astype(np.int64), np.cumsum(splits)[:-1])]
-    return (IntegerMonomial(*parts) if integer else FractionalMonomial(*parts),
-            member(e, "pruned", bool, what))
-
-
-def dictionary_from_json(source):
-    """Inverse of Dictionary.to_json (JSON text, a path, or the parsed
-    dict); pruned entries go to ``removed``. Only each term's multi-index
-    and pruned flag are read: the library is rebuilt from them, and a
-    document whose terms differ from what the rebuilt library writes, in
-    the same order, raises InputError, as does a missing key or a value of
-    the wrong type. A family the spectrum's master block does not give
-    raises WrongShape."""
-    doc = source if isinstance(source, dict) else load_json(source)
-    what = "dictionary document"
-    spec = SpectralPartition.from_dict(member(doc, "spectrum", dict, what))
-    family = member(doc, "family", str, what)
-    if family not in _FAMILIES:
-        raise InputError(f"{what}: unknown family {family!r}")
-    entries = member(doc, "monomials", list, what)
-    terms = [_term(e, spec, family == "integer") for e in entries]
-    built = (IntegerDictionary if family == "integer" else Dictionary)(
-        monomials=tuple(m for m, cut in terms if not cut), spec=spec,
-        truncation=number(doc, "truncation", what),
-        removed=tuple(m for m, cut in terms if cut),
-        metadata=member(doc, "metadata", dict, what) if "metadata" in doc
-        else {})
-    if built.family != family:
-        raise WrongShape(f"{what}: a {family} library on a spectrum whose "
-                         f"master block gives {built.family}")
-    if built.to_dict()["monomials"] != entries:
-        raise InputError(f"{what}: the terms differ from what their "
-                         "multi-indices and the spectrum give, in canonical "
-                         "order")
-    return built
-
-
 # ---------------------------------------------------------------------------
 # dictionary generators
 # ---------------------------------------------------------------------------
@@ -419,12 +381,12 @@ def _check_order(K):
         raise InputError(f"truncation order must be finite, got {K}")
 
 
-def _degree_ranges(frac, K, top, skip_linear):
-    """The integer degrees n in [0, top] for which n + frac is an
-    admissible order, 1 <= order <= K (within ORDER_SLACK), as nonempty
-    (lo, hi) ranges; degree 1 is left out when skip_linear."""
+def _degree_ranges(frac, K, skip_linear):
+    """The integer degrees n >= 0 for which n + frac is an admissible
+    order, 1 <= order <= K (within ORDER_SLACK), as nonempty (lo, hi)
+    ranges; degree 1 is left out when skip_linear."""
     lo = max(0, math.ceil(1.0 - ORDER_SLACK - frac))
-    hi = min(top, math.floor(K + ORDER_SLACK - frac))
+    hi = math.floor(K + ORDER_SLACK - frac)
     ranges = ((lo, min(hi, 0)), (max(lo, 2), hi)) if skip_linear else ((lo, hi),)
     return [(a, b) for a, b in ranges if a <= b]
 
@@ -439,10 +401,10 @@ def _check_size(K, count):
 
 def _library(spec, K, family, include_linear, build):
     """Dictionary of ``family`` with the monomials of build(spec, K,
-    include_linear, family); spec must be of the family's kind."""
-    kind = family.split("_")[0]
-    if spec.kind != kind:
-        raise WrongShape(f"{kind} dictionary on a {spec.kind} spectrum")
+    include_linear, family); the spectrum must give that family."""
+    if family_of(spec) != family:
+        raise WrongShape(f"{family} dictionary on a spectrum that gives "
+                         f"{family_of(spec)}")
     _check_order(K)
     return Dictionary(build(spec, K, include_linear, family), spec, float(K),
                       metadata={"include_linear": include_linear})
@@ -451,12 +413,10 @@ def _library(spec, K, family, include_linear, build):
 def _cells_1d(spec, K, include_linear, family):
     """(k4, ranges of k1) per slaved multiplicity vector; graph libraries
     (include_linear False) leave out the bare linear master term."""
-    ks = _enumerate_k4([(rho, rho > 0) for rho in _rates(spec, family)[0]], K)
+    ks = _enumerate_k4([(rho, rho > 0) for rho in _rates(spec)[0]], K)
     fracs = _term_exponents(spec, family, [(0,) + k4 for k4 in ks]).amp
-    top = int(K + ORDER_SLACK)
     for k4, frac in zip(ks, fracs.tolist()):
-        yield k4, _degree_ranges(frac, K, top,
-                                 not include_linear and not any(k4))
+        yield k4, _degree_ranges(frac, K, not include_linear and not any(k4))
 
 
 def _build_1d(spec, K, include_linear, family):
@@ -483,38 +443,28 @@ def _cells_2d(spec, K, include_linear, family):
     """(k5, k6, ranges of k2 + k3) per pair of slaved multiplicity vectors
     whose exponent stays within K; graph libraries (include_linear False)
     leave out the bare linear terms z and zbar."""
-    ks = _enumerate_k4([(xi, xi > 0) for xi in _rates(spec, family)[0]], K)
+    ks = _enumerate_k4([(xi, xi > 0) for xi in _rates(spec)[0]], K)
     if len(ks) ** 2 > MAX_TERMS:
         raise InputError(f"order {K} gives more than {MAX_TERMS} slaved "
                          "multiplicity pairs")
     pairs = [(k5, k6) for k5 in ks for k6 in ks]
     fracs = _term_exponents(spec, family,
                             [(0, 0) + k5 + k6 for k5, k6 in pairs]).amp
-    top = 2 * int(K + ORDER_SLACK)
     for (k5, k6), frac in zip(pairs, fracs.tolist()):
         if frac <= K + ORDER_SLACK:
             yield k5, k6, _degree_ranges(
-                frac, K, top, not include_linear and not any(k5 + k6))
-
-
-def _pair_count(n, top):
-    """Number of (k2, k3) in [0, top]^2 with k2 + k3 <= n."""
-    if n < 0:
-        return 0
-    if n <= top:
-        return (n + 1) * (n + 2) // 2
-    return (top + 1) ** 2 - (2 * top - n) * (2 * top - n + 1) // 2
+                frac, K, not include_linear and not any(k5 + k6))
 
 
 def _build_2d(spec, K, include_linear, family):
-    kmax = int(K + ORDER_SLACK)
     cells = list(_cells_2d(spec, K, include_linear, family))
-    _check_size(K, sum(_pair_count(hi, kmax) - _pair_count(lo - 1, kmax)
+    # (k2, k3) with lo <= k2 + k3 <= hi: (hi+1)(hi+2)/2 - lo(lo+1)/2 pairs
+    _check_size(K, sum((hi + 1) * (hi + 2) // 2 - lo * (lo + 1) // 2
                        for *_, ranges in cells for lo, hi in ranges))
     return tuple(FractionalMonomial(k2=(k2,), k3=(k3,), k5=k5, k6=k6)
-                 for k5, k6, ranges in cells for k2 in range(kmax + 1)
-                 for lo, hi in ranges
-                 for k3 in range(max(0, lo - k2), min(kmax, hi - k2) + 1))
+                 for k5, k6, ranges in cells for lo, hi in ranges
+                 for k2 in range(hi + 1)
+                 for k3 in range(max(0, lo - k2), hi - k2 + 1))
 
 
 def dictionary_flow_2d(spec, K, include_linear=True):
@@ -531,14 +481,16 @@ def dictionary_map_2d(spec, K, include_linear=True):
 
 def integer_dictionary(n_vars, K, spec=None):
     """Plain integer monomial library in n_vars master variables, total
-    degree 1..K. Used for multi-master graph fits and integer-only
-    comparison models; a spec must have n_vars = p + 2q state columns."""
+    degree 1..K, truncated at the whole degree floor(K). Used for
+    multi-master graph fits and integer-only comparison models; a spec
+    must have n_vars = p + 2q state columns."""
     if spec is None:
         spec = SpectralPartition(kind="flow", lam=tuple([-1.0] * n_vars))
     if spec.p + 2 * spec.q != n_vars:
         raise WrongShape(f"{n_vars} variables on a spectrum with p + 2q = "
                          f"{spec.p + 2 * spec.q} master columns")
     _check_order(K)
+    K = K // 1
     _check_size(K, math.comb(max(int(K), 0) + n_vars, n_vars) - 1)
     monos = []
     for total in range(1, int(K) + 1) if n_vars else ():
@@ -550,6 +502,16 @@ def integer_dictionary(n_vars, K, spec=None):
                 powers=tuple(b - a - 1 for a, b in zip(edges, edges[1:]))))
     return IntegerDictionary(monomials=tuple(monos), spec=spec,
                              truncation=float(K))
+
+
+# the builder of each family, called as build(spec, K, include_linear);
+# an integer library always holds its degree-1 terms
+BUILDERS = {
+    "flow_1d": dictionary_flow_1d, "map_1d": dictionary_map_1d,
+    "flow_2d": dictionary_flow_2d, "map_2d": dictionary_map_2d,
+    "integer": lambda spec, K, include_linear=True: integer_dictionary(
+        spec.p + 2 * spec.q, K, spec),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +534,7 @@ def prune_near_integer(dictionary, tol):
         return dictionary
     spec = dictionary.spec
     near = [abs(rho - round(rho)) < tol and round(rho) != 0
-            for rho in _rates(spec, family)[0]]
+            for rho in _rates(spec)[0]]
     # the slaved multiplicities: k4 in 1D, k5 then k6 (same ratios) in 2D
     near = near if family.endswith("1d") else near + near
     terms = list(zip(dictionary.monomials, dictionary.orders))
@@ -587,6 +549,40 @@ def prune_near_integer(dictionary, tol):
     meta["pruned_indices"] = [list(m.multi_index) for m in removed]
     return replace(dictionary, monomials=tuple(keep), removed=tuple(removed),
                    metadata=meta)
+
+
+# ---------------------------------------------------------------------------
+# JSON loading
+# ---------------------------------------------------------------------------
+
+def dictionary_from_json(source):
+    """Inverse of Dictionary.to_json (JSON text, a path, or the parsed
+    dict), rebuilt from the document's recipe: the family's builder on its
+    spectrum and truncation with the metadata's include_linear, then
+    ``prune_near_integer`` at the metadata's prune_tol if one is recorded.
+    A document whose family, truncation, terms or metadata differ from
+    what the rebuilt library writes raises InputError, as does a missing
+    key or a value of the wrong type; a family the spectrum's master block
+    does not give raises WrongShape."""
+    doc = source if isinstance(source, dict) else load_json(source)
+    what = "dictionary document"
+    spec = SpectralPartition.from_dict(member(doc, "spectrum", dict, what))
+    family = member(doc, "family", str, what)
+    if family not in BUILDERS:
+        raise InputError(f"{what}: unknown family {family!r}")
+    meta = member(doc, "metadata", dict, what)
+    linear = member(meta, "include_linear", bool, f"{what} metadata") \
+        if "include_linear" in meta else True
+    built = BUILDERS[family](spec, number(doc, "truncation", what), linear)
+    if "prune_tol" in meta:
+        built = prune_near_integer(
+            built, number(meta, "prune_tol", f"{what} metadata"))
+    written = built.to_dict()
+    for key in ("family", "truncation", "monomials", "metadata"):
+        if doc.get(key) != written[key]:
+            raise InputError(f"{what}: {key!r} differs from what the "
+                             "library rebuilt from its recipe writes")
+    return built
 
 
 # ---------------------------------------------------------------------------

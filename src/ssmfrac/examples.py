@@ -65,7 +65,7 @@ def planar():
 
     xg = np.linspace(0.02, 0.95, 200)
     true_vf = vf(xg)
-    pred_vf = np.array([frac.rhs([[x]])[0, 0] for x in xg])
+    pred_vf = frac.rhs(xg[:, None])[:, 0]
     vf_err = float(np.max(np.abs(true_vf - pred_vf))
                    / np.max(np.abs(true_vf)))
 

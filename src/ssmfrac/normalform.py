@@ -681,8 +681,6 @@ def _model_to_field(reduced):
     """The exponent lattice of a 2D reduced model's dictionary and the
     model's field on it."""
     d = reduced.dictionary
-    if not d.family.endswith("2d"):
-        raise InputError("extended normal form needs a 2D dictionary model")
     lat = _Lattice(d.spec)
     keys = np.array([(m.k2 or (0,)) + (m.k3 or (0,)) + m.k5 + m.k6
                      for m in d.monomials], dtype=np.int64)
@@ -707,7 +705,7 @@ def _survivors(lat, F):
     return a[rows], b[rows], total[pick][keep]
 
 
-def extended_normalform_2d(reduced, spec, drop_resonant=True):
+def extended_normalform_2d(reduced, spec):
     """Remove all structurally nonresonant terms of a fitted 2D reduced
     model by near-identity substitutions, then collect the survivors into
     the polar truncation constants.
@@ -721,12 +719,18 @@ def extended_normalform_2d(reduced, spec, drop_resonant=True):
     size, every other term is removed by dividing by its full homological
     eigenvalue (never small, since the rotational part is a nonzero integer
     multiple of omega1). Dense fitted models return in well under a second.
+
+    Everything is read from the model's spectrum; ``spec`` must equal it.
     """
-    if spec.kind != "flow":
-        raise InputError("the polar normal form applies to flow models")
+    d = reduced.dictionary
+    if d.family != "flow_2d":
+        raise InputError(f"the polar normal form needs a flow_2d model, "
+                         f"got {d.family}")
+    if spec != d.spec:
+        raise InputError("spec differs from the model's spectrum")
+    K = d.truncation
     if spec.s < 1:
         raise WrongShape("need at least one slaved oscillatory pair")
-    K = reduced.dictionary.truncation
     lat, F = _model_to_field(reduced)
 
     if not lat.at(F[0], 1, 0).any():
@@ -748,9 +752,6 @@ def extended_normalform_2d(reduced, spec, drop_resonant=True):
         for i in np.flatnonzero(small):
             sd_log.append(((a[i].real, a[i].imag, b[i].real, b[i].imag),
                            abs(denom[i])))
-            if not drop_resonant:
-                raise SmallDivisor(f"divisor {abs(denom[i]):.3e} at "
-                                   f"exponents ({a[i]}, {b[i]})")
         at &= ~small
         removal = np.divide(c, denom, out=np.zeros_like(c), where=at)
         drop = at & (np.abs(removal) <= COEFF_DROP)   # below round-off
@@ -771,15 +772,13 @@ def extended_normalform_2d(reduced, spec, drop_resonant=True):
     survivors = [{"a": [x.real, x.imag], "b": [y.real, y.imag],
                   "coeff": [z.real, z.imag]} for x, y, z in zip(a, b, coeffs)]
 
-    ratio = phase = None
-    if spec.q:
-        amp, turn = spec.quotients()
-        ratio, phase = float(amp[spec.r, spec.p]), float(turn[spec.r, spec.p])
+    amp, turn = spec.quotients()
+    ratio, phase = float(amp[0, 0]), float(turn[0, 0])
     nf = NormalForm2D(alpha1=gamma.real, omega1=gamma.imag, ratio=ratio,
                       phase_exponent=phase, resonant_terms=survivors,
                       small_divisor_log=sd_log, delta=delta,
                       substitutions=substitutions)
-    if ratio is None or not (0.5 + ORDER_TOL < ratio < 2.0 - ORDER_TOL):
+    if not (0.5 + ORDER_TOL < ratio < 2.0 - ORDER_TOL):
         nf.polar_valid = False
         return nf
 

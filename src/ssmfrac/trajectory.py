@@ -90,11 +90,10 @@ class Trajectory:
         return None
 
     def sample(self, times):
-        """(len(times), dim) states at ``times`` from the dense output,
-        evaluated one time at a time."""
+        """(len(times), dim) states at ``times`` from the dense output."""
         if self.interpolant is None:
             raise InputError("trajectory carries no dense output")
-        return np.array([self.interpolant(t) for t in times])
+        return self.interpolant(times).T
 
     def write_csv(self, path):
         label = "t" if self.kind == "flow" else "idx"

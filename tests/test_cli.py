@@ -367,6 +367,19 @@ def test_fit_meaningless_settings_are_input_errors(tmp_path, flags):
         assert cli.main(argv + list(flags) + ["--integer-only"]) == 2
 
 
+def test_fit_on_two_real_masters_is_input_error(tmp_path, capsys):
+    """No fractional family fits a p = 2 master block."""
+    spec_path = tmp_path / "spectrum.json"
+    spectrum.SpectralPartition(kind="map", lam=(0.9, 0.8),
+                               kappa=(0.3,)).to_json(spec_path)
+    data_dir = tmp_path / "data"
+    write_model_data(data_dir)
+    code = cli.main(["fit", "--data", str(data_dir), "--spectrum",
+                     str(spec_path), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_fit_non_json_spectrum_is_input_error(tmp_path, capsys):
     bad = tmp_path / "spectrum.json"
     bad.write_text("1.0,2.0\n")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ssmfrac import dictionary, spectrum
 from ssmfrac.errors import DomainError, InputError, WrongShape
+from test_dictionary_format import _cases
 
 COUETTE_MASTER_LOG = -0.035068
 COUETTE_SLAVED_LOGS = (-0.069776, -0.073369, -0.140274, -0.168877)
@@ -489,10 +490,51 @@ def test_json_round_trip_fractional():
 
 
 def test_json_round_trip_keeps_text():
-    for d in (dictionary.dictionary_map_1d(couette_spec(), K=5),
-              dictionary.integer_dictionary(2, 3)):
-        text = d.to_json()
-        assert dictionary.dictionary_from_json(text).to_json() == text
+    """Every golden library, pruned and integer ones included, loads back
+    to the same text."""
+    for case, build in _cases():
+        text = build().to_json()
+        assert dictionary.dictionary_from_json(text).to_json() == text, case
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(truncation=2.0),
+    lambda doc: doc["metadata"].update(include_linear=False),
+    lambda doc: doc["metadata"].update(prune_tol=0.4)],
+    ids=["truncation", "include_linear", "prune_tol"])
+def test_from_json_rejects_a_library_its_recipe_does_not_give(edit):
+    """The library is rebuilt from its family, spectrum, truncation,
+    include_linear and prune_tol: a document whose recipe was edited
+    without its terms does not load."""
+    doc = dictionary.prune_near_integer(
+        dictionary.dictionary_flow_1d(planar_spec(), K=5), tol=0.6).to_dict()
+    assert doc["metadata"]["pruned_indices"]      # tol 0.4 prunes nothing
+    dictionary.dictionary_from_json(doc)
+    edit(doc)
+    with pytest.raises(InputError):
+        dictionary.dictionary_from_json(doc)
+
+
+@pytest.mark.parametrize("blocks, family", [
+    (dict(kind="flow", lam=(-1.0,), kappa=(-2.5,)), "flow_1d"),
+    (dict(kind="map", lam=(0.5,), kappa=(0.2,)), "map_1d"),
+    (dict(kind="flow", alpha_omega=((-1.0, 2.0),), beta_nu=((-2.0, 1.0),)),
+     "flow_2d"),
+    (dict(kind="map", alpha_omega=((0.5, 0.3),)), "map_2d"),
+    (dict(kind="flow", lam=(-1.0,), beta_nu=((-2.0, 1.0),)), WrongShape),
+    (dict(kind="flow", lam=(-1.0, -1.5), kappa=(-3.0,)), WrongShape),
+    (dict(kind="flow", lam=(-1.0,), alpha_omega=((-1.2, 2.0),)), WrongShape),
+    (dict(kind="flow", alpha_omega=((-1.0, 2.0),), kappa=(-2.5,)),
+     WrongShape)],
+    ids=["flow_1d", "map_1d", "flow_2d", "map_2d", "p1_s1", "p2", "p1_q1",
+         "q1_r1"])
+def test_family_of_reads_the_master_block(blocks, family):
+    spec = spectrum.SpectralPartition(**blocks)
+    if family is WrongShape:
+        with pytest.raises(WrongShape):
+            dictionary.family_of(spec)
+    else:
+        assert dictionary.family_of(spec) == family
 
 
 @pytest.mark.parametrize("path, value", [

@@ -55,10 +55,13 @@ def test_integrate_blowup_raises():
     lambda sys: dynamics.integrate(sys, [1.0], (0.0, 10.0)),
     lambda sys: dynamics.flow_map(sys, [1.0], 10.0)],
     ids=["integrate", "flow_map"])
-def test_stiff_system_exhausts_the_evaluation_budget(solve):
+def test_stiff_system_exhausts_the_evaluation_budget(solve, monkeypatch):
     """x' = -1e7 x keeps an explicit Runge-Kutta pair at steps of about
     3e-7, so [0, 10] would take some 2e8 evaluations; the budget stops it
-    with a numerical error (CLI exit 3)."""
+    with a numerical error (CLI exit 3). The budget is lowered to 6,000
+    evaluations so that the same raise path runs in a fraction of a
+    second."""
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 6_000)
     stiff = dynamics.FlowSystem(dim=1, f=lambda t, x: -1e7 * x,
                                 jac=lambda t, x: np.array([[-1e7]]))
     assert issubclass(EvaluationBudget, NumericalError)

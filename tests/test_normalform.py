@@ -348,6 +348,24 @@ def test_normalform_needs_linear_term():
         normalform.extended_normalform_2d(model, spec_2d())
 
 
+def test_normalform_reads_the_models_spectrum():
+    """The ratio and phase come from the model's own spectrum: another
+    spec, or a model that is not a flow_2d one, is an input error."""
+    model = reduced_model({(1, 0, 0, 0): GAMMA, (1, 0, 1, 0): 0.2 + 0.1j})
+    assert normalform.extended_normalform_2d(model, spec_2d()).ratio == \
+        pytest.approx(TEST_RATIO)
+    with pytest.raises(InputError):
+        normalform.extended_normalform_2d(model, spec_2d(ratio=1.7))
+    planar = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
+                                        kappa=(-2.5,))
+    graph = fit.ReducedFit(
+        dictionary=dictionary.dictionary_flow_1d(planar, 3),
+        coefficients=np.ones((4, 1)), kind="flow", residuals=np.zeros(1),
+        condition_number=1.0, training_amplitude=1.0)
+    with pytest.raises(InputError):
+        normalform.extended_normalform_2d(graph, planar)
+
+
 def test_backbone_rejects_nonpositive_grid():
     model = reduced_model({(1, 0, 0, 0): GAMMA,
                            (2, 1, 0, 0): 0.3 - 0.7j})
