@@ -220,12 +220,7 @@ def cmd_fit(args):
         tests = _load_trajectories(args.test_data)
         errors = []
         for traj in tests:
-            if kind == "map":
-                pred = fit.predict(model, traj.states[0], len(traj) - 1)
-            else:
-                pred = fit.predict(model, traj.states[0],
-                                   (traj.times[0], traj.times[-1]))
-                pred = pred.sample(traj.times)
+            pred = fit.predict(model, traj.states[0], traj.times)
             _, mean = fit.relative_error(traj, pred)
             errors.append(mean)
         report["test_mean_relative_errors"] = errors

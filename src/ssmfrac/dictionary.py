@@ -525,10 +525,15 @@ def prune_near_integer(dictionary, tol):
     A monomial is removed iff some slaved ratio it actually uses lies within
     ``tol`` (strictly) of a nonzero integer and the dictionary contains a
     pure-integer monomial of the order it would collide with. Removals are
-    kept on the returned dictionary's ``removed`` list.
+    kept on the returned dictionary's ``removed`` list. A library is pruned
+    once, as its recipe records: one whose metadata already holds a
+    prune_tol raises InputError.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol must be finite and >= 0, got {tol}")
+    if "prune_tol" in dictionary.metadata:
+        raise InputError(f"library already pruned at tol "
+                         f"{dictionary.metadata['prune_tol']}")
     family = dictionary.family
     if tol == 0 or not dictionary.monomials or family == "integer":
         return dictionary
@@ -539,7 +544,7 @@ def prune_near_integer(dictionary, tol):
     near = near if family.endswith("1d") else near + near
     terms = list(zip(dictionary.monomials, dictionary.orders))
     integer_orders = {round(o) for m, o in terms if m.is_integer}
-    keep, removed = [], list(dictionary.removed)
+    keep, removed = [], []
     for m, o in terms:
         slaved = m.multi_index[spec.p + 2 * spec.q:]
         collide = any(k > 0 and hit for k, hit in zip(slaved, near))

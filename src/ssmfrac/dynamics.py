@@ -1,6 +1,6 @@
 """Numerical dynamics engine.
 
-Adaptive ODE integration with dense output, stroboscopic sampling, the
+Adaptive ODE integration sampled at the times the caller names, the
 time-T flow map with its variational (monodromy) matrix, which serves both
 the Newton fixed-point search on Poincare maps and Floquet analysis, the
 built-in testbed systems, and the Lambert-W exact planar graph used as an
@@ -17,8 +17,8 @@ from scipy.integrate import solve_ivp
 from scipy.special import lambertw
 
 from .errors import (BadParams, EvaluationBudget, InputError, NoConvergence,
-                     NonFinite, NotPeriodic, OutOfDomain, OutOfRange,
-                     StepUnderflow, UnknownTestbed)
+                     NonFinite, NotPeriodic, OutOfDomain, StepUnderflow,
+                     UnknownTestbed)
 from .trajectory import Trajectory
 
 # Right-hand-side evaluations one integration may make: over 50 times the
@@ -73,7 +73,7 @@ def _check_solution(sol, saw_bad):
         raise NonFinite("integration produced non-finite values")
 
 
-def _solve(rhs, t_span, y0, tol, **options):
+def _solve(rhs, t_span, y0, tol, t_eval=None):
     """solve_ivp with the embedded 5(4) Runge-Kutta pair at rtol = tol,
     atol = tol * 1e-3; every integration goes through here. A failed or
     non-finite result raises NonFinite or StepUnderflow (_check_solution),
@@ -92,32 +92,18 @@ def _solve(rhs, t_span, y0, tol, **options):
             saw_bad = True
         return dy
 
-    sol = solve_ivp(f, t_span, y0, method="RK45", rtol=tol, atol=tol * 1e-3,
-                    **options)
+    sol = solve_ivp(f, t_span, y0, method="RK45", t_eval=t_eval, rtol=tol,
+                    atol=tol * 1e-3)
     _check_solution(sol, saw_bad)
     return sol
 
 
-def integrate(sys, ic, t_span, tol=1e-9, t_eval=None, max_step=np.inf):
-    """Integrate with the embedded 5(4) Runge-Kutta pair; dense output kept
-    on the returned trajectory for stroboscopic resampling."""
-    sol = _solve(sys.f, t_span, _check_start(ic, tol), tol,
-                 dense_output=True, t_eval=t_eval, max_step=max_step)
-    return Trajectory(times=sol.t, states=sol.y.T, kind="flow",
-                      interpolant=sol.sol)
-
-
-def sample_as_map(traj, delta):
-    """Stroboscopic resampling t = t0 + i*delta via dense output; returns an
-    iteration-indexed trajectory."""
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    t0, t1 = traj.times[0], traj.times[-1]
-    n = int(math.floor((t1 - t0) / delta + 1e-12)) + 1
-    if n < 2:
-        raise OutOfRange("delta exceeds the trajectory span")
-    states = traj.sample(t0 + delta * np.arange(n))
-    return Trajectory(times=np.arange(n, dtype=float), states=states, kind="map")
+def integrate(sys, ic, t_span, tol=1e-9, t_eval=None):
+    """Integrate with the embedded 5(4) Runge-Kutta pair; the trajectory
+    holds the states at ``t_eval``, or at every solver step if it is
+    None."""
+    sol = _solve(sys.f, t_span, _check_start(ic, tol), tol, t_eval=t_eval)
+    return Trajectory(times=sol.t, states=sol.y.T, kind="flow")
 
 
 # ---------------------------------------------------------------------------

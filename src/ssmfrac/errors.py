@@ -93,10 +93,6 @@ class EvaluationBudget(NumericalError):
     dynamics.MAX_RHS_EVALS, as a stiff system does."""
 
 
-class OutOfRange(InputError):
-    """Stroboscopic sampling grid exceeds the stored trajectory span."""
-
-
 class NoConvergence(NumericalError):
     """Newton iteration failed to meet tolerance within max iterations."""
 

@@ -45,12 +45,10 @@ def planar():
 
     rows = []                   # ic, then each model's mean relative error
     for traj in tests:
-        tspan = (traj.times[0], traj.times[-1])
         errors = []
         for model in (frac, integer):
-            pred = fit.predict(model, traj.states[0], tspan, tol=1e-10)
-            errors.append(fit.relative_error(traj.states,
-                                             pred.sample(traj.times))[1])
+            pred = fit.predict(model, traj.states[0], traj.times, tol=1e-10)
+            errors.append(fit.relative_error(traj.states, pred.states)[1])
         dmd_states = [traj.states[0]]
         for _ in range(len(traj) - 1):
             dmd_states.append(dmd @ dmd_states[-1])
@@ -58,7 +56,8 @@ def planar():
         pod_sys = dynamics.FlowSystem(
             dim=1, f=lambda t, x: pod["quadratic"] * x ** 2
             + pod["linear"] * x)
-        pod_pred = dynamics.integrate(pod_sys, traj.states[0], tspan,
+        pod_pred = dynamics.integrate(pod_sys, traj.states[0],
+                                      (traj.times[0], traj.times[-1]),
                                       tol=1e-10, t_eval=traj.times)
         errors.append(fit.relative_error(traj.states, pod_pred.states)[1])
         rows.append((float(traj.states[0, 0]), *errors))

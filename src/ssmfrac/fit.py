@@ -350,13 +350,17 @@ def fit_reduced_flow(data, dictionary, ridge=0.0):
 # prediction and error metrics
 # ---------------------------------------------------------------------------
 
-def predict(model, ic, steps_or_tspan, tol=1e-9):
+def predict(model, ic, times, tol=1e-9):
     """Iterate (map) or integrate (flow) a fitted reduced model from the
-    state row ``ic``.
+    state row ``ic``; the returned trajectory holds one state row per entry
+    of the increasing ``times``, the first being ``ic``.
 
-    The initial master amplitude must lie within 1.2x the training
-    amplitude; the returned trajectory carries left_trust_region=True if
-    the prediction later leaves that region.
+    A map makes len(times) - 1 iterations. A flow is integrated over
+    (times[0], times[-1]) and sampled at ``times`` (``dynamics.integrate``'s
+    ``t_eval``), so it needs at least two increasing times. The initial master
+    amplitude must lie within 1.2x the training amplitude; the returned
+    trajectory carries left_trust_region=True if a later row leaves that
+    region.
     """
     masters = model.dictionary.masters
     x0 = np.asarray(ic, dtype=float).reshape(1, -1)
@@ -365,29 +369,28 @@ def predict(model, ic, steps_or_tspan, tol=1e-9):
     if amp0 > radius:
         raise OutOfRadius(f"initial amplitude {amp0:.3g} outside trust "
                           f"region {radius:.3g}")
+    times = np.asarray(times, dtype=float)
 
     if model.kind == "map":
-        steps = int(steps_or_tspan)
-        rows, left = [x0], False
-        for _ in range(steps):
-            x = model.rhs(rows[-1])
-            if np.linalg.norm(x) > DIVERGENCE_NORM:
+        rows = [x0]
+        for _ in range(len(times) - 1):
+            rows.append(model.rhs(rows[-1]))
+            if np.linalg.norm(rows[-1]) > DIVERGENCE_NORM:
                 raise Diverged("prediction norm exceeded 1e6")
-            left = left or np.max(np.abs(masters(x))) > radius
-            rows.append(x)
-        traj = Trajectory(times=np.arange(steps + 1, dtype=float),
-                          states=np.vstack(rows), kind="map")
-        traj.left_trust_region = bool(left)
-        return traj
+        traj = Trajectory(times=times, states=np.vstack(rows), kind="map")
+    else:
+        if len(times) < 2 or times[-1] <= times[0]:
+            raise InputError("a flow prediction needs at least two "
+                             "increasing times")
+        from . import dynamics
 
-    from . import dynamics
-
-    sys = dynamics.FlowSystem(dim=x0.shape[1],
-                              f=lambda t, x: model.rhs(x[None])[0],
-                              name="fitted reduced model")
-    traj = dynamics.integrate(sys, x0[0], steps_or_tspan, tol=tol)
-    if np.max(np.abs(traj.states)) > DIVERGENCE_NORM:
-        raise Diverged("prediction norm exceeded 1e6")
+        sys = dynamics.FlowSystem(dim=x0.shape[1],
+                                  f=lambda t, x: model.rhs(x[None])[0],
+                                  name="fitted reduced model")
+        traj = dynamics.integrate(sys, x0[0], (times[0], times[-1]), tol=tol,
+                                  t_eval=times)
+        if np.max(np.abs(traj.states)) > DIVERGENCE_NORM:
+            raise Diverged("prediction norm exceeded 1e6")
     traj.left_trust_region = bool(
         np.max(np.abs(masters(traj.states))) > radius + 1e-12)
     return traj

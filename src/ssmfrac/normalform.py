@@ -351,13 +351,6 @@ def pullback_graph(transform, spec, coeffs, master_grid, radius=np.inf):
 # extended 2D normal form
 # ---------------------------------------------------------------------------
 
-def resonance_test_2d(k1, k2, k5=0, k6=0):
-    """A 2D term z^{k1} zbar^{k2} (|z|-power factors indexed by k5, k6) is
-    unremovable iff its rotational eigenvalue vanishes: k1 = k2 + 1. The
-    fractional indices never affect resonance."""
-    return k1 == k2 + 1
-
-
 def _prefix_pairs(counts):
     """Index pairs (i, j) with 0 <= j < counts[i]."""
     i = np.repeat(np.arange(len(counts)), counts)
@@ -871,8 +864,3 @@ def damping(nf, r_grid):
     if not nf.polar_valid:
         raise InputError("normal form has no valid polar truncation")
     return _polar_terms(nf, r_grid, nf.A, nf.alpha1, nf.P1, nf.P2, nf.P3)
-
-
-def curve_to_csv(r_grid, values, path):
-    np.savetxt(path, np.column_stack([r_grid, values]), delimiter=",",
-               header="r,value", comments="")

@@ -8,7 +8,7 @@ lists) is parsed by ``read_table``. Trajectory schema: header
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class Trajectory:
     times: np.ndarray            # (N,) strictly increasing t or iteration index
     states: np.ndarray           # (N, n)
     kind: str = "flow"           # "flow" | "map"
-    interpolant: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -88,12 +87,6 @@ class Trajectory:
         if np.allclose(d, h, rtol=1e-8, atol=1e-12 * max(abs(h), 1.0)):
             return float(h)
         return None
-
-    def sample(self, times):
-        """(len(times), dim) states at ``times`` from the dense output."""
-        if self.interpolant is None:
-            raise InputError("trajectory carries no dense output")
-        return self.interpolant(times).T
 
     def write_csv(self, path):
         label = "t" if self.kind == "flow" else "idx"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssmfrac import cli, dictionary, fit, spectrum
+from ssmfrac import cli, dictionary, dynamics, fit, spectrum
 from ssmfrac.trajectory import Trajectory
 
 COUETTE_LOGS = (-0.035068, -0.069776, -0.073369, -0.140274, -0.168877)
@@ -49,6 +49,18 @@ def write_model_data(dirpath, n_traj=3):
                           states=np.array(vals)[:, None], kind="map")
         traj.write_csv(os.path.join(dirpath, f"traj{i}.csv"))
     return true, d
+
+
+def write_flow_data(dirpath):
+    """Flow trajectory CSVs of x' = -x, sampled on a uniform 0.025 grid,
+    and the planar spectrum (lam = -1, kappa = -2.5) they are fitted on."""
+    spectrum.SpectralPartition(kind="flow", lam=(-1.0,), kappa=(-2.5,)) \
+        .to_json(os.path.join(dirpath, "spectrum.json"))
+    t = 0.025 * np.arange(161)
+    os.makedirs(os.path.join(dirpath, "data"))
+    for i, x0 in enumerate((0.3, 0.6, 0.9)):
+        Trajectory(times=t, states=x0 * np.exp(-t)[:, None]).write_csv(
+            os.path.join(dirpath, "data", f"traj{i}.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +299,31 @@ def test_fit_with_test_data_reports_errors(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert len(report["test_mean_relative_errors"]) == 3
     assert max(report["test_mean_relative_errors"]) < 1e-6
+
+
+def test_fit_flow_with_test_data_reports_errors(tmp_path):
+    """Each flow test error is the loaded model's prediction, integrated
+    and sampled at the test trajectory's own times, against that
+    trajectory."""
+    write_flow_data(tmp_path)
+    data_dir, out = tmp_path / "data", tmp_path / "out"
+    code = cli.main(["fit", "--data", str(data_dir),
+                     "--spectrum", str(tmp_path / "spectrum.json"),
+                     "--order", "3", "--kind", "flow",
+                     "--test-data", str(data_dir), "--outdir", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    model = fit.model_from_json(out / "model.json")
+    sys_ = dynamics.FlowSystem(dim=1, f=lambda t, x: model.rhs(x[None])[0])
+    expected = []
+    for name in ("traj0.csv", "traj1.csv", "traj2.csv"):
+        traj = Trajectory.read_csv(data_dir / name)
+        pred = dynamics.integrate(sys_, traj.states[0],
+                                  (traj.times[0], traj.times[-1]),
+                                  t_eval=traj.times)
+        expected.append(fit.relative_error(traj, pred)[1])
+    assert report["test_mean_relative_errors"] == expected
+    assert max(expected) < 1e-6
 
 
 def test_fit_integer_only(tmp_path):

@@ -213,6 +213,19 @@ def test_prune_leaves_far_from_integer_ratios():
     assert pruned.multi_indices == d.multi_indices
 
 
+def test_prune_refuses_a_pruned_library():
+    """A library is pruned once: pruning the planar K = 5 library at 0.6
+    and again at 0.4 would record prune_tol 0.4 beside removals that only
+    0.6 makes, a document its own loader rejects."""
+    d = dictionary.prune_near_integer(
+        dictionary.dictionary_flow_1d(planar_spec(), K=5), tol=0.6)
+    assert d.removed
+    with pytest.raises(InputError, match="already pruned"):
+        dictionary.prune_near_integer(d, tol=0.4)
+    assert dictionary.dictionary_from_json(d.to_json()).to_json() == \
+        d.to_json()
+
+
 def test_prune_records_removals_in_metadata():
     d = dictionary.dictionary_map_1d(couette_spec(), K=5)
     pruned = dictionary.prune_near_integer(d, tol=0.05)

@@ -83,21 +83,13 @@ def test_energy_conserved_without_damping():
     assert drifts[1] < 1e-7
 
 
-def test_sample_as_map_resamples_dense_output():
+def test_integrate_samples_at_t_eval():
     sys = dynamics.FlowSystem(dim=1, f=lambda t, x: -x)
-    traj = dynamics.integrate(sys, [1.0], (0.0, 3.0), tol=1e-10)
-    strobe = dynamics.sample_as_map(traj, delta=0.5)
-    assert strobe.kind == "map"
-    assert len(strobe.times) == 7
-    np.testing.assert_allclose(strobe.states[:, 0],
-                               np.exp(-0.5 * np.arange(7)), atol=1e-8)
-
-
-def test_sample_as_map_delta_too_large():
-    sys = dynamics.FlowSystem(dim=1, f=lambda t, x: -x)
-    traj = dynamics.integrate(sys, [1.0], (0.0, 1.0), tol=1e-9)
-    with pytest.raises(Exception):
-        dynamics.sample_as_map(traj, delta=2.0)
+    times = 0.5 * np.arange(7)
+    traj = dynamics.integrate(sys, [1.0], (0.0, 3.0), tol=1e-10,
+                              t_eval=times)
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_allclose(traj.states[:, 0], np.exp(-times), atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

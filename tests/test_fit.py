@@ -455,12 +455,12 @@ def test_rhs_maps_state_rows_to_state_rows(case):
         out = m.rhs(traj.states[:-1])
         assert out.shape == traj.states[1:].shape
         np.testing.assert_allclose(out, traj.states[1:], atol=1e-8)
-        pred = fit.predict(m, traj.states[0], len(traj) - 1)
+        pred = fit.predict(m, traj.states[0], np.arange(len(traj)))
         np.testing.assert_allclose(pred.states, traj.states, atol=1e-8)
     with pytest.raises(WrongShape):
         m.rhs(np.zeros((3, d.width + 1)))
     with pytest.raises(WrongShape):
-        fit.predict(m, np.zeros(d.width + 1), 3)
+        fit.predict(m, np.zeros(d.width + 1), np.arange(4))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +516,7 @@ def linear_map_model(rate=0.9, amp=1.0):
 
 def test_predict_map_decays():
     m = linear_map_model()
-    traj = fit.predict(m, [0.5], 10)
+    traj = fit.predict(m, [0.5], np.arange(11))
     assert len(traj) == 11
     np.testing.assert_allclose(traj.states[:, 0],
                                0.5 * 0.9 ** np.arange(11), atol=1e-6)
@@ -526,7 +526,7 @@ def test_predict_map_decays():
 def test_predict_rejects_far_initial_condition():
     m = linear_map_model()
     with pytest.raises(OutOfRadius):
-        fit.predict(m, [5.0], 10)
+        fit.predict(m, [5.0], np.arange(11))
 
 
 def test_predict_diverging_model():
@@ -534,23 +534,47 @@ def test_predict_diverging_model():
     vals = 0.001 * 2.0 ** np.arange(12)
     m = fit.fit_reduced_map(map_traj(vals), d)
     with pytest.raises(Diverged):
-        fit.predict(m, [1.0], 60)
+        fit.predict(m, [1.0], np.arange(61))
 
 
 def test_predict_flags_trust_region_exit():
     d = couette_dict()
     vals = 0.1 * 1.2 ** np.arange(15)
     m = fit.fit_reduced_map(map_traj(vals), d, ridge=1e-12)
-    traj = fit.predict(m, [np.max(vals)], 8)
+    traj = fit.predict(m, [np.max(vals)], np.arange(9))
     assert traj.left_trust_region is True
 
 
-def test_predict_flow_model():
+def decay_flow_model():
+    """x' = -x fitted on the planar K = 3 library."""
     ts = np.linspace(0.0, 4.0, 161)
     d = dictionary.dictionary_flow_1d(planar_spec(), K=3)
-    m = fit.fit_reduced_flow(flow_traj(ts, np.exp(-ts)), d)
+    return fit.fit_reduced_flow(flow_traj(ts, np.exp(-ts)), d)
+
+
+def test_predict_flow_model():
+    m = decay_flow_model()
     traj = fit.predict(m, [0.8], (0.0, 2.0))
     assert traj.states[-1, 0] == pytest.approx(0.8 * np.exp(-2.0), abs=1e-4)
+
+
+def test_predict_flow_returns_a_row_per_time():
+    """A flow prediction is sampled at the times it is given, the first row
+    being the initial state."""
+    times = np.array([0.5, 0.7, 1.6, 3.0])
+    traj = fit.predict(decay_flow_model(), [0.8], times)
+    np.testing.assert_array_equal(traj.times, times)
+    assert traj.states[0, 0] == 0.8
+    np.testing.assert_allclose(traj.states[:, 0],
+                               0.8 * np.exp(-(times - 0.5)), atol=1e-4)
+    assert traj.left_trust_region is False
+
+
+@pytest.mark.parametrize("times", [[0.0], [], [1.0, 1.0]],
+                         ids=["one", "none", "equal"])
+def test_predict_flow_needs_two_times(times):
+    with pytest.raises(InputError, match="two increasing times"):
+        fit.predict(decay_flow_model(), [0.8], times)
 
 
 def test_relative_error_identical_is_zero():

@@ -228,30 +228,6 @@ def test_pullback_rejects_wrong_dimension():
 
 
 # ---------------------------------------------------------------------------
-# resonance rule
-# ---------------------------------------------------------------------------
-
-def test_resonance_rule_examples():
-    assert normalform.resonance_test_2d(2, 1)
-    assert normalform.resonance_test_2d(1, 0, 1, 0)
-    assert not normalform.resonance_test_2d(2, 0)
-    assert not normalform.resonance_test_2d(0, 1)
-
-
-def test_resonance_rule_matches_operator_kernel():
-    """The rotational eigenvalue i omega (k1 - k2 - 1) vanishes exactly on
-    the k1 = k2 + 1 kernel, for every index of order <= 5."""
-    omega = 2.0
-    for k1 in range(6):
-        for k2 in range(6 - k1):
-            for k5 in range(3):
-                for k6 in range(3):
-                    eig = 1j * omega * (k1 - k2 - 1)
-                    assert (abs(eig) < 1e-12) == \
-                        normalform.resonance_test_2d(k1, k2, k5, k6)
-
-
-# ---------------------------------------------------------------------------
 # extended 2D normal form
 # ---------------------------------------------------------------------------
 
@@ -383,14 +359,6 @@ def test_normalform_json_round_trip(tmp_path):
     assert doc["alpha1"] == pytest.approx(GAMMA.real)
     assert doc["A"] == pytest.approx(0.3)
     assert doc["polar_valid"] is True
-
-
-def test_curve_to_csv(tmp_path):
-    r = np.linspace(0.1, 1.0, 5)
-    path = tmp_path / "curve.csv"
-    normalform.curve_to_csv(r, r ** 2, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(data[:, 1], r ** 2, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
