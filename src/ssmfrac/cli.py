@@ -15,8 +15,7 @@ reproduce
 
 Exit codes: 0 success, 1 check failure, 2 input error, 3 numerical failure.
 Every command writes a manifest.json (config echo + version + outputs) into
-its output directory. The SSMFRAC_THREADS environment variable caps BLAS
-parallelism.
+its output directory.
 """
 
 from __future__ import annotations
@@ -24,13 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-# honour the thread cap before numpy spins up its thread pools
-_threads = os.environ.get("SSMFRAC_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import numpy as np
 

@@ -6,13 +6,16 @@ Two layers:
   and E (complex, slaved-pair channels) with their piecewise-constant
   coefficient splits, evaluated exactly as written;
 * truncated monomial dictionaries for single-master graphs and reduced
-  dynamics: terms u^{k1} |u|^{rho-weighted} for a real master, and
-  z^{k2} zbar^{k3} |z|^{Xi} e^{i Gamma log|z|} for a complex master pair.
+  dynamics: terms u^{k1} |u|^{rho-weighted} for a real master,
+  z^{k2} zbar^{k3} |z|^{Xi} e^{i Gamma log|z|} for a complex master pair,
+  and integer monomials over the p + 2q master columns.
 
 Monomial "order" is the homogeneous real degree used for truncation; a term
 is admitted when 1 <= order <= K + 1e-9. A term stores only its integer
-multiplicities: its |.| exponent, phase coefficient and order follow from
-them and the spectral quotients, computed once per library.
+multiplicities, its multi-index: the master powers, then the slaved
+multiplicities. Its |.| exponent, phase coefficient and order follow from
+them and the spectral quotients, computed once per library. One enumerator,
+``_terms``, lists the multi-indices of every family's library.
 
 The spectrum alone picks a fractional library's family (``family_of``), and
 ``BUILDERS`` maps each family to its builder. A library is its recipe:
@@ -23,7 +26,6 @@ document that differs from what the rebuilt library writes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -48,7 +50,8 @@ MAX_TERMS = 100_000         # terms (and slaved vectors) one library may hold
 class FractionalMonomial:
     """One dictionary term, stored as its multiplicities only.
 
-    ``k1`` holds the integer power of the real master u (length p<=1 here);
+    ``k1`` holds the integer power of the real master u in 1D libraries and
+    the powers of the p + 2q master columns in integer libraries;
     ``k2``/``k3`` the powers of z and zbar; ``k4`` the slaved-real fractional
     multiplicities; ``k5``/``k6`` the slaved-pair ones. The term's |.|
     exponent, phase coefficient and order follow from these and the
@@ -69,20 +72,6 @@ class FractionalMonomial:
     @property
     def is_integer(self):
         return not (any(self.k4) or any(self.k5) or any(self.k6))
-
-
-@dataclass(frozen=True)
-class IntegerMonomial:
-    """Integer monomial over several real master variables."""
-    powers: tuple
-
-    @property
-    def multi_index(self):
-        return self.powers
-
-    @property
-    def is_integer(self):
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +330,7 @@ class IntegerDictionary(Dictionary):
     @cached_property
     def _kernel(self):
         """(n_monomials, n_vars) integer power matrix."""
-        return np.array([m.powers for m in self.monomials], dtype=np.int64)
+        return np.array(self.multi_indices, dtype=np.int64)
 
     def evaluate(self, points):
         """(n_samples, n_monomials) values at (n_samples, width) rows."""
@@ -353,7 +342,7 @@ class IntegerDictionary(Dictionary):
 
 
 # ---------------------------------------------------------------------------
-# dictionary generators
+# dictionary builders: one enumerator of multi-indices for every family
 # ---------------------------------------------------------------------------
 
 def _enumerate_k4(ratios, budget):
@@ -399,84 +388,89 @@ def _check_size(K, count):
                          f"{MAX_TERMS}")
 
 
-def _library(spec, K, family, include_linear, build):
-    """Dictionary of ``family`` with the monomials of build(spec, K,
-    include_linear, family); the spectrum must give that family."""
+def _slaved_rates(spec, family):
+    """The amplitude quotient of each slaved multiplicity in a ``family``
+    library's multi-index: k4 in 1D, k5 then k6 (the same quotients) in
+    2D, none in integer libraries."""
+    if family == "integer":
+        return []
+    amp = _rates(spec)[0]
+    return amp if family.endswith("1d") else amp + amp
+
+
+def _master_powers(n, lo, hi):
+    """Every n-tuple of non-negative integers whose sum lies in lo..hi."""
+    if n == 0:
+        return [()] if lo <= 0 <= hi else []
+    return [(k,) + rest for k in range(hi + 1)
+            for rest in _master_powers(n - 1, lo - k, hi - k)]
+
+
+def _terms(spec, K, include_linear, family):
+    """The multi-index of every term of a ``family`` library of order K
+    over ``spec``: the n = p + 2q master powers (k1 in 1D and integer
+    libraries, k2 then k3 in 2D), then the slaved multiplicities
+    (``_slaved_rates``), for every admissible order, 1 <= order <= K
+    within ORDER_SLACK. Negative-quotient slaved entries stay 0, and
+    include_linear False leaves out the bare linear master terms. The terms
+    are counted against MAX_TERMS before any is made."""
+    n = spec.p + 2 * spec.q
+    slaved = _enumerate_k4([(rho, rho > 0)
+                            for rho in _slaved_rates(spec, family)], K)
+    fracs = _term_exponents(spec, family, [(0,) * n + k for k in slaved]).amp
+    cells = [(k, _degree_ranges(frac, K, not include_linear and not any(k)))
+             for k, frac in zip(slaved, fracs.tolist())]
+    # n-tuples with lo <= sum <= hi: C(hi + n, n) - C(lo - 1 + n, n)
+    _check_size(K, sum(math.comb(hi + n, n) - math.comb(lo - 1 + n, n)
+                       for _, ranges in cells for lo, hi in ranges))
+    return [powers + k for k, ranges in cells for lo, hi in ranges
+            for powers in _master_powers(n, lo, hi)]
+
+
+def _monomial(spec, family, index):
+    """The term with ``_terms``' multi-index ``index``."""
+    if family.endswith("2d"):
+        return FractionalMonomial(k2=index[:1], k3=index[1:2],
+                                  k5=index[2:2 + spec.s],
+                                  k6=index[2 + spec.s:])
+    n = spec.p + 2 * spec.q
+    return FractionalMonomial(k1=index[:n], k4=index[n:])
+
+
+def _library(spec, K, family, include_linear):
+    """Dictionary of ``family`` with the terms of ``_terms``; the spectrum
+    must give that family."""
     if family_of(spec) != family:
         raise WrongShape(f"{family} dictionary on a spectrum that gives "
                          f"{family_of(spec)}")
     _check_order(K)
-    return Dictionary(build(spec, K, include_linear, family), spec, float(K),
-                      metadata={"include_linear": include_linear})
-
-
-def _cells_1d(spec, K, include_linear, family):
-    """(k4, ranges of k1) per slaved multiplicity vector; graph libraries
-    (include_linear False) leave out the bare linear master term."""
-    ks = _enumerate_k4([(rho, rho > 0) for rho in _rates(spec)[0]], K)
-    fracs = _term_exponents(spec, family, [(0,) + k4 for k4 in ks]).amp
-    for k4, frac in zip(ks, fracs.tolist()):
-        yield k4, _degree_ranges(frac, K, not include_linear and not any(k4))
-
-
-def _build_1d(spec, K, include_linear, family):
-    cells = list(_cells_1d(spec, K, include_linear, family))
-    _check_size(K, sum(hi - lo + 1 for _, ranges in cells
-                       for lo, hi in ranges))
-    return tuple(FractionalMonomial(k1=(k1,), k4=k4) for k4, ranges in cells
-                 for lo, hi in ranges for k1 in range(lo, hi + 1))
+    terms = _terms(spec, K, include_linear, family)
+    return Dictionary(tuple(_monomial(spec, family, i) for i in terms), spec,
+                      float(K), metadata={"include_linear": include_linear})
 
 
 def dictionary_flow_1d(spec, K, include_linear=True):
     """Truncated term library u^{k1} |u|^{sum k4_l kappa_l/lambda_1} for a
     flow with one real master direction."""
-    return _library(spec, K, "flow_1d", include_linear, _build_1d)
+    return _library(spec, K, "flow_1d", include_linear)
 
 
 def dictionary_map_1d(spec, K, include_linear=True):
     """Map analogue with log-ratio exponents log kappa_l / log |lambda_1|,
     on the positive-only branch u > 0."""
-    return _library(spec, K, "map_1d", include_linear, _build_1d)
-
-
-def _cells_2d(spec, K, include_linear, family):
-    """(k5, k6, ranges of k2 + k3) per pair of slaved multiplicity vectors
-    whose exponent stays within K; graph libraries (include_linear False)
-    leave out the bare linear terms z and zbar."""
-    ks = _enumerate_k4([(xi, xi > 0) for xi in _rates(spec)[0]], K)
-    if len(ks) ** 2 > MAX_TERMS:
-        raise InputError(f"order {K} gives more than {MAX_TERMS} slaved "
-                         "multiplicity pairs")
-    pairs = [(k5, k6) for k5 in ks for k6 in ks]
-    fracs = _term_exponents(spec, family,
-                            [(0, 0) + k5 + k6 for k5, k6 in pairs]).amp
-    for (k5, k6), frac in zip(pairs, fracs.tolist()):
-        if frac <= K + ORDER_SLACK:
-            yield k5, k6, _degree_ranges(
-                frac, K, not include_linear and not any(k5 + k6))
-
-
-def _build_2d(spec, K, include_linear, family):
-    cells = list(_cells_2d(spec, K, include_linear, family))
-    # (k2, k3) with lo <= k2 + k3 <= hi: (hi+1)(hi+2)/2 - lo(lo+1)/2 pairs
-    _check_size(K, sum((hi + 1) * (hi + 2) // 2 - lo * (lo + 1) // 2
-                       for *_, ranges in cells for lo, hi in ranges))
-    return tuple(FractionalMonomial(k2=(k2,), k3=(k3,), k5=k5, k6=k6)
-                 for k5, k6, ranges in cells for lo, hi in ranges
-                 for k2 in range(hi + 1)
-                 for k3 in range(max(0, lo - k2), hi - k2 + 1))
+    return _library(spec, K, "map_1d", include_linear)
 
 
 def dictionary_flow_2d(spec, K, include_linear=True):
     """Library z^{k2} zbar^{k3} |z|^{sum (k5+k6) beta_m/alpha_1}
     e^{i sum (k5-k6) (nu_m/alpha_1) log|z|} for one complex master pair."""
-    return _library(spec, K, "flow_2d", include_linear, _build_2d)
+    return _library(spec, K, "flow_2d", include_linear)
 
 
 def dictionary_map_2d(spec, K, include_linear=True):
     """Map analogue using Xi (log-modulus quotients) and Gamma
     (arctan(nu/beta) / log-modulus) exponents."""
-    return _library(spec, K, "map_2d", include_linear, _build_2d)
+    return _library(spec, K, "map_2d", include_linear)
 
 
 def integer_dictionary(n_vars, K, spec=None):
@@ -491,17 +485,10 @@ def integer_dictionary(n_vars, K, spec=None):
                          f"{spec.p + 2 * spec.q} master columns")
     _check_order(K)
     K = K // 1
-    _check_size(K, math.comb(max(int(K), 0) + n_vars, n_vars) - 1)
-    monos = []
-    for total in range(1, int(K) + 1) if n_vars else ():
-        # stars and bars: n_vars - 1 cuts among total + n_vars - 1 slots
-        for cuts in itertools.combinations(range(total + n_vars - 1),
-                                           n_vars - 1):
-            edges = (-1,) + cuts + (total + n_vars - 1,)
-            monos.append(IntegerMonomial(
-                powers=tuple(b - a - 1 for a, b in zip(edges, edges[1:]))))
-    return IntegerDictionary(monomials=tuple(monos), spec=spec,
-                             truncation=float(K))
+    terms = _terms(spec, K, True, "integer")
+    return IntegerDictionary(
+        monomials=tuple(_monomial(spec, "integer", i) for i in terms),
+        spec=spec, truncation=float(K))
 
 
 # the builder of each family, called as build(spec, K, include_linear);
@@ -539,9 +526,7 @@ def prune_near_integer(dictionary, tol):
         return dictionary
     spec = dictionary.spec
     near = [abs(rho - round(rho)) < tol and round(rho) != 0
-            for rho in _rates(spec)[0]]
-    # the slaved multiplicities: k4 in 1D, k5 then k6 (same ratios) in 2D
-    near = near if family.endswith("1d") else near + near
+            for rho in _slaved_rates(spec, family)]
     terms = list(zip(dictionary.monomials, dictionary.orders))
     integer_orders = {round(o) for m, o in terms if m.is_integer}
     keep, removed = [], []

@@ -75,9 +75,16 @@ def _check_solution(sol, saw_bad):
 
 def _solve(rhs, t_span, y0, tol, t_eval=None):
     """solve_ivp with the embedded 5(4) Runge-Kutta pair at rtol = tol,
-    atol = tol * 1e-3; every integration goes through here. A failed or
-    non-finite result raises NonFinite or StepUnderflow (_check_solution),
-    and more than MAX_RHS_EVALS evaluations of rhs raise EvaluationBudget."""
+    atol = tol * 1e-3; every integration goes through here. A span end that
+    is not finite, or a ``t_eval`` entry outside the span, raises
+    InputError. A failed or non-finite result raises NonFinite or
+    StepUnderflow (_check_solution), and more than MAX_RHS_EVALS
+    evaluations of rhs raise EvaluationBudget."""
+    lo, hi = sorted(t_span)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"integration span {t_span} must be finite")
+    if t_eval is not None and not all(lo <= t <= hi for t in t_eval):
+        raise InputError(f"sample times must lie in the span {t_span}")
     saw_bad, calls = False, 0
 
     def f(t, y):
@@ -101,7 +108,9 @@ def _solve(rhs, t_span, y0, tol, t_eval=None):
 def integrate(sys, ic, t_span, tol=1e-9, t_eval=None):
     """Integrate with the embedded 5(4) Runge-Kutta pair; the trajectory
     holds the states at ``t_eval``, or at every solver step if it is
-    None."""
+    None. A zero-length span raises InputError."""
+    if t_span[0] == t_span[1]:
+        raise InputError(f"integration span {t_span} has zero length")
     sol = _solve(sys.f, t_span, _check_start(ic, tol), tol, t_eval=t_eval)
     return Trajectory(times=sol.t, states=sol.y.T, kind="flow")
 

@@ -95,7 +95,7 @@ def mixed3d():
     built = dct.integer_dictionary(2, 3)
     graph = fit.fit_graph(trajs, built, master_coords=[0, 1],
                           slaved_coords=[2])
-    coeff_map = {m.powers: float(c) for m, c in
+    coeff_map = {m.multi_index: float(c) for m, c in
                  zip(built.monomials, graph.coefficients.ravel())}
     lead = coeff_map.get((2, 0), 0.0)
     others = max(abs(c) for p, c in coeff_map.items() if p != (2, 0))

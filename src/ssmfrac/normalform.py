@@ -226,7 +226,6 @@ class LinearizingTransform:
     order: int
     eigenvalues: tuple
     coefficients: dict                  # multi-index -> complex vector
-    small_divisor_log: list = field(default_factory=list)
     _inverse: dict = field(default=None, repr=False)
 
     @property
@@ -260,20 +259,16 @@ class LinearizingTransform:
             "coefficients": {
                 ",".join(map(str, m)): [[c.real, c.imag] for c in v]
                 for m, v in self.coefficients.items()},
-            "small_divisor_log": [
-                {"multi_index": list(m), "component": j, "divisor": abs(d)}
-                for m, j, d in self.small_divisor_log],
         }
         return dump_json(doc, path)
 
 
-def linearize(sys, K, drop_resonant=False):
+def linearize(sys, K):
     """Solve the homological equations order by order for y = x + h(x) with
     ydot = diag(eigenvalues) y up to order K.
 
-    Coefficients H_{m,j} = g_{m,j} / (lambda_j - <m, lambda>); divisors below
-    1e-8 ||lambda|| raise SmallDivisor unless drop_resonant, in which case
-    the term is skipped (approximate conjugacy) and logged.
+    Coefficients H_{m,j} = g_{m,j} / (lambda_j - <m, lambda>); a divisor
+    below 1e-8 ||lambda|| under a live term raises SmallDivisor.
     """
     lam = np.asarray(sys.eigenvalues, dtype=complex)
     basis = _basis(sys.dimension, K)
@@ -281,24 +276,20 @@ def linearize(sys, K, drop_resonant=False):
     F = basis.matrix(sys.terms)
     H = np.zeros_like(F)
     denom = lam[:, None] - basis.exps @ lam
-    log = []
     for k in range(2, K + 1):
         blk = basis.blocks[k]
         # chain-rule cross terms Dh . f come from the lower-order h
         g = F[:, blk] + basis.chain_rule_block(H, F, k)
         live = np.abs(g) > COEFF_DROP
         small = live & (np.abs(denom[:, blk]) < SMALL_DIVISOR_FACTOR * scale)
-        for r, j in np.argwhere(small.T) + [blk.start, 0]:
-            m = tuple(map(int, basis.exps[r]))
-            log.append((m, int(j), denom[j, r]))
-            if not drop_resonant:
-                raise SmallDivisor(
-                    f"resonant divisor {abs(denom[j, r]):.3e} at index {m},"
-                    f" component {j}")
-        np.divide(g, denom[:, blk], out=H[:, blk], where=live & ~small)
+        if small.any():
+            r, j = np.argwhere(small.T)[0] + [blk.start, 0]
+            raise SmallDivisor(
+                f"resonant divisor {abs(denom[j, r]):.3e} at index "
+                f"{tuple(map(int, basis.exps[r]))}, component {j}")
+        np.divide(g, denom[:, blk], out=H[:, blk], where=live)
     return LinearizingTransform(order=K, eigenvalues=tuple(lam),
-                                coefficients=basis.to_dict(H),
-                                small_divisor_log=log)
+                                coefficients=basis.to_dict(H))
 
 
 def conjugacy_residual(transform, sys):
@@ -675,8 +666,7 @@ def _model_to_field(reduced):
     model's field on it."""
     d = reduced.dictionary
     lat = _Lattice(d.spec)
-    keys = np.array([(m.k2 or (0,)) + (m.k3 or (0,)) + m.k5 + m.k6
-                     for m in d.monomials], dtype=np.int64)
+    keys = np.array(d.multi_indices, dtype=np.int64)
     coeffs = np.asarray(reduced.coefficients, dtype=complex).ravel()
     return lat, lat.merge(keys.reshape(-1, lat.dim), coeffs)
 

@@ -1,6 +1,8 @@
 """Tests for fractional-power dictionaries, pruning and the linear
 invariant graph families."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,32 @@ def test_eval_real_scales_as_order(scale, u):
     assert left == pytest.approx(right, rel=1e-9)
 
 
+def draw_spectrum(draw, family, ratios):
+    """A drawn spectrum that gives the fractional ``family``, its slaved
+    entries at amplitude quotients ``ratios`` over the master."""
+    if family == "flow_1d":
+        rate = draw(st.floats(0.5, 2.0))
+        return spectrum.SpectralPartition(
+            kind="flow", lam=(-rate,), kappa=[-x * rate for x in ratios])
+    if family == "map_1d":
+        mod = draw(st.floats(0.3, 0.95))
+        return spectrum.SpectralPartition(
+            kind="map", lam=(mod,), kappa=[mod ** x for x in ratios])
+    angles = draw(st.lists(st.floats(0.1, 3.0), min_size=len(ratios) + 1,
+                           max_size=len(ratios) + 1))
+    if family == "flow_2d":
+        rate = draw(st.floats(0.05, 2.0))
+        return spectrum.SpectralPartition(
+            kind="flow", alpha_omega=((-rate, angles[0]),),
+            beta_nu=[(-x * rate, w) for x, w in zip(ratios, angles[1:])])
+    mod = draw(st.floats(0.3, 0.95))
+    return spectrum.SpectralPartition(
+        kind="map",
+        alpha_omega=((mod * np.cos(angles[0]), mod * np.sin(angles[0])),),
+        beta_nu=[(mod ** x * np.cos(w), mod ** x * np.sin(w))
+                 for x, w in zip(ratios, angles[1:])])
+
+
 @st.composite
 def dictionaries(draw):
     """A dictionary of one of the four fractional families, over a drawn
@@ -311,31 +339,7 @@ def dictionaries(draw):
                                    "map_2d"]))
     ratios = draw(st.lists(st.floats(0.3, 4.0), min_size=1, max_size=2))
     K = draw(st.integers(2, 5))
-    if family == "flow_1d":
-        rate = draw(st.floats(0.5, 2.0))
-        spec = spectrum.SpectralPartition(
-            kind="flow", lam=(-rate,), kappa=[-x * rate for x in ratios])
-        return dictionary.dictionary_flow_1d(spec, K)
-    if family == "map_1d":
-        mod = draw(st.floats(0.3, 0.95))
-        spec = spectrum.SpectralPartition(
-            kind="map", lam=(mod,), kappa=[mod ** x for x in ratios])
-        return dictionary.dictionary_map_1d(spec, K)
-    angles = draw(st.lists(st.floats(0.1, 3.0), min_size=len(ratios) + 1,
-                           max_size=len(ratios) + 1))
-    if family == "flow_2d":
-        rate = draw(st.floats(0.05, 2.0))
-        spec = spectrum.SpectralPartition(
-            kind="flow", alpha_omega=((-rate, angles[0]),),
-            beta_nu=[(-x * rate, w) for x, w in zip(ratios, angles[1:])])
-        return dictionary.dictionary_flow_2d(spec, K)
-    mod = draw(st.floats(0.3, 0.95))
-    spec = spectrum.SpectralPartition(
-        kind="map",
-        alpha_omega=((mod * np.cos(angles[0]), mod * np.sin(angles[0])),),
-        beta_nu=[(mod ** x * np.cos(w), mod ** x * np.sin(w))
-                 for x, w in zip(ratios, angles[1:])])
-    return dictionary.dictionary_map_2d(spec, K)
+    return dictionary.BUILDERS[family](draw_spectrum(draw, family, ratios), K)
 
 
 def closed_form(d, m, x):
@@ -709,6 +713,54 @@ def test_linear_graph_two_sided_branch():
     vn, _ = dictionary.linear_graph_eval(spec, coeffs, ([-0.5], []))
     assert vp[0] == pytest.approx(0.25)
     assert vn[0] == pytest.approx(-0.5)
+
+
+# ---------------------------------------------------------------------------
+# library completeness
+# ---------------------------------------------------------------------------
+
+@st.composite
+def libraries(draw):
+    """A library of any family truncated at an order in [0, 6]: an integer
+    one in one to three variables, or a fractional one over a drawn
+    spectrum with one or two slaved entries of either sign, include_linear
+    either way."""
+    family = draw(st.sampled_from(sorted(dictionary.BUILDERS)))
+    K = draw(st.floats(0.0, 6.0))
+    if family == "integer":
+        return dictionary.integer_dictionary(draw(st.integers(1, 3)), K)
+    ratios = draw(st.lists(st.floats(0.7, 4.0) | st.floats(-4.0, -0.7),
+                           min_size=1, max_size=2))
+    return dictionary.BUILDERS[family](draw_spectrum(draw, family, ratios),
+                                       K, draw(st.booleans()))
+
+
+def admissible(d):
+    """The multi-indices library d should hold, found by brute force over
+    the box each coordinate's bound allows: orders from spec.quotients(),
+    1 <= order <= truncation + ORDER_SLACK, zero multiplicity on a
+    nonpositive quotient, and no bare linear master term when the library
+    leaves linear terms out."""
+    n, top = d.width, d.truncation + dictionary.ORDER_SLACK
+    rates = [] if d.family == "integer" \
+        else d.spec.quotients()[0][:, 0].tolist()
+    if d.family.endswith("2d"):
+        rates = rates * 2                   # k5, then k6
+    bounds = [math.floor(top)] * n + [math.floor(top / r) if r > 0 else 0
+                                      for r in rates]
+    box = np.indices([b + 1 for b in bounds]).reshape(len(bounds), -1).T
+    degree, slaved = box[:, :n].sum(axis=1), box[:, n:]
+    order = degree + slaved @ np.array(rates, dtype=float)
+    keep = (order >= 1 - dictionary.ORDER_SLACK) & (order <= top)
+    if not d.metadata.get("include_linear", True):
+        keep &= (degree != 1) | slaved.any(axis=1)
+    return sorted(map(tuple, box[keep].tolist()))
+
+
+@given(libraries())
+@settings(max_examples=100, deadline=None)
+def test_library_holds_exactly_the_admissible_multi_indices(d):
+    assert sorted(d.multi_indices) == admissible(d)
 
 
 # ---------------------------------------------------------------------------

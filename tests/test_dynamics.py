@@ -92,6 +92,33 @@ def test_integrate_samples_at_t_eval():
     np.testing.assert_allclose(traj.states[:, 0], np.exp(-times), atol=1e-8)
 
 
+DECAY = dynamics.FlowSystem(dim=1, f=lambda t, x: -x,
+                            jac=lambda t, x: np.array([[-1.0]]))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: dynamics.integrate(DECAY, [1.0], (1.0, 1.0), t_eval=[1.0, 1.0]),
+    lambda: dynamics.integrate(DECAY, [1.0], (0.0, 1.0), t_eval=[0.5, 2.0]),
+    lambda: dynamics.integrate(DECAY, [1.0], (0.0, 1.0), t_eval=[np.nan]),
+    lambda: dynamics.integrate(DECAY, [1.0], (0.0, np.nan)),
+    lambda: dynamics.integrate(DECAY, [1.0], (0.0, np.inf)),
+    lambda: dynamics.flow_map(DECAY, [1.0], np.nan),
+    lambda: dynamics.flow_map(DECAY, [1.0], np.inf)],
+    ids=["zero_length", "t_eval_past_end", "t_eval_nan", "nan_end",
+         "infinite_end", "flow_map_nan", "flow_map_infinite"])
+def test_degenerate_span_is_input_error(solve):
+    """A span with a non-finite end, a zero-length span or a sample time
+    outside the span is bad input (CLI exit 2), raised before the solver
+    runs."""
+    with pytest.raises(InputError):
+        solve()
+
+
+def test_flow_map_over_zero_time_is_the_identity():
+    x, phi, trace = dynamics.flow_map(DECAY, [0.7], 0.0)
+    assert x.tolist() == [0.7] and phi.tolist() == [[1.0]] and trace == 0.0
+
+
 # ---------------------------------------------------------------------------
 # fixed points of the forced oscillator chain
 # ---------------------------------------------------------------------------

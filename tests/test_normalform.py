@@ -65,9 +65,6 @@ def test_linearize_resonant_raises_small_divisor():
         terms={(2, 0): np.array([0.0, 1.0 + 0.0j])})
     with pytest.raises(SmallDivisor):
         normalform.linearize(sys, K=2)
-    tr = normalform.linearize(sys, K=2, drop_resonant=True)
-    assert tr.coefficients == {}
-    assert len(tr.small_divisor_log) == 1
 
 
 def test_conjugacy_residual_vanishes_after_linearize():
