@@ -15,7 +15,10 @@ is admitted when 1 <= order <= K + 1e-9. A term stores only its integer
 multiplicities, its multi-index: the master powers, then the slaved
 multiplicities. Its |.| exponent, phase coefficient and order follow from
 them and the spectral quotients, computed once per library. One enumerator,
-``_terms``, lists the multi-indices of every family's library.
+``_terms``, lists the multi-indices of every family's library, and one
+kernel, ``_compile``/``_evaluate``, evaluates the terms of every family,
+integer libraries included: prod_j sign(x_j)^k_j |x_j|^e_j over real
+master columns, z^k2 zbar^k3 |z|^frac e^{i phase log|z|} over a pair.
 
 The spectrum alone picks a fractional library's family (``family_of``), and
 ``BUILDERS`` maps each family to its builder. A library is its recipe:
@@ -151,23 +154,26 @@ def _term_exponents(spec, family, indices):
 EVAL_BLOCK_ROWS = 4096      # bounds the (samples, terms) temporaries
 
 
-def _compile(monomials, exponents, positive_only):
-    """Exponent arrays, one entry per column: powers k1, k2, k3 of u, z and
-    zbar, fractional |.| exponent, phase coefficient of log|.|, and value
-    where |.| <= TINY_AMPLITUDE (1 for the constant term); plus the distinct
+def _compile(indices, width, exponents, positive_only):
+    """Exponent arrays, read from the multi-indices ``indices``: powers k
+    of the ``width`` master columns (u; z and zbar; or the integer
+    variables), one row per column, and their |.| exponents e, k with the
+    fractional |.| exponent added on the first; the value where |z| <=
+    TINY_AMPLITUDE (1 for the constant term); plus the distinct fractional
     |.| exponents and phase coefficients, each with its column map."""
-    k1, k2, k3 = np.array([[(m.k1 or (0,))[0], (m.k2 or (0,))[0],
-                            (m.k3 or (0,))[0]] for m in monomials],
-                          dtype=np.int64).reshape(-1, 3).T
+    k = np.array([i[:width] for i in indices],
+                 dtype=np.int64).reshape(len(indices), width).T
     frac = exponents.amp.astype(float)
+    e = k.astype(float)
+    e[:1] += frac
     fracs, frac_col = np.unique(frac, return_inverse=True)
     phases, phase_col = np.unique(exponents.phase.astype(float),
                                   return_inverse=True)
     return SimpleNamespace(
-        k1=k1, k2=k2, k3=k3, frac=frac, fracs=fracs,
+        k=k, e=e, fracs=fracs,
         frac_col=frac_col, phases=phases, phase_col=phase_col,
-        kmax=int(max(k2.max(initial=0), k3.max(initial=0))),
-        const=((k1 == 0) & (k2 == 0) & (k3 == 0) & (frac == 0)).astype(float),
+        kmax=int(k.max(initial=0)),
+        const=((k.sum(axis=0) == 0) & (frac == 0)).astype(float),
         positive_only=positive_only)
 
 
@@ -184,30 +190,34 @@ def _samples(points, complex_):
 
 
 def _evaluate(x, ex):
-    """Columns at real samples u, sign(u)^{k1} |u|^{k1 + frac}, or at
-    complex samples z, z^{k2} zbar^{k3} |z|^{frac} e^{i phase log|z|};
-    computed EVAL_BLOCK_ROWS samples at a time."""
+    """Columns at real samples x, (n,) or (n, width), prod_j sign(x_j)^k_j
+    |x_j|^e_j with each |x_j| <= TINY_AMPLITUDE set to 0, or at complex
+    samples z, z^{k2} zbar^{k3} |z|^{frac} e^{i phase log|z|}; computed
+    EVAL_BLOCK_ROWS samples at a time."""
     if ex.positive_only and np.any(x < -TINY_AMPLITUDE):
         raise DomainError("positive-only monomial evaluated at negative u")
     out = np.empty((len(x), len(ex.const)), dtype=x.dtype)
     for lo in range(0, len(x), EVAL_BLOCK_ROWS):
         xb, blk = x[lo:lo + EVAL_BLOCK_ROWS], out[lo:lo + EVAL_BLOCK_ROWS]
+        if not np.iscomplexobj(xb):
+            xb = xb.reshape(len(xb), -1, 1)
+            amp = np.abs(xb)
+            amp[amp <= TINY_AMPLITUDE] = 0.0
+            np.multiply.reduce(np.sign(xb) ** ex.k * amp ** ex.e, axis=1,
+                               out=blk)
+            continue
         amp = np.abs(xb)
         ok = amp > TINY_AMPLITUDE
         amp = np.where(ok, amp, 1.0)[:, None]
-        if np.iscomplexobj(xb):
-            # z^k by repeated multiplication; conjugated, the zbar^k table
-            powers = np.empty((len(xb), ex.kmax + 1), dtype=x.dtype)
-            powers[:, 0] = 1.0
-            powers[:, 1:] = xb[:, None]
-            np.cumprod(powers, axis=1, out=powers)
-            np.multiply(powers[:, ex.k2], powers.conj()[:, ex.k3], out=blk)
-            blk *= (amp ** ex.fracs)[:, ex.frac_col]
-            if ex.phases.any():
-                blk *= np.exp(1j * (np.log(amp) * ex.phases))[:, ex.phase_col]
-        else:
-            np.multiply(np.sign(xb)[:, None] ** ex.k1,
-                        amp ** (ex.k1 + ex.frac), out=blk)
+        # z^k by repeated multiplication; conjugated, the zbar^k table
+        powers = np.empty((len(xb), ex.kmax + 1), dtype=x.dtype)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = xb[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        np.multiply(powers[:, ex.k[0]], powers.conj()[:, ex.k[1]], out=blk)
+        blk *= (amp ** ex.fracs)[:, ex.frac_col]
+        if ex.phases.any():
+            blk *= np.exp(1j * (np.log(amp) * ex.phases))[:, ex.phase_col]
         if not ok.all():
             blk[~ok] = ex.const
     return out
@@ -261,7 +271,7 @@ class Dictionary:
 
     @cached_property
     def _kernel(self):
-        return _compile(self.monomials, self.exponents,
+        return _compile(self.multi_indices, self.width, self.exponents,
                         self.family == "map_1d")
 
     @property
@@ -288,9 +298,13 @@ class Dictionary:
         """Monomial values at master samples, as ``masters`` returns them:
         (n_samples, n_monomials). 1D families take a 1-D array of real
         samples; 2D families take complex samples and return complex
-        values."""
-        return _evaluate(_samples(points, self.family.endswith("2d")),
-                         self._kernel)
+        values; integer libraries take (n_samples, width) state rows and
+        return doubles."""
+        if self.family == "integer":
+            x = np.asarray(self.masters(points), dtype=float)
+        else:
+            x = _samples(points, self.family.endswith("2d"))
+        return _evaluate(x, self._kernel)
 
     def _entries(self, monomials, exponents, pruned):
         branch = "positive_only" if self.family == "map_1d" else "symmetric"
@@ -326,19 +340,6 @@ class IntegerDictionary(Dictionary):
     """Integer monomials over the p + 2q master state columns."""
 
     family = "integer"
-
-    @cached_property
-    def _kernel(self):
-        """(n_monomials, n_vars) integer power matrix."""
-        return np.array(self.multi_indices, dtype=np.int64)
-
-    def evaluate(self, points):
-        """(n_samples, n_monomials) values at (n_samples, width) rows."""
-        X = np.asarray(self.masters(points), dtype=float)
-        out = np.ones((len(X), len(self.monomials)))
-        for j, column in enumerate(self._kernel.T):
-            out *= X[:, j, None] ** column
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -76,15 +76,19 @@ def _check_solution(sol, saw_bad):
 def _solve(rhs, t_span, y0, tol, t_eval=None):
     """solve_ivp with the embedded 5(4) Runge-Kutta pair at rtol = tol,
     atol = tol * 1e-3; every integration goes through here. A span end that
-    is not finite, or a ``t_eval`` entry outside the span, raises
-    InputError. A failed or non-finite result raises NonFinite or
-    StepUnderflow (_check_solution), and more than MAX_RHS_EVALS
-    evaluations of rhs raise EvaluationBudget."""
+    is not finite, or ``t_eval`` entries outside the span or not strictly
+    in its direction, raise InputError. A failed or non-finite result
+    raises NonFinite or StepUnderflow (_check_solution), and more than
+    MAX_RHS_EVALS evaluations of rhs raise EvaluationBudget."""
     lo, hi = sorted(t_span)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputError(f"integration span {t_span} must be finite")
-    if t_eval is not None and not all(lo <= t <= hi for t in t_eval):
-        raise InputError(f"sample times must lie in the span {t_span}")
+    if t_eval is not None:
+        if not all(lo <= t <= hi for t in t_eval):
+            raise InputError(f"sample times must lie in the span {t_span}")
+        if np.any(np.diff(t_eval) * np.sign(t_span[1] - t_span[0]) <= 0):
+            raise InputError(f"sample times must run strictly from "
+                             f"{t_span[0]} toward {t_span[1]}")
     saw_bad, calls = False, 0
 
     def f(t, y):

@@ -220,6 +220,12 @@ class ReducedFit:
     condition_number: float
     training_amplitude: float       # max |master| seen during training
 
+    def __post_init__(self):
+        d = self.dictionary
+        if d.family != "integer" and d.spec.kind != self.kind:
+            raise InputError(f"a reduced {self.kind} model over a "
+                             f"{d.family} library")
+
     def rhs(self, states):
         """Model value at (n, width) state rows (next sample for a map,
         derivative for a flow), as state rows; a complex channel comes back

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import linear_graph_eval
+from .dictionary import _term_exponents, family_of, linear_graph_eval
 from .errors import (InputError, NoConvergence, OutOfRadius, SmallDivisor,
                      WrongShape)
 from .jsonio import dump_json
@@ -252,16 +252,6 @@ class LinearizingTransform:
         return _near_identity(self.inverse_coefficients(), self.dimension,
                               points)
 
-    def to_json(self, path=None):
-        doc = {
-            "order": self.order,
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "coefficients": {
-                ",".join(map(str, m)): [[c.real, c.imag] for c in v]
-                for m, v in self.coefficients.items()},
-        }
-        return dump_json(doc, path)
-
 
 def linearize(sys, K):
     """Solve the homological equations order by order for y = x + h(x) with
@@ -361,25 +351,24 @@ class _Lattice:
     A term c xi^a conj(xi)^b is keyed on the dictionary's integer
     multiplicities k = (k2, k3, k5..., k6...): a = k2 + s and b = k3 + s
     with s = sum k5 theta + sum k6 conj(theta), theta_m = (Xi_m + i
-    Gamma_m) / 2 from the spectral quotients of the spectrum (one master
-    pair, slaved pairs only), which are never rounded. Keys add as
-    exponents add, conjugation swaps k2 with k3 and k5 with k6, and
-    a - b = k2 - k3 is the rotational index. A series
-    is a pair (keys, coeffs): an (n, dim) integer array and an (n,)
-    complex array.
+    Gamma_m) / 2 the |.| exponent and phase coefficient of the k5_m = 1
+    term (``dictionary._term_exponents``; one master pair, slaved pairs
+    only), which are never rounded. Keys add as exponents add, conjugation
+    swaps k2 with k3 and k5 with k6, and a - b = k2 - k3 is the rotational
+    index. A series is a pair (keys, coeffs): an (n, dim) integer array and
+    an (n,) complex array.
     """
 
     def __init__(self, spec):
-        if (spec.p, spec.q, spec.r) != (0, 1, 0):
+        family = family_of(spec)
+        if not family.endswith("2d"):
             raise WrongShape("the exponent lattice needs p=0, q=1, r=0")
-        amp, phase = spec.quotients()
-        theta = np.array([complex(xi, g) / 2.0
-                          for xi, g in zip(amp[:, 0], phase[:, 0])],
-                         dtype=complex)
-        s = len(theta)
+        s = spec.s
         self.dim = 2 + 2 * s
-        self.theta = np.concatenate([theta, theta.conj()])
-        self.weight = np.concatenate([[1.0, 1.0], 2.0 * self.theta.real])
+        # exponents are linear in the multi-index: read off the unit ones
+        ex = _term_exponents(spec, family, np.eye(self.dim, dtype=np.int64))
+        self.theta = (ex.amp[2:] + 1j * ex.phase[2:]) / 2.0
+        self.weight = ex.order
         self.swap = np.concatenate([[1, 0], 2 + s + np.arange(s),
                                     2 + np.arange(s)])
 

@@ -326,6 +326,26 @@ def test_fit_flow_with_test_data_reports_errors(tmp_path):
     assert max(expected) < 1e-6
 
 
+@pytest.mark.parametrize("map_spectrum, flags",
+                         [(False, ["--kind", "map"]), (True, [])],
+                         ids=["map_on_flow_spectrum", "flow_on_map_spectrum"])
+def test_fit_kind_other_than_the_spectrum_is_input_error(tmp_path, capsys,
+                                                          map_spectrum,
+                                                          flags):
+    """The spectrum's kind fixes a fractional model's kind: --kind map on
+    the planar flow spectrum, or t-headed (flow) data on the Couette map
+    spectrum, exits 2 and writes no model."""
+    write_flow_data(tmp_path)
+    spec_path = couette_spectrum_json(tmp_path / "map.json") \
+        if map_spectrum else str(tmp_path / "spectrum.json")
+    out = tmp_path / "out"
+    code = cli.main(["fit", "--data", str(tmp_path / "data"), "--spectrum",
+                     spec_path, "--order", "3", *flags, "--outdir", str(out)])
+    assert code == 2
+    assert not (out / "model.json").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_fit_integer_only(tmp_path):
     spec_path = couette_spectrum_json(tmp_path / "spectrum.json")
     data_dir = tmp_path / "data"

@@ -331,21 +331,29 @@ def draw_spectrum(draw, family, ratios):
                  for x, w in zip(ratios, angles[1:])])
 
 
+FRACTIONAL = ["flow_1d", "map_1d", "flow_2d", "map_2d"]
+
+
 @st.composite
-def dictionaries(draw):
-    """A dictionary of one of the four fractional families, over a drawn
-    spectrum with one or two slaved entries and truncation order 2..5."""
-    family = draw(st.sampled_from(["flow_1d", "map_1d", "flow_2d",
-                                   "map_2d"]))
+def dictionaries(draw, families=FRACTIONAL):
+    """A dictionary of one of ``families`` with truncation order 2..5: a
+    fractional one over a drawn spectrum with one or two slaved entries,
+    or an integer one in one to three variables."""
+    family = draw(st.sampled_from(families))
     ratios = draw(st.lists(st.floats(0.3, 4.0), min_size=1, max_size=2))
     K = draw(st.integers(2, 5))
+    if family == "integer":
+        return dictionary.integer_dictionary(draw(st.integers(1, 3)), K)
     return dictionary.BUILDERS[family](draw_spectrum(draw, family, ratios), K)
 
 
 def closed_form(d, m, x):
     """Monomial m of dictionary d at samples x, written out from the
     spectrum: u^k1 |u|^(sum k4 rho) in 1D, z^k2 zbar^k3 |z|^(sum (k5 + k6)
-    xi) exp(i sum (k5 - k6) gamma log|z|) in 2D."""
+    xi) exp(i sum (k5 - k6) gamma log|z|) in 2D, prod_j x_j^k1_j at state
+    rows x for integer libraries."""
+    if d.family == "integer":
+        return np.prod(x ** np.array(m.k1), axis=1)
     spec = d.spec
     if d.family == "flow_1d":
         rho = [k / spec.lam[0] for k in spec.kappa]
@@ -371,7 +379,15 @@ def closed_form(d, m, x):
 
 
 def draw_samples(d, data):
-    """Eight nonzero samples the family accepts."""
+    """Eight nonzero samples the family accepts; for an integer library,
+    eight signed state rows with an exact 0 in one drawn entry."""
+    if d.family == "integer":
+        x = np.array(data.draw(st.lists(
+            st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3),
+            min_size=8 * d.width, max_size=8 * d.width))).reshape(8, d.width)
+        x[data.draw(st.integers(0, 7)),
+          data.draw(st.integers(0, d.width - 1))] = 0.0
+        return x
     mods = np.array(data.draw(st.lists(st.floats(1e-3, 2.0), min_size=8,
                                        max_size=8)))
     if d.family == "map_1d":
@@ -384,7 +400,7 @@ def draw_samples(d, data):
     return mods * np.exp(1j * angles)
 
 
-@given(dictionaries(), st.data())
+@given(dictionaries(FRACTIONAL + ["integer"]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_compiled_columns_match_closed_form(d, data):
     x = draw_samples(d, data)
@@ -395,11 +411,13 @@ def test_compiled_columns_match_closed_form(d, data):
                                    rtol=1e-11, atol=0)
 
 
-@given(dictionaries(), st.data(), st.floats(0.05, 20.0))
+@given(dictionaries(FRACTIONAL + ["integer"]), st.data(),
+       st.floats(0.05, 20.0))
 @settings(max_examples=60, deadline=None)
 def test_compiled_columns_scale_with_order(d, data, s):
-    """m(s x) = s^order m(x) in 1D and s^order e^{i Gamma log s} m(x) in
-    2D, Gamma being the monomial's phase coefficient."""
+    """m(s x) = s^order m(x) in 1D and for integer libraries (the order
+    being the degree), and s^order e^{i Gamma log s} m(x) in 2D, Gamma
+    being the monomial's phase coefficient."""
     x = draw_samples(d, data)
     scaled = d.evaluate(s * x)
     base = d.evaluate(x)
@@ -706,13 +724,25 @@ def test_linear_graph_is_invariant_under_the_linear_dynamics(spec, coeffs):
 
 
 def test_linear_graph_two_sided_branch():
-    spec = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
+    """K_neg (a slaved real, channel V) and O_neg (a slaved pair, channel
+    E) hold the coefficients at u <= 0: c |u|^2 e^{i theta} with c = 1 at
+    u = 0.5 and c = -2 at u = -0.5, the same phase e^{i theta} on both
+    sides."""
+    real = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
                                       kappa=(-2.0,))
-    coeffs = dictionary.LinearGraphCoeffs(K=((1.0,),), K_neg=((-2.0,),))
-    vp, _ = dictionary.linear_graph_eval(spec, coeffs, ([0.5], []))
-    vn, _ = dictionary.linear_graph_eval(spec, coeffs, ([-0.5], []))
-    assert vp[0] == pytest.approx(0.25)
-    assert vn[0] == pytest.approx(-0.5)
+    pair = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
+                                      beta_nu=((-2.0, 3.0),))
+    for spec, coeffs, channel in [
+            (real, dictionary.LinearGraphCoeffs(K=((1.0,),),
+                                                K_neg=((-2.0,),)), 0),
+            (pair, dictionary.LinearGraphCoeffs(O=((1.0,),),
+                                                O_neg=((-2.0,),)), 1)]:
+        pos, neg = (dictionary.linear_graph_eval(spec, coeffs, ([u], []))
+                    for u in (0.5, -0.5))
+        (wp,), (wn,) = pos[channel], neg[channel]
+        assert abs(wp) == pytest.approx(0.25)
+        assert wn == pytest.approx(-2.0 * wp)
+    assert wp.imag != 0.0               # the pair turns with log|u|
 
 
 # ---------------------------------------------------------------------------

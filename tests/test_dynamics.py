@@ -103,13 +103,17 @@ DECAY = dynamics.FlowSystem(dim=1, f=lambda t, x: -x,
     lambda: dynamics.integrate(DECAY, [1.0], (0.0, np.nan)),
     lambda: dynamics.integrate(DECAY, [1.0], (0.0, np.inf)),
     lambda: dynamics.flow_map(DECAY, [1.0], np.nan),
-    lambda: dynamics.flow_map(DECAY, [1.0], np.inf)],
+    lambda: dynamics.flow_map(DECAY, [1.0], np.inf),
+    lambda: dynamics.integrate(DECAY, [1.0], (0.0, 1.0), t_eval=[0.5, 0.2]),
+    lambda: dynamics.integrate(DECAY, [1.0], (1.0, 0.0),
+                               t_eval=[0.2, 0.5])],
     ids=["zero_length", "t_eval_past_end", "t_eval_nan", "nan_end",
-         "infinite_end", "flow_map_nan", "flow_map_infinite"])
+         "infinite_end", "flow_map_nan", "flow_map_infinite",
+         "t_eval_unsorted", "t_eval_against_reversed_span"])
 def test_degenerate_span_is_input_error(solve):
-    """A span with a non-finite end, a zero-length span or a sample time
-    outside the span is bad input (CLI exit 2), raised before the solver
-    runs."""
+    """A span with a non-finite end, a zero-length span, or sample times
+    outside the span or not strictly in its direction are bad input (CLI
+    exit 2), raised before the solver runs."""
     with pytest.raises(InputError):
         solve()
 

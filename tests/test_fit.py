@@ -504,6 +504,23 @@ def test_fit_reduced_flow_needs_five_samples():
         fit.fit_reduced_flow(flow_traj(ts, np.exp(-ts)), d)
 
 
+def test_reduced_fit_kind_must_match_its_library():
+    """A fractional library's spectrum fixes the model kind: a map over
+    the planar flow library, or a flow over the Couette map library, is bad
+    input. An integer library's columns do not depend on the kind, so it
+    fits either."""
+    ts = np.linspace(0.0, 4.0, 161)
+    flow_1d = dictionary.dictionary_flow_1d(planar_spec(), K=3)
+    with pytest.raises(InputError, match="reduced map model over a flow_1d"):
+        fit.fit_reduced_map(map_traj(np.exp(-ts)), flow_1d)
+    with pytest.raises(InputError, match="reduced flow model over a map_1d"):
+        fit.fit_reduced_flow(flow_traj(ts, np.exp(-ts)), couette_dict())
+    integer = dictionary.integer_dictionary(1, 3)
+    assert fit.fit_reduced_map(map_traj(np.exp(-ts)), integer).kind == "map"
+    assert fit.fit_reduced_flow(flow_traj(ts, np.exp(-ts)),
+                                integer).kind == "flow"
+
+
 # ---------------------------------------------------------------------------
 # prediction and error metrics
 # ---------------------------------------------------------------------------
@@ -614,9 +631,12 @@ def test_reduced_fit_json_round_trip(tmp_path):
     ("model", None), ("model", "reduced_spline"), ("coefficients", None),
     ("coefficients", [["a"]]), ("coefficients", [[0.5]]),
     ("diagnostics", []), ("residuals", ["x"]), ("residuals", [0.1, 0.2]),
-    ("training_amplitude", "big"), ("condition_number", None)])
+    ("training_amplitude", "big"), ("condition_number", None),
+    ("model", "reduced_flow")])
 def test_model_from_json_rejects_malformed_documents(key, value):
-    """None deletes the key; the last four edit the diagnostics."""
+    """None deletes the key; the four before the last edit the
+    diagnostics. The model is a map over a map_1d library, so reduced_flow
+    is no kind it can have."""
     doc = json.loads(linear_map_model().to_json())
     target = doc if key in doc else doc["diagnostics"]
     if value is None:

@@ -169,18 +169,6 @@ def test_canonical_eig_order(w, order):
     assert normalform._canonical_eig_order(np.array(w)) == order
 
 
-def test_transform_json_round_trip(tmp_path):
-    sys = normalform.PolySystem(eigenvalues=(-1.5,),
-                                terms={(2,): np.array([1.0 + 0.0j])})
-    tr = normalform.linearize(sys, K=3)
-    text = tr.to_json(tmp_path / "t.json")
-    import json
-    doc = json.loads(text)
-    assert doc["order"] == 3
-    assert doc["eigenvalues"] == [[-1.5, 0.0]]
-    assert "2" in "".join(doc["coefficients"].keys())
-
-
 # ---------------------------------------------------------------------------
 # pullback of linear graphs
 # ---------------------------------------------------------------------------
