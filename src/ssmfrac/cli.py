@@ -155,15 +155,17 @@ def cmd_spectrum(args):
         part = spectrum.partition_spectrum(
             A, spectrum.slowest(args.masters, args.kind), kind=args.kind)
     # every number is computed before the first file is written
-    amp, _ = part.quotients()
+    ratios = spectrum.spectral_ratio_table(part)
     smooth = spectrum.smoothness_class(part)
+    masters = part.p + part.q
+    header = ["ratio"] if masters == 1 else [f"ratio_{j + 1}"
+                                             for j in range(masters)]
 
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
     part.to_json(os.path.join(outdir, "spectrum.json"))
-    _write_csv(os.path.join(outdir, "ratios.csv"), ("slaved_index", "ratio"),
-               [(i + 1, x) for i, x in enumerate(amp[:, 0].tolist())],
-               ("", ".6f"))
+    _write_csv(os.path.join(outdir, "ratios.csv"), ["slaved_index"] + header,
+               ratios, [""] + [".6f"] * masters)
     dump_json({"eta": smooth.eta, "ratios": list(smooth.ratios)},
               os.path.join(outdir, "smoothness.json"))
 

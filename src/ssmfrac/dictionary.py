@@ -4,7 +4,8 @@ Two layers:
 
 * the linear-system invariant graph families V (real, slaved-real channels)
   and E (complex, slaved-pair channels) with their piecewise-constant
-  coefficient splits, evaluated exactly as written;
+  coefficient splits, evaluated as one array expression over the spectral
+  quotient matrix;
 * truncated monomial dictionaries for single-master graphs and reduced
   dynamics: terms u^{k1} |u|^{rho-weighted} for a real master,
   z^{k2} zbar^{k3} |z|^{Xi} e^{i Gamma log|z|} for a complex master pair,
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, WrongShape
 from .jsonio import dump_json, load_json, member, number
-from .spectrum import SpectralPartition
+from .spectrum import SpectralPartition, exponent_vectors
 
 ORDER_SLACK = 1e-9          # order <= K + slack admits, keeps 4.000013 out at K=4
 TINY_AMPLITUDE = 1e-300     # below this, positive-exponent monomials evaluate to 0
@@ -399,22 +400,14 @@ def _slaved_rates(spec, family):
     return amp if family.endswith("1d") else amp + amp
 
 
-def _master_powers(n, lo, hi):
-    """Every n-tuple of non-negative integers whose sum lies in lo..hi."""
-    if n == 0:
-        return [()] if lo <= 0 <= hi else []
-    return [(k,) + rest for k in range(hi + 1)
-            for rest in _master_powers(n - 1, lo - k, hi - k)]
-
-
 def _terms(spec, K, include_linear, family):
     """The multi-index of every term of a ``family`` library of order K
     over ``spec``: the n = p + 2q master powers (k1 in 1D and integer
-    libraries, k2 then k3 in 2D), then the slaved multiplicities
-    (``_slaved_rates``), for every admissible order, 1 <= order <= K
-    within ORDER_SLACK. Negative-quotient slaved entries stay 0, and
-    include_linear False leaves out the bare linear master terms. The terms
-    are counted against MAX_TERMS before any is made."""
+    libraries, k2 then k3 in 2D; ``spectrum.exponent_vectors``), then the
+    slaved multiplicities (``_slaved_rates``), for every admissible order,
+    1 <= order <= K within ORDER_SLACK. Negative-quotient slaved entries
+    stay 0, and include_linear False leaves out the bare linear master
+    terms. The terms are counted against MAX_TERMS before any is made."""
     n = spec.p + 2 * spec.q
     slaved = _enumerate_k4([(rho, rho > 0)
                             for rho in _slaved_rates(spec, family)], K)
@@ -425,7 +418,7 @@ def _terms(spec, K, include_linear, family):
     _check_size(K, sum(math.comb(hi + n, n) - math.comb(lo - 1 + n, n)
                        for _, ranges in cells for lo, hi in ranges))
     return [powers + k for k, ranges in cells for lo, hi in ranges
-            for powers in _master_powers(n, lo, hi)]
+            for powers in exponent_vectors(n, lo, hi)]
 
 
 def _monomial(spec, family, index):
@@ -604,49 +597,53 @@ class LinearGraphCoeffs:
                                  O=z(spec.s, spec.p), Q=z(spec.s, spec.q))
 
 
-def linear_graph_eval(spec, coeffs, point):
-    """Evaluate (V, E) at a master point (u, z).
+def _coefficient_block(values, rows, cols):
+    """A LinearGraphCoeffs entry as a (rows, cols) complex matrix; an empty
+    entry is all zeros."""
+    return np.asarray(values if np.size(values) else np.zeros((rows, cols)),
+                      dtype=complex).reshape(rows, cols)
 
-    u is a length-p real vector, z a length-q complex vector. Returns
-    (v in R^r, w in C^s). Slaved channel i carries |x_j|^amp[i, j] for each
-    master x_j and, on a slaved pair, the phase e^{i sum_j phase[i, j]
+
+def linear_graph_eval(spec, coeffs, point):
+    """Evaluate (V, E) at master points (u, z).
+
+    u holds p real values and z q complex ones along their last axis; the
+    leading axes broadcast, so a single point gives (v in R^r, w in C^s)
+    and a stack of points a stack of them. Slaved channel i carries
+    c_ij |x_j|^amp[i, j] for each master x_j, with |x_j| <=
+    TINY_AMPLITUDE counted as 0 and the K_neg/O_neg coefficient where
+    u_j <= 0, times, on a slaved pair, the phase e^{i sum_j phase[i, j]
     log|x_j|}, where (amp, phase) = spec.quotients() with the phase shared
     among the p + q masters, so that w turns at the slaved pair's own rate
-    along the linear dynamics. Map families need kappa_l > 0.
-    Coefficient entries attached to negative exponent ratios must be zero;
-    the term is skipped either way, matching the constraint that forces
-    them to vanish.
+    along the linear dynamics. Map families need kappa_l > 0. Coefficient
+    entries attached to non-positive exponent ratios must be zero; the
+    term is skipped either way, matching the constraint that forces them
+    to vanish, and so is a term with a zero coefficient.
     """
     u, z = point
     u = np.atleast_1d(np.asarray(u, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if len(u) != spec.p or len(z) != spec.q:
+    if u.shape[-1] != spec.p or z.shape[-1] != spec.q:
         raise InputError("point shape does not match the partition")
     amp, phase = _quotients(spec)
-    amp, phase = amp.tolist(), (phase / (spec.p + spec.q)).tolist()
-    masters = list(u) + list(z)
-
-    def terms(ch, on_u, neg_u, on_z, exps):
-        """c |x|^e for each master x whose coefficient c is nonzero and
-        whose exponent e is positive; on_u/neg_u hold u > 0 / u <= 0."""
-        cs = [neg_u[ch][j] if neg_u is not None and u[j] <= 0
-              else on_u[ch][j] for j in range(spec.p)]
-        cs += [on_z[ch][k] if on_z else 0.0 for k in range(spec.q)]
-        return [c * (abs(x) ** e if abs(x) > TINY_AMPLITUDE else 0.0)
-                for c, x, e in zip(cs, masters, exps) if c and e > 0]
-
-    v = np.zeros(spec.r)
-    for ell in range(spec.r):
-        v[ell] = sum(terms(ell, coeffs.K, coeffs.K_neg, coeffs.L, amp[ell]),
-                     0.0)
-
-    w = np.zeros(spec.s, dtype=complex)
-    for m in range(spec.s):
-        row = spec.r + m
-        active = terms(m, coeffs.O, coeffs.O_neg, coeffs.Q, amp[row])
-        if active:
-            theta = sum((ph * math.log(abs(x)) for ph, x in
-                         zip(phase[row], masters)
-                         if abs(x) > TINY_AMPLITUDE), 0.0)
-            w[m] = sum(active, 0.0 + 0.0j) * np.exp(1j * theta)
-    return v, w
+    lead = np.broadcast_shapes(u.shape[:-1], z.shape[:-1])
+    x = np.concatenate([np.broadcast_to(u, lead + u.shape[-1:]),
+                        np.broadcast_to(z, lead + z.shape[-1:])], axis=-1)
+    r, s, p, q = spec.r, spec.s, spec.p, spec.q
+    K_neg = coeffs.K if coeffs.K_neg is None else coeffs.K_neg
+    O_neg = coeffs.O if coeffs.O_neg is None else coeffs.O_neg
+    pos, neg = (np.block([[_coefficient_block(K, r, p),
+                           _coefficient_block(coeffs.L, r, q)],
+                          [_coefficient_block(O, s, p),
+                           _coefficient_block(coeffs.Q, s, q)]])
+                for K, O in ((coeffs.K, coeffs.O), (K_neg, O_neg)))
+    # the z columns of neg are those of pos, so x.real <= 0 picks u_j <= 0
+    c = np.where((x.real <= 0)[..., None, :], neg, pos)
+    # |x| to within an ulp, which a large quotient amplifies
+    ax = np.hypot(x.real, x.imag)
+    ax = np.where(ax > TINY_AMPLITUDE, ax, 0.0)[..., None, :]
+    live = (amp > 0) & (c != 0)
+    terms = c * np.where(live, ax ** np.where(amp > 0, amp, 0.0), 0.0)
+    theta = (np.log(np.where(ax > 0, ax, 1.0)) * (phase / (p + q))).sum(-1)
+    out = terms.sum(axis=-1) * np.exp(1j * theta)
+    return out[..., :r].real, out[..., r:]

@@ -76,16 +76,17 @@ def _check_solution(sol, saw_bad):
 def _solve(rhs, t_span, y0, tol, t_eval=None):
     """solve_ivp with the embedded 5(4) Runge-Kutta pair at rtol = tol,
     atol = tol * 1e-3; every integration goes through here. A span end that
-    is not finite, or ``t_eval`` entries outside the span or not strictly
-    in its direction, raise InputError. A failed or non-finite result
-    raises NonFinite or StepUnderflow (_check_solution), and more than
-    MAX_RHS_EVALS evaluations of rhs raise EvaluationBudget."""
+    is not finite, or ``t_eval`` empty, with entries outside the span or
+    not strictly in its direction, raise InputError. A failed or
+    non-finite result raises NonFinite or StepUnderflow (_check_solution),
+    and more than MAX_RHS_EVALS evaluations of rhs raise EvaluationBudget."""
     lo, hi = sorted(t_span)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputError(f"integration span {t_span} must be finite")
     if t_eval is not None:
-        if not all(lo <= t <= hi for t in t_eval):
-            raise InputError(f"sample times must lie in the span {t_span}")
+        if not (np.size(t_eval) and all(lo <= t <= hi for t in t_eval)):
+            raise InputError(f"sample times must be given in the span "
+                             f"{t_span}")
         if np.any(np.diff(t_eval) * np.sign(t_span[1] - t_span[0]) <= 0):
             raise InputError(f"sample times must run strictly from "
                              f"{t_span[0]} toward {t_span[1]}")
@@ -112,9 +113,10 @@ def _solve(rhs, t_span, y0, tol, t_eval=None):
 def integrate(sys, ic, t_span, tol=1e-9, t_eval=None):
     """Integrate with the embedded 5(4) Runge-Kutta pair; the trajectory
     holds the states at ``t_eval``, or at every solver step if it is
-    None. A zero-length span raises InputError."""
-    if t_span[0] == t_span[1]:
-        raise InputError(f"integration span {t_span} has zero length")
+    None. A zero-length or reversed span raises InputError before the
+    first evaluation of the vector field."""
+    if t_span[1] <= t_span[0]:
+        raise InputError(f"integration span {t_span} must run forward in time")
     sol = _solve(sys.f, t_span, _check_start(ic, tol), tol, t_eval=t_eval)
     return Trajectory(times=sol.t, states=sol.y.T, kind="flow")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,7 @@ from .dictionary import _term_exponents, family_of, linear_graph_eval
 from .errors import (InputError, NoConvergence, OutOfRadius, SmallDivisor,
                      WrongShape)
 from .jsonio import dump_json
-from .spectrum import conjugate_partners
+from .spectrum import conjugate_partners, exponent_vectors
 
 SMALL_DIVISOR_FACTOR = 1e-8
 COEFF_DROP = 1e-14
@@ -48,9 +47,7 @@ class _Basis:
         if (K + 1) ** (n + 1) >= 2 ** 63:
             raise InputError(f"order-{K} series in {n} variables too large")
         self.n, self.order = n, K
-        exps = np.array([np.bincount(c, minlength=n) for d in range(K + 1)
-                         for c in itertools.combinations_with_replacement(
-                             range(n), d)], dtype=np.int64).reshape(-1, n)
+        exps = np.array(exponent_vectors(n, 0, K), dtype=np.int64)
         # degree-major base-(K+1) codes add as exponents add and sort in
         # graded order; within a degree, by the last variable present
         self._unit = (K + 1) ** np.arange(n, dtype=np.int64) + (K + 1) ** n
@@ -305,27 +302,25 @@ def pullback_graph(transform, spec, coeffs, master_grid, radius=np.inf):
     complex-diagonalized coordinates.
 
     master_grid: iterable of (u, z) master points, u a length-p real tuple
-    and z a length-q complex tuple. Coordinate order of the output matches
-    the transform: masters (reals, then pairs as z, conj z), then slaved
-    (reals, then pairs as w, conj w).
+    and z a length-q complex tuple; the graph is evaluated on the whole
+    grid in one ``linear_graph_eval`` call. Coordinate order of the output
+    matches the transform: masters (reals, then pairs as z, conj z), then
+    slaved (reals, then pairs as w, conj w).
     """
-    rows = []
-    for point in master_grid:
-        u, z = point
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        v, w = linear_graph_eval(spec, coeffs, (u, z))
-        w = np.atleast_1d(w)
-        y = np.concatenate([u, np.ravel([z, z.conj()], order="F"),
-                            np.atleast_1d(v), np.ravel([w, w.conj()], "F")])
-        if len(y) != transform.dimension:
-            raise WrongShape("graph sample dimension does not match transform")
-        if np.max(np.abs(y)) > radius:
-            raise OutOfRadius(
-                f"sample amplitude {np.max(np.abs(y)):.3g} outside the "
-                f"validity radius {radius:.3g}")
-        rows.append(y)
-    return transform.inverse_apply(np.asarray(rows))
+    grid = list(master_grid)
+    u = np.array([np.atleast_1d(u) for u, _ in grid], dtype=float)
+    z = np.array([np.atleast_1d(z) for _, z in grid], dtype=complex)
+    v, w = linear_graph_eval(spec, coeffs, (u, z))
+    # each pair as its value and its conjugate, side by side
+    zz, ww = (np.stack([c, c.conj()], -1).reshape(len(c), -1) for c in (z, w))
+    y = np.hstack([u, zz, v, ww])
+    if y.shape[1] != transform.dimension:
+        raise WrongShape("graph sample dimension does not match transform")
+    if np.max(np.abs(y)) > radius:
+        raise OutOfRadius(
+            f"sample amplitude {np.max(np.abs(y)):.3g} outside the "
+            f"validity radius {radius:.3g}")
+    return transform.inverse_apply(y)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +500,7 @@ class _Lattice:
         order = self.order(keys)
         R, ukeys = self.pair_table(P, n, K - order[0])
         uorder = self.order(ukeys)
-        ia = np.repeat(np.arange(n + 1), n + 1 - np.arange(n + 1))
-        jb = np.concatenate([np.arange(n + 1 - i) for i in range(n + 1)])
+        ia, jb = np.array(exponent_vectors(2, 0, n)).T  # pair_table's rows
         a, b = self.exponents(keys)
         codes_f, codes_u, corner, dims = self._codes(keys, ukeys)
         out_codes, out_c = [], []

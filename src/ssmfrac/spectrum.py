@@ -6,8 +6,10 @@ class of the generic invariant-manifold family, and runs the pseudo-unstable
 subspace test.
 
 This module is the one place that computes an eigenvalue's rate, the
-spectral quotients of a partition and the pairing of conjugate eigenvalues;
-the dictionaries, the normal forms and the command line read them from here.
+spectral quotients of a partition and the pairing of conjugate eigenvalues,
+and it holds the one enumerator of integer exponent vectors
+(``exponent_vectors``); the dictionaries, the normal forms and the command
+line read them from here.
 
 Conventions
 -----------
@@ -23,7 +25,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -357,38 +358,39 @@ def _dedupe(eigs, tol=RESONANCE_TOL):
     return out
 
 
+def exponent_vectors(n, lo, hi):
+    """Every n-tuple of non-negative integers whose sum lies in lo..hi, in
+    lexicographic order: the one enumerator of monomial multi-indices."""
+    if n == 0:
+        return [()] if lo <= 0 <= hi else []
+    return [(k,) + rest for k in range(hi + 1)
+            for rest in exponent_vectors(n - 1, lo - k, hi - k)]
+
+
 def check_nonresonance(spec: SpectralPartition, max_order: int) -> ResonanceReport:
     """Exhaustive resonance scan up to the requested order.
 
     Flows test lambda_j = sum_k m_k lambda_k, maps test
-    lambda_j = prod_k lambda_k^{m_k}, for 2 <= sum m_k <= max_order.
-    Repeated (1:1) eigenvalues are deduplicated first, per the usual
-    exemption.
+    lambda_j = prod_k lambda_k^{m_k}, for 2 <= sum m_k <= max_order, as one
+    comparison over the stacked multi-indices m; violations are listed in
+    lexicographic order of m, then by j. Repeated (1:1) eigenvalues are
+    deduplicated first, per the usual exemption.
     """
     if max_order < 2:
         raise InputError("max_order must be >= 2")
-    eigs = _dedupe(spec.all_eigenvalues(conjugates=True))
-    d = len(eigs)
-    violations = []
-    for total in range(2, max_order + 1):
-        for combo in itertools.combinations_with_replacement(range(d), total):
-            m = [0] * d
-            for i in combo:
-                m[i] += 1
-            if spec.kind == "flow":
-                val = sum(mi * eigs[i] for i, mi in enumerate(m))
-                for j in range(d):
-                    if abs(eigs[j] - val) <= RESONANCE_TOL:
-                        violations.append((j, tuple(m)))
-            else:
-                val = np.prod([eigs[i] ** mi for i, mi in enumerate(m)])
-                for j in range(d):
-                    if abs(eigs[j] - val) <= RESONANCE_TOL * max(1.0, abs(val)):
-                        violations.append((j, tuple(m)))
-    return ResonanceReport(resonant=bool(violations),
-                           violations=tuple(violations),
+    eigs = np.array(_dedupe(spec.all_eigenvalues(conjugates=True)))
+    vectors = exponent_vectors(len(eigs), 2, max_order)
+    m = np.array(vectors, dtype=np.int64).reshape(len(vectors), len(eigs))
+    if spec.kind == "flow":
+        val, scale = m @ eigs, 1.0
+    else:
+        val = np.prod(eigs ** m, axis=1)
+        scale = np.maximum(1.0, np.abs(val))[:, None]
+    hits = np.argwhere(np.abs(eigs - val[:, None]) <= RESONANCE_TOL * scale)
+    violations = tuple((int(j), vectors[i]) for i, j in hits)
+    return ResonanceReport(resonant=bool(violations), violations=violations,
                            checked_order=max_order,
-                           eigenvalues=tuple(eigs))
+                           eigenvalues=tuple(eigs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +419,11 @@ def smoothness_class(spec: SpectralPartition) -> SmoothnessReport:
 
 
 def spectral_ratio_table(spec: SpectralPartition):
-    """Log-eigenvalue quotients log kappa_l / log |lambda_1| for a map
-    spectrum with a single real master direction, in stored order."""
-    if spec.kind != "map" or spec.p != 1 or spec.q != 0:
-        raise InputError("ratio table requires a map spectrum with p=1, q=0")
+    """A row (l, q_l1, ..., q_l(p+q)) per slaved entry l = 1, 2, ...: its
+    amplitude quotients over every master (``SpectralPartition.quotients``;
+    log kappa_l / log |lambda_1| for a map with one real master)."""
     amp, _ = spec.quotients()
-    return [(i + 1, float(x)) for i, x in enumerate(amp[:spec.r, 0])]
+    return [(i + 1, *row) for i, row in enumerate(amp.tolist())]
 
 
 # ---------------------------------------------------------------------------

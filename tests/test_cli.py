@@ -93,6 +93,22 @@ def test_spectrum_from_testbed(tmp_path):
     assert (part.p, part.q, part.r, part.s) == (0, 1, 0, 1)
 
 
+def test_spectrum_ratio_table_has_a_column_per_master(tmp_path):
+    """mixed3d with two masters writes the whole quotient matrix: one
+    ratio column per master, where a single-master file has one."""
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--testbed", "mixed3d", "--masters", "2",
+                     "--outdir", str(out)]) == 0
+    part = spectrum.SpectralPartition.from_json(out / "spectrum.json")
+    assert (part.p, part.q, part.r, part.s) == (2, 0, 1, 0)
+    header, *rows = (out / "ratios.csv").read_text().splitlines()
+    assert header == "slaved_index,ratio_1,ratio_2"
+    amp, _ = part.quotients()
+    assert rows == [f"{i + 1},{a:.6f},{b:.6f}"
+                    for i, (a, b) in enumerate(amp.tolist())]
+    assert amp[0, 0] * amp[0, 1] < 0   # one quotient per master, not one
+
+
 def test_spectrum_identity_matrix_is_input_error(tmp_path):
     mat = tmp_path / "m.csv"
     mat.write_text("1.0,0.0\n0.0,1.0\n")

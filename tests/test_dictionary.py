@@ -745,6 +745,63 @@ def test_linear_graph_two_sided_branch():
     assert wp.imag != 0.0               # the pair turns with log|u|
 
 
+@st.composite
+def graphs_on_a_grid(draw):
+    """A flow or map spectrum with p + q >= 1 masters and up to two slaved
+    entries of each kind, coefficients with some zeros (two-sided with
+    K_neg/O_neg half the time), and a stack of master points with entries
+    of either sign, 0 and |x| <= TINY_AMPLITUDE."""
+    kind = draw(st.sampled_from(["flow", "map"]))
+    p, q = draw(st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]))
+    r, s = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if kind == "flow":
+        real = st.floats(-4.0, -0.1) | st.floats(0.1, 4.0)
+        pair = st.tuples(real, st.floats(0.1, 5.0))
+    else:
+        real = st.floats(0.05, 0.9) | st.floats(1.1, 5.0)
+        pair = st.tuples(st.floats(0.05, 0.9), st.floats(0.05, 0.9))
+    spec = spectrum.SpectralPartition(
+        kind=kind, lam=draw(st.lists(real, min_size=p, max_size=p)),
+        alpha_omega=draw(st.lists(pair, min_size=q, max_size=q)),
+        kappa=draw(st.lists(real, min_size=r, max_size=r)),
+        beta_nu=draw(st.lists(pair, min_size=s, max_size=s)))
+    value = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)
+
+    def block(rows, cols, complex_=False):
+        entry = st.builds(complex, value, value) if complex_ else value
+        return tuple(tuple(draw(st.lists(entry, min_size=cols,
+                                         max_size=cols)))
+                     for _ in range(rows))
+
+    two_sided = draw(st.booleans())
+    coeffs = dictionary.LinearGraphCoeffs(
+        K=block(r, p), L=block(r, q), O=block(s, p, True),
+        Q=block(s, q, True), K_neg=block(r, p) if two_sided else None,
+        O_neg=block(s, p, True) if two_sided else None)
+    n = draw(st.integers(1, 6))
+    x = st.sampled_from([0.0, 1e-301, -1e-301]) | st.floats(-1.5, 1.5)
+    u = np.array(draw(st.lists(x, min_size=n * p, max_size=n * p)))
+    z = np.array(draw(st.lists(st.builds(complex, x, x), min_size=n * q,
+                               max_size=n * q)))
+    return spec, coeffs, u.reshape(n, p), z.reshape(n, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=graphs_on_a_grid())
+def test_linear_graph_on_a_stack_equals_each_point(case):
+    """One call on a stack of master points gives, row by row, what one
+    call per point gives: (n, r) and (n, s) for n points, (r,) and (s,)
+    for one."""
+    spec, coeffs, u, z = case
+    v, w = dictionary.linear_graph_eval(spec, coeffs, (u, z))
+    assert v.shape == (len(u), spec.r) and w.shape == (len(u), spec.s)
+    for i in range(len(u)):
+        vi, wi = dictionary.linear_graph_eval(spec, coeffs, (u[i], z[i]))
+        assert vi.shape == (spec.r,) and wi.shape == (spec.s,)
+        np.testing.assert_array_equal(v[i], vi)
+        np.testing.assert_array_equal(w[i], wi)
+
+
 # ---------------------------------------------------------------------------
 # library completeness
 # ---------------------------------------------------------------------------

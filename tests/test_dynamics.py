@@ -106,16 +106,29 @@ DECAY = dynamics.FlowSystem(dim=1, f=lambda t, x: -x,
     lambda: dynamics.flow_map(DECAY, [1.0], np.inf),
     lambda: dynamics.integrate(DECAY, [1.0], (0.0, 1.0), t_eval=[0.5, 0.2]),
     lambda: dynamics.integrate(DECAY, [1.0], (1.0, 0.0),
-                               t_eval=[0.2, 0.5])],
+                               t_eval=[0.2, 0.5]),
+    lambda: dynamics.integrate(DECAY, [1.0], (0.0, 1.0), t_eval=[])],
     ids=["zero_length", "t_eval_past_end", "t_eval_nan", "nan_end",
          "infinite_end", "flow_map_nan", "flow_map_infinite",
-         "t_eval_unsorted", "t_eval_against_reversed_span"])
+         "t_eval_unsorted", "t_eval_against_reversed_span", "t_eval_empty"])
 def test_degenerate_span_is_input_error(solve):
     """A span with a non-finite end, a zero-length span, or sample times
-    outside the span or not strictly in its direction are bad input (CLI
-    exit 2), raised before the solver runs."""
+    that are empty, outside the span or not strictly in its direction are
+    bad input (CLI exit 2), raised before the solver runs."""
     with pytest.raises(InputError):
         solve()
+
+
+@pytest.mark.parametrize("t_eval", [None, [0.8, 0.2]],
+                         ids=["steps", "descending_t_eval"])
+def test_reversed_span_is_refused_before_any_evaluation(t_eval):
+    """integrate runs forward in time only: a reversed span is bad input,
+    refused before the vector field is evaluated once."""
+    calls = []
+    sys = dynamics.FlowSystem(dim=1, f=lambda t, x: calls.append(t) or -x)
+    with pytest.raises(InputError, match="forward"):
+        dynamics.integrate(sys, [1.0], (1.0, 0.0), t_eval=t_eval)
+    assert calls == []
 
 
 def test_flow_map_over_zero_time_is_the_identity():

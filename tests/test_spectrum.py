@@ -1,7 +1,9 @@
 """Tests for spectral partitioning, nonresonance, smoothness and the
 rate-gap test."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -229,7 +231,6 @@ def test_saddle_spectrum_is_resonant():
 
 def brute_force_nonresonant(eigs, max_order, tol=1e-9):
     """Independent exhaustive check of additive flow resonances."""
-    import itertools
     eigs = list(eigs)
     n = len(eigs)
     for total in range(2, max_order + 1):
@@ -254,6 +255,73 @@ def test_nonresonance_matches_brute_force():
         assert report.resonant == (not brute_force_nonresonant(eigs, 4))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), lo=st.integers(0, 6), width=st.integers(0, 4))
+def test_exponent_vectors_match_a_filtered_product(n, lo, width):
+    """The one enumerator lists, in lexicographic order, exactly the
+    n-tuples of a brute-force filter, as many as the closed form
+    C(hi + n, n) - C(lo - 1 + n, n) that library sizes are counted with."""
+    hi = lo + width
+    vectors = spectrum.exponent_vectors(n, lo, hi)
+    assert vectors == [m for m in itertools.product(range(hi + 1), repeat=n)
+                       if lo <= sum(m) <= hi]
+    assert len(vectors) == math.comb(hi + n, n) - math.comb(lo - 1 + n, n)
+
+
+def brute_force_violations(eigs, kind, max_order, tol=1e-9):
+    """Every (j, m) with lambda_j = <m, lambda> (flows) or prod lambda^m
+    (maps) within tol, 2 <= |m| <= max_order, one multi-index at a time."""
+    out = set()
+    for m in itertools.product(range(max_order + 1), repeat=len(eigs)):
+        if not 2 <= sum(m) <= max_order:
+            continue
+        if kind == "flow":
+            val, scale = sum(k * e for k, e in zip(m, eigs)), 1.0
+        else:
+            val = np.prod([e ** k for k, e in zip(m, eigs)])
+            scale = max(1.0, abs(val))
+        out |= {(j, m) for j, e in enumerate(eigs)
+                if abs(e - val) <= tol * scale}
+    return out
+
+
+@st.composite
+def resonance_spectra(draw):
+    """Flow or map spectra of one to three reals and at most one complex
+    pair, drawn from values with many exact resonances (sums for flows,
+    products for maps), near ones inside the tolerance (2 + 2 = -4 + 5e-10
+    within 1e-9; 2 * 2 = 4 + 2e-9 within 1e-9 times |4|) and generic
+    ones."""
+    kind = draw(st.sampled_from(["flow", "map"]))
+    if kind == "flow":
+        real = st.sampled_from([-1.0, -2.0, -3.0, 1.0, -0.5, -1.5,
+                                -4.0000000005]) | st.floats(-4.0, -0.1)
+        pair = st.sampled_from([(-1.0, 1.0), (-2.0, 2.0), (-0.5, 3.0)])
+    else:
+        real = st.sampled_from([0.5, 0.25, 2.0, 4.0, 0.125, -0.5,
+                                4.000000002]) | st.floats(0.05, 0.95)
+        pair = st.sampled_from([(0.0, 0.5), (0.25, 0.25), (-0.5, 0.5)])
+    reals = draw(st.lists(real, min_size=1, max_size=3))
+    pairs = draw(st.lists(pair, max_size=1))
+    return spectrum.SpectralPartition(kind=kind, lam=reals[:1],
+                                      kappa=reals[1:], beta_nu=pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(part=resonance_spectra(), max_order=st.integers(2, 4))
+def test_nonresonance_violations_match_brute_force(part, max_order):
+    """The array scan reports the same set of resonances, each with its
+    multi-index, as a scan of one multi-index at a time, for flows and
+    maps, over the deduplicated eigenvalues."""
+    report = spectrum.check_nonresonance(part, max_order)
+    eigs = spectrum._dedupe(part.all_eigenvalues(conjugates=True))
+    assert report.eigenvalues == tuple(eigs)
+    expected = brute_force_violations(eigs, part.kind, max_order)
+    assert set(report.violations) == expected
+    assert len(report.violations) == len(expected)
+    assert report.resonant == bool(expected)
+
+
 def test_exact_resonance_detected():
     part = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
                                       kappa=(-3.0,))
@@ -265,6 +333,18 @@ def test_map_resonance_multiplicative():
     part = spectrum.SpectralPartition(kind="map", lam=(0.5,), kappa=(0.25,))
     report = spectrum.check_nonresonance(part, max_order=2)
     assert report.resonant
+
+
+def test_resonance_tolerance_is_relative_for_maps_only():
+    """Maps compare lambda_j with prod lambda^m to 1e-9 times |prod|, flows
+    compare with <m, lambda> to 1e-9: 2 * 2 resonates with 4 + 2e-9, and
+    2 + 2 does not."""
+    for kind, resonant in (("map", True), ("flow", False)):
+        part = spectrum.SpectralPartition(kind=kind, lam=(2.0,),
+                                          kappa=(4.000000002,))
+        report = spectrum.check_nonresonance(part, max_order=2)
+        assert report.resonant == resonant
+        assert report.violations == (((1, (2, 0)),) if resonant else ())
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +383,14 @@ def test_ratio_table_couette_quotients():
         ratios, [1.9897342, 2.0921923, 4.0000570, 4.8157009], atol=1e-6)
 
 
-def test_ratio_table_rejects_flow():
-    part = spectrum.SpectralPartition(kind="flow", lam=(-1.0,))
-    with pytest.raises(InputError):
-        spectrum.spectral_ratio_table(part)
+def test_ratio_table_has_a_column_per_master():
+    """Any spectrum: one row per slaved entry (reals, then pairs), one
+    quotient per master (reals, then pairs)."""
+    part = spectrum.SpectralPartition(
+        kind="flow", lam=(-1.0, 2.0), alpha_omega=((-0.5, 3.0),),
+        kappa=(-4.0,), beta_nu=((-6.0, 1.0),))
+    assert spectrum.spectral_ratio_table(part) == [
+        (1, 4.0, -2.0, 8.0), (2, 6.0, -3.0, 12.0)]
 
 
 # ---------------------------------------------------------------------------
