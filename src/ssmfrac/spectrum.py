@@ -181,7 +181,8 @@ class SpectralPartition:
         (r + s, p + q). The amplitude is the slaved rate over the master
         rate; the phase is nu (flows) or atan2(nu, beta) (maps) over the
         master rate, and 0 for slaved reals. A zero or non-finite master
-        rate, or a non-finite slaved rate, raises InputError."""
+        rate, a non-finite slaved rate, or a quotient that overflows raises
+        InputError."""
         den = np.array([rate(z, self.kind) for z in self.master_eigenvalues()])
         num = np.array([rate(z, self.kind) for z in self.slaved_eigenvalues()])
         if not (np.isfinite(den).all() and den.all()
@@ -192,7 +193,12 @@ class SpectralPartition:
         turn = np.array([0.0] * self.r + [
             nu if self.kind == "flow" else math.atan2(nu, b)
             for b, nu in self.beta_nu])
-        return num[:, None] / den, turn[:, None] / den
+        with np.errstate(over="ignore"):
+            amp, phase = num[:, None] / den, turn[:, None] / den
+        if not (np.isfinite(amp).all() and np.isfinite(phase).all()):
+            raise InputError(f"spectral quotients overflow: master rates "
+                             f"{den.tolist()}, slaved rates {num.tolist()}")
+        return amp, phase
 
     # -- serialization -------------------------------------------------------
 

@@ -131,6 +131,19 @@ def test_quotients_reject_degenerate_rates(part):
         part.quotients()
 
 
+@pytest.mark.parametrize("part", [
+    spectrum.SpectralPartition(kind="flow", alpha_omega=((-1e-9, 0.0),),
+                               beta_nu=((0.0, 1e300),)),
+    spectrum.SpectralPartition(kind="flow", lam=(-1e-300,),
+                               kappa=(-1e300,))],
+    ids=["phase", "amplitude"])
+def test_quotients_reject_overflow(part):
+    """Finite rates whose quotient overflows are an input error, not an
+    infinite entry in the table."""
+    with pytest.raises(InputError, match="spectral quotients overflow"):
+        part.quotients()
+
+
 # ---------------------------------------------------------------------------
 # conjugate pairing
 # ---------------------------------------------------------------------------
