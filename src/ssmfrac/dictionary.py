@@ -39,11 +39,10 @@ import numpy as np
 
 from .errors import DomainError, InputError, WrongShape
 from .jsonio import dump_json, load_json, member, number
-from .spectrum import SpectralPartition, exponent_vectors
+from .spectrum import MAX_TERMS, SpectralPartition, exponent_vectors
 
 ORDER_SLACK = 1e-9          # order <= K + slack admits, keeps 4.000013 out at K=4
 TINY_AMPLITUDE = 1e-300     # below this, positive-exponent monomials evaluate to 0
-MAX_TERMS = 100_000         # terms (and slaved vectors) one library may hold
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Numerical dynamics engine.
 
-Adaptive ODE integration sampled at the times the caller names, the
-time-T flow map with its variational (monodromy) matrix, which serves both
+Adaptive ODE integration (the embedded Runge-Kutta 5(4) pair, RK45)
+sampled at the times the caller names, the time-T flow map with its
+variational (monodromy) matrix (the 8(5,3) pair, DOP853), which serves both
 the Newton fixed-point search on Poincare maps and Floquet analysis, the
 built-in testbed systems, and the Lambert-W exact planar graph used as an
 oracle for the heteroclinic example.
@@ -22,9 +23,10 @@ from .errors import (BadParams, EvaluationBudget, InputError, NoConvergence,
 from .trajectory import Trajectory
 
 # Right-hand-side evaluations one integration may make: over 50 times the
-# most that the examples (3,884, a flow map of the forced pass) and the tests
-# (11,504, the undamped Shaw-Pierre energy test) need, so only a stiff or
-# runaway system reaches it.
+# most that the examples (2,684 in an ``integrate`` of the mixed-mode 3D
+# example, 842 in a ``flow_map`` of the forced pass) and the tests (11,504 in
+# ``integrate``, the undamped Shaw-Pierre energy test; 842 in ``flow_map``)
+# need, so only a stiff or runaway system reaches it.
 MAX_RHS_EVALS = 600_000
 
 
@@ -73,8 +75,9 @@ def _check_solution(sol, saw_bad):
         raise NonFinite("integration produced non-finite values")
 
 
-def _solve(rhs, t_span, y0, tol, t_eval=None):
-    """solve_ivp with the embedded 5(4) Runge-Kutta pair at rtol = tol,
+def _solve(rhs, t_span, y0, tol, t_eval=None, method="RK45"):
+    """solve_ivp with the embedded Runge-Kutta pair ``method`` (the 5(4)
+    pair RK45, or the 8(5,3) pair DOP853 for ``flow_map``) at rtol = tol,
     atol = tol * 1e-3; every integration goes through here. A span end that
     is not finite, or ``t_eval`` empty, with entries outside the span or
     not strictly in its direction, raise InputError. A failed or
@@ -104,16 +107,16 @@ def _solve(rhs, t_span, y0, tol, t_eval=None):
             saw_bad = True
         return dy
 
-    sol = solve_ivp(f, t_span, y0, method="RK45", t_eval=t_eval, rtol=tol,
+    sol = solve_ivp(f, t_span, y0, method=method, t_eval=t_eval, rtol=tol,
                     atol=tol * 1e-3)
     _check_solution(sol, saw_bad)
     return sol
 
 
 def integrate(sys, ic, t_span, tol=1e-9, t_eval=None):
-    """Integrate with the embedded 5(4) Runge-Kutta pair; the trajectory
-    holds the states at ``t_eval``, or at every solver step if it is
-    None. A zero-length or reversed span raises InputError before the
+    """Integrate with the embedded 5(4) Runge-Kutta pair (RK45); the
+    trajectory holds the states at ``t_eval``, or at every solver step if
+    it is None. A zero-length or reversed span raises InputError before the
     first evaluation of the vector field."""
     if t_span[1] <= t_span[0]:
         raise InputError(f"integration span {t_span} must run forward in time")
@@ -128,7 +131,9 @@ def integrate(sys, ic, t_span, tol=1e-9, t_eval=None):
 def flow_map(sys, x0, T, tol=1e-10):
     """(x_T, Phi_T, int_0^T tr J): the state, the variational equation
     dPhi/dt = J Phi from Phi_0 = I (so Phi_T is the map's jacobian at x0)
-    and the trace of J, integrated together on one 5(4) Runge-Kutta mesh."""
+    and the trace of J, integrated together on one mesh of the embedded
+    8(5,3) Runge-Kutta pair (DOP853), whose order suits the tight
+    tolerances of Newton and Floquet analysis."""
     x0 = _check_start(x0, tol)
     n = len(x0)
 
@@ -142,7 +147,7 @@ def flow_map(sys, x0, T, tol=1e-10):
         return dy
 
     yT = _solve(rhs, (0.0, T), np.concatenate([x0, np.eye(n).ravel(), [0.0]]),
-                tol).y[:, -1]
+                tol, method="DOP853").y[:, -1]
     return yT[:n], yT[n:-1].reshape(n, n), float(yT[-1])
 
 

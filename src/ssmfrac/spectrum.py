@@ -39,6 +39,9 @@ FLOW_HYPERBOLICITY_RTOL = 1e-10
 MAP_HYPERBOLICITY_TOL = 1e-10
 # resonance equality tolerance, and the 1:1 dedup tolerance
 RESONANCE_TOL = 1e-9
+# terms (and slaved vectors) one library may hold, and multi-indices one
+# resonance scan may compare
+MAX_TERMS = 100_000
 # |Im| at or below this times the spectral scale counts as real, and a
 # conjugate partner must lie this close to the exact conjugate
 CONJUGATE_RTOL = 1e-10
@@ -380,11 +383,18 @@ def check_nonresonance(spec: SpectralPartition, max_order: int) -> ResonanceRepo
     lambda_j = prod_k lambda_k^{m_k}, for 2 <= sum m_k <= max_order, as one
     comparison over the stacked multi-indices m; violations are listed in
     lexicographic order of m, then by j. Repeated (1:1) eigenvalues are
-    deduplicated first, per the usual exemption.
+    deduplicated first, per the usual exemption. More than MAX_TERMS
+    multi-indices, counted before any is made, raise InputError.
     """
     if max_order < 2:
         raise InputError("max_order must be >= 2")
     eigs = np.array(_dedupe(spec.all_eigenvalues(conjugates=True)))
+    # d-tuples with 2 <= sum <= max_order: C(d + max_order, d) - 1 - d
+    count = math.comb(len(eigs) + max_order, len(eigs)) - 1 - len(eigs)
+    if count > MAX_TERMS:
+        raise InputError(f"a resonance scan of {len(eigs)} eigenvalues to "
+                         f"order {max_order} compares {count} multi-indices, "
+                         f"more than {MAX_TERMS}")
     vectors = exponent_vectors(len(eigs), 2, max_order)
     m = np.array(vectors, dtype=np.int64).reshape(len(vectors), len(eigs))
     if spec.kind == "flow":

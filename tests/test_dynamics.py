@@ -1,15 +1,17 @@
 """Tests for integration, Poincare maps, fixed points, Floquet analysis,
 the testbed systems and the Lambert-W exact planar graph."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.special import lambertw as scipy_lambertw
 
-from ssmfrac import dynamics
+from ssmfrac import dynamics, examples
 from ssmfrac.errors import (BadParams, EvaluationBudget, InputError,
                             NoConvergence, NonFinite, NotPeriodic,
                             NumericalError, OutOfDomain, StepUnderflow,
@@ -211,6 +213,54 @@ def test_newton_multipliers_are_floquet_multipliers(forced_fixed_points):
         assert res.classification == \
             dynamics.classify_multipliers(fl.multipliers)
         assert res.floquet.determinant_check == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", list(dynamics.FORCED_SEEDS))
+def test_flow_map_work_on_the_forced_chain(seed):
+    """One period of the variational flow map from each Newton seed, at the
+    forced example's tol 1e-11, takes at most 1,500 evaluations of the
+    vector field: the 8th-order pair makes 626 to 842, the 5th-order pair
+    it replaced 3,548 to 3,884."""
+    calls = []
+    sys = forced_system()
+    counted = dataclasses.replace(
+        sys, f=lambda t, x: calls.append(t) or sys.f(t, x))
+    dynamics.flow_map(counted, dynamics.FORCED_SEEDS[seed], FORCED_T,
+                      tol=1e-11)
+    assert 0 < len(calls) <= 1_500
+
+
+@pytest.mark.parametrize("seed", list(dynamics.FORCED_SEEDS))
+def test_flow_map_matches_a_tight_tolerance_solve(seed):
+    """x_T and Phi_T at tol 1e-10 lie within 1e-10 relative (Frobenius
+    norm) of an independent DOP853 solve of x' = f, Phi' = J Phi at
+    rtol 1e-13 over one period. Measured: at most 2.9e-12 for x_T and
+    2.8e-11 for Phi_T over the three seeds, so the bound, the requested
+    tolerance, leaves a margin of 3.5x on Phi_T."""
+    sys = forced_system()
+    x0 = dynamics.FORCED_SEEDS[seed]
+
+    def variational(t, y):
+        x, Phi = y[:4], y[4:].reshape(4, 4)
+        return np.concatenate([sys.f(t, x),
+                               (sys.jacobian(t, x) @ Phi).ravel()])
+
+    ref = solve_ivp(variational, (0.0, FORCED_T),
+                    np.concatenate([x0, np.eye(4).ravel()]), method="DOP853",
+                    rtol=1e-13, atol=1e-16).y[:, -1]
+    xT, Phi, _ = dynamics.flow_map(sys, x0, FORCED_T, tol=1e-10)
+    assert np.linalg.norm(xT - ref[:4]) <= 1e-10 * np.linalg.norm(ref[:4])
+    assert np.linalg.norm(Phi.ravel() - ref[4:]) <= \
+        1e-10 * np.linalg.norm(ref[4:])
+
+
+def test_forced_example_liouville_product_to_1e11():
+    """The forced example's multiplier products match exp(-3 c T / m) to
+    1e-11 relative, the worst_relative_error its checks.json reports:
+    2.7e-12 with the 8th-order flow map, 2.1e-11 with the 5th-order one."""
+    liouville, = [check for check in examples.shaw_pierre_forced().checks
+                  if check["name"].startswith("Liouville")]
+    assert liouville["detail"]["worst_relative_error"] <= 1e-11
 
 
 def test_jacobian_without_jac_is_input_error():

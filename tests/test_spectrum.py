@@ -360,6 +360,38 @@ def test_resonance_tolerance_is_relative_for_maps_only():
         assert report.violations == (((1, (2, 0)),) if resonant else ())
 
 
+def test_resonance_scan_above_max_terms_is_refused_before_enumerating(
+        monkeypatch):
+    """24 distinct eigenvalues to order 5 need C(29, 24) - 1 - 24 = 118,730
+    multi-indices, more than MAX_TERMS: InputError, counted in closed form
+    before a single multi-index is made."""
+    def enumerate_nothing(*args):
+        raise AssertionError("multi-indices enumerated")
+
+    monkeypatch.setattr(spectrum, "exponent_vectors", enumerate_nothing)
+    part = spectrum.SpectralPartition(
+        kind="flow", lam=(-1.0,), kappa=tuple(-1.0 - 0.37 * k
+                                              for k in range(1, 24)))
+    with pytest.raises(InputError, match="118730 multi-indices"):
+        spectrum.check_nonresonance(part, max_order=5)
+
+
+@pytest.mark.parametrize("bound, refused", [(7, False), (6, True)])
+def test_resonance_scan_counts_its_multi_indices_exactly(
+        monkeypatch, bound, refused):
+    """Two eigenvalues to order 3 give exactly C(5, 2) - 1 - 2 = 7
+    multi-indices (three of order 2, four of order 3): a bound of 7 admits
+    the scan, a bound of 6 refuses it."""
+    monkeypatch.setattr(spectrum, "MAX_TERMS", bound)
+    part = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
+                                      kappa=(-3.3,))
+    if refused:
+        with pytest.raises(InputError):
+            spectrum.check_nonresonance(part, max_order=3)
+    else:
+        assert not spectrum.check_nonresonance(part, max_order=3).resonant
+
+
 # ---------------------------------------------------------------------------
 # smoothness class
 # ---------------------------------------------------------------------------
