@@ -3,13 +3,16 @@ models over a monomial dictionary, prediction with fitted models, error
 metrics, and the POD/DMD baselines.
 
 All fits, the DMD baseline included, are plain linear least squares on a
-design matrix, solved by one routine. Columns are rescaled to unit RMS
-before solving (fractional high-order columns are otherwise tiny). One
-column-pivoted Householder QR of the scaled design, in double precision,
-gives the condition number (from R), the solve, a ridge (folded into R) and
-one step of iterative refinement. The refinement residual is accumulated in
-long double, in row blocks, so long-double data enters the fit there at full
-precision; coefficients are reported in the original scale.
+design matrix, solved by one routine; a fit over several trajectories
+evaluates the dictionary once, over all their samples. Columns are rescaled
+to unit RMS before solving (fractional high-order columns are otherwise
+tiny). The scaled design is factored in double precision by a row-blocked,
+tall-skinny QR: a Householder QR of each block of rows, then one
+column-pivoted QR of the blocks' stacked R factors. That gives the condition
+number (from R), the solve, a ridge (folded into R) and one step of
+iterative refinement. The refinement residual is accumulated in long
+double, in the same row blocks, so long-double data enters the fit there at
+full precision; coefficients are reported in the original scale.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from .jsonio import dump_json, load_json, member, number, numbers
 from .trajectory import Trajectory
 
 RANK_DEFICIENT_COND = 1e12
-RESIDUAL_BLOCK_ROWS = 4096  # bounds the long-double refinement temporaries
+# rows per block of the factorization and of the refinement residual; a
+# complex double block of 70 columns takes 4.6 MB
+BLOCK_ROWS = 4096
 TRUST_FACTOR = 1.2
 DIVERGENCE_NORM = 1e6
 
@@ -40,15 +45,17 @@ def _scaled_lstsq(design, targets, ridge):
     """Column-scaled least squares with optional ridge on the unscaled
     coefficients; returns (coefficients, per-channel RMS residual, cond).
 
-    The scaled design A is factored once, A P = Q R, by a column-pivoted
-    Householder QR in double precision. cond(A) is taken from R, a ridge is
+    The scaled design A is factored once, in double precision, by a
+    row-blocked (tall-skinny) QR: a Householder QR A_i = Q_i R_i of each
+    block of BLOCK_ROWS rows, then one column-pivoted QR of the stacked
+    R_i, so that A P = diag(Q_i) Q0 R. cond(A) is taken from R, a ridge is
     folded into R by a small QR of [R; sqrt(ridge) diag(1/scale) P], and the
     solve and one refinement step reuse the factors. The refinement residual
-    is formed in long double, in row blocks, from the design and targets as
-    given, so long-double data enters there at full precision and
-    consistent ill-conditioned round trips are recovered beyond plain double
-    forward accuracy. Long-double targets must lie in double range; the
-    design is scaled into it.
+    targets - design (c / scale) is formed in long double, block by block,
+    from the design and targets as given, so long-double data enters there
+    at full precision and consistent ill-conditioned round trips are
+    recovered beyond plain double forward accuracy. Long-double targets must
+    lie in double range; the design is scaled into it.
     """
     design = np.asarray(design)
     targets = np.asarray(targets)
@@ -72,13 +79,23 @@ def _scaled_lstsq(design, targets, ridge):
         raise NonFiniteData("design matrix or targets hold values that are "
                             "NaN or infinite in double precision")
     scale[scale == 0.0] = 1.0
-    # unit-RMS columns put A in double range for long-double data too; in
-    # Fortran order the factorization overwrites A (or its double copy) in
-    # place, and the refinement re-forms A's rows from the design
-    A = np.divide(design, scale, order="F")
-    (qr, tau), R, perm = scipy.linalg.qr(
-        np.asarray(A, dtype=b.dtype), pivoting=True, mode="raw",
-        overwrite_a=True, check_finite=False)
+    # unit-RMS columns put A in double range for long-double data too; each
+    # block of A is made once, in Fortran order, and geqrf overwrites it
+    # with its reflectors, which the solves then apply. A real reciprocal
+    # scales a complex block several times faster than a division.
+    inv_scale = 1.0 / scale
+    blocks = [slice(lo, lo + BLOCK_ROWS)
+              for lo in range(0, n_samp, BLOCK_ROWS)]
+    factors, r_factors = [], []
+    for rows in blocks:
+        a = np.multiply(design[rows], inv_scale, order="F").astype(b.dtype,
+                                                                   copy=False)
+        (qr, tau), r = scipy.linalg.qr(a, mode="raw", overwrite_a=True,
+                                       check_finite=False)
+        factors.append((qr[:, :len(tau)], tau))
+        r_factors.append(r)
+    q0, R, perm = scipy.linalg.qr(np.vstack(r_factors), pivoting=True,
+                                  mode="economic", check_finite=False)
     cond = np.linalg.cond(R)
     if ridge == 0.0 and cond > RANK_DEFICIENT_COND:
         raise RankDeficient(
@@ -88,18 +105,20 @@ def _scaled_lstsq(design, targets, ridge):
     ld = np.clongdouble if cplx else np.longdouble
     # penalty acts on the unscaled coefficients c = c_scaled / scale; it
     # joins the double factors, so it is rounded to double
-    penalty = (np.sqrt(ridge) * (1.0 / scale)).astype(float)
+    penalty = (np.sqrt(ridge) * inv_scale).astype(float)
     if ridge > 0.0:
         q_ridge, R = np.linalg.qr(np.vstack([R, np.diag(penalty[perm])]))
     unmqr, = scipy.linalg.get_lapack_funcs(
-        ("unmqr" if cplx else "ormqr",), (qr,))
+        ("unmqr" if cplx else "ormqr",), (b,))
 
     def solve(top, bottom):
         """Scaled c minimizing |A c - top|^2 + |D c - bottom|^2, D the
         ridge penalty. The minimal workspace selects the unblocked
         reflector application, cheaper for a few target channels."""
-        y = unmqr("L", "C" if cplx else "T", qr, tau, top,
-                  top.shape[1])[0][:n_cols]
+        y = np.vstack([unmqr("L", "C" if cplx else "T", qr, tau, top[rows],
+                             top.shape[1])[0][:len(tau)]
+                       for rows, (qr, tau) in zip(blocks, factors)])
+        y = q0.conj().T @ y
         if ridge > 0.0:
             y = q_ridge.conj().T @ np.vstack([y, bottom[perm]])
         return scipy.linalg.solve_triangular(
@@ -108,11 +127,10 @@ def _scaled_lstsq(design, targets, ridge):
     coeffs = solve(b, np.zeros_like(b[:n_cols]))
     # one step of iterative refinement with the residual accumulated in
     # long double; tightens consistent ill-conditioned round trips
+    unscaled = coeffs.astype(ld) / scale[:, None]
     resid = np.empty(b.shape, dtype=ld)
-    for lo in range(0, n_samp, RESIDUAL_BLOCK_ROWS):
-        rows = slice(lo, lo + RESIDUAL_BLOCK_ROWS)
-        a_rows = (design[rows] / scale).astype(ld)
-        resid[rows] = targets[rows].astype(ld) - a_rows @ coeffs.astype(ld)
+    for rows in blocks:
+        resid[rows] = targets[rows] - design[rows] @ unscaled
     delta = solve(resid.astype(b.dtype), -penalty[:, None] * coeffs)
     if np.all(np.isfinite(delta)):
         coeffs = coeffs + delta
@@ -285,17 +303,18 @@ def model_from_json(source):
 
 def fit_reduced_map(series, dictionary, ridge=0.0):
     """Regress the next sample on dictionary values of the current sample."""
-    designs, targets = [], []
+    samples, targets = [], []
     amp = 0.0
     for traj in _trajectories(series):
         if len(traj) < 2:
             raise InsufficientData("need at least 2 samples per trajectory")
         vals = dictionary.masters(traj.states)
-        designs.append(dictionary.evaluate(vals[:-1]))
+        samples.append(vals[:-1])
         targets.append(vals[1:].reshape(len(vals) - 1, -1))
+        # the last sample enters no design row but bounds the trust region
         amp = max(amp, float(np.max(np.abs(vals))))
-    coeffs, rms, cond = _scaled_lstsq(np.vstack(designs), np.vstack(targets),
-                                      ridge)
+    design = dictionary.evaluate(np.concatenate(samples))
+    coeffs, rms, cond = _scaled_lstsq(design, np.vstack(targets), ridge)
     return ReducedFit(dictionary=dictionary, coefficients=coeffs, kind="map",
                       residuals=rms, condition_number=cond,
                       training_amplitude=amp)
@@ -318,7 +337,7 @@ def fit_reduced_flow(data, dictionary, ridge=0.0):
     the 4th- and 2nd-order estimates gives a step-size error bound; if that
     bound exceeds the training residual the sampling is too coarse to trust.
     """
-    designs, targets = [], []
+    samples, targets = [], []
     amp = 0.0
     err2_sq, dot_sq, n_rows = 0.0, 0.0, 0
     for traj in _trajectories(data):
@@ -329,14 +348,14 @@ def fit_reduced_flow(data, dictionary, ridge=0.0):
             raise InsufficientData("4th-order differences need >= 5 samples")
         vals = dictionary.masters(traj.states)
         d4, d2 = _central_differences(vals, h)
-        designs.append(dictionary.evaluate(vals[2:-2]))
+        samples.append(vals[2:-2])
         targets.append(d4.reshape(len(d4), -1))
         amp = max(amp, float(np.max(np.abs(vals))))
         err2_sq += float(np.sum(np.abs(d4 - d2) ** 2))
         dot_sq += float(np.sum(np.abs(d4) ** 2))
         n_rows += len(d4)
-    coeffs, rms, cond = _scaled_lstsq(np.vstack(designs), np.vstack(targets),
-                                      ridge)
+    design = dictionary.evaluate(np.concatenate(samples))
+    coeffs, rms, cond = _scaled_lstsq(design, np.vstack(targets), ridge)
     # the 2nd-order scheme errs like (wh)^2/6 and the 4th like (wh)^4/30 on
     # a signal of frequency w, so bound4 ~ 1.2 * err2^2 / |udot|
     err2 = np.sqrt(err2_sq / max(n_rows, 1))

@@ -2,6 +2,7 @@
 error metrics and the POD/DMD baselines."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,63 @@ def test_scaled_lstsq_non_finite_values_are_input_errors(problem, data):
         fit._scaled_lstsq(design, targets, ridge=ridge)
 
 
+@given(scaled_problems(), st.sampled_from([1, 2, 3, 8]),
+       st.sampled_from([0.0, 1e-6, 0.7]))
+@settings(max_examples=60, deadline=None)
+def test_scaled_lstsq_row_blocks_match_one_block(problem, block_rows, ridge):
+    """Row blocks of a few rows, the last often shorter than the design is
+    wide, give the one-block solve and the scipy oracle."""
+    design, targets, scale, scaled, cond = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fit, "BLOCK_ROWS", block_rows)
+        got, got_rms, got_cond = fit._scaled_lstsq(design, targets, ridge)
+        mp.setattr(fit, "BLOCK_ROWS", len(design))
+        ref, ref_rms, ref_cond = fit._scaled_lstsq(design, targets, ridge)
+    aug = np.vstack([scaled, np.sqrt(ridge) * np.diag(1.0 / scale)])
+    rhs = np.vstack([targets, np.zeros((len(scale), targets.shape[1]))])
+    oracle, _, _, _ = scipy.linalg.lstsq(aug, rhs)
+    aug_cond = np.linalg.cond(aug)
+    assert_close_lstsq(got * scale[:, None], ref * scale[:, None], aug_cond)
+    assert_close_lstsq(got * scale[:, None], oracle, aug_cond)
+    np.testing.assert_allclose(got_rms, ref_rms, rtol=1e-8, atol=1e-14)
+    assert got_cond == pytest.approx(ref_cond, rel=1e-10)
+    assert got_cond == pytest.approx(cond, rel=1e-10)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+def test_scaled_lstsq_row_blocks_long_double(monkeypatch, cplx, ridge):
+    """Long-double design and targets in blocks of 8 rows over 12 columns,
+    the last block holding 5 rows, solve as in one block and as their
+    double roundings do; a duplicated column stays rank deficient."""
+    rng = np.random.default_rng(6)
+    design = rng.normal(size=(53, 12)) * 10.0 ** np.linspace(-3, 3, 12)
+    targets = rng.normal(size=(53, 2))
+    if cplx:
+        design = design + 1j * rng.normal(size=design.shape)
+        targets = targets + 1j * rng.normal(size=targets.shape)
+    ld = np.clongdouble if cplx else np.longdouble
+    wiggle = 1.0 + np.longdouble(1e-18) * rng.normal(size=design.shape)
+    design_ld = design.astype(ld) * wiggle
+    targets_ld = targets.astype(ld) * wiggle[:, :2]
+    monkeypatch.setattr(fit, "BLOCK_ROWS", len(design))
+    ref, ref_rms, ref_cond = fit._scaled_lstsq(design_ld, targets_ld, ridge)
+    monkeypatch.setattr(fit, "BLOCK_ROWS", 8)
+    got, rms, cond = fit._scaled_lstsq(design_ld, targets_ld, ridge)
+    rounded, _, _ = fit._scaled_lstsq(design, targets, ridge)
+    assert got.dtype == ref.dtype == ld
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(np.asarray(got, dtype=rounded.dtype) - rounded) <= \
+        1e-12 * np.linalg.norm(rounded)
+    np.testing.assert_allclose(np.asarray(rms, dtype=float),
+                               np.asarray(ref_rms, dtype=float), rtol=1e-12)
+    assert cond == pytest.approx(ref_cond, rel=1e-12)
+    if ridge == 0.0:
+        with pytest.raises(RankDeficient):
+            fit._scaled_lstsq(np.insert(design_ld, 4, 1e3 * design_ld[:, 9],
+                                        axis=1), targets_ld, ridge)
+
+
 # ---------------------------------------------------------------------------
 # graph fits
 # ---------------------------------------------------------------------------
@@ -378,6 +436,63 @@ def test_duplicate_trajectories_leave_fit_unchanged():
                                atol=1e-9)
 
 
+def map_2d_library(K):
+    mu, sigma = 0.9 * np.exp(0.7j), 0.9 ** 1.3 * np.exp(1.9j)
+    spec = spectrum.SpectralPartition(
+        kind="map", alpha_omega=((mu.real, mu.imag),),
+        beta_nu=((sigma.real, sigma.imag),))
+    return dictionary.dictionary_map_2d(spec, K)
+
+
+def annulus_trajectories(rng, lengths):
+    """Map trajectories of the given lengths whose complex master samples
+    are drawn with amplitude in [0.05, 0.3] and uniform phase."""
+    trajs = []
+    for n in lengths:
+        z = (0.05 + 0.25 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        trajs.append(Trajectory(times=np.arange(n, dtype=float),
+                                states=np.column_stack([z.real, z.imag]),
+                                kind="map"))
+    return trajs
+
+
+def test_multi_trajectory_map_fit_matches_stacked_blocks():
+    """One evaluation over every trajectory's samples fits what the design
+    built per trajectory and stacked fits."""
+    d = map_2d_library(3)
+    trajs = annulus_trajectories(np.random.default_rng(7), (40, 57, 33))
+    vals = [d.masters(t.states) for t in trajs]
+    design = np.vstack([d.evaluate(v[:-1]) for v in vals])
+    targets = np.concatenate([v[1:] for v in vals])
+    ref, ref_rms, ref_cond = fit._scaled_lstsq(design, targets, 0.0)
+    m = fit.fit_reduced_map(trajs, d)
+    assert np.linalg.norm(m.coefficients - ref) <= \
+        1e-12 * np.linalg.norm(ref)
+    np.testing.assert_allclose(m.residuals, ref_rms, rtol=1e-12)
+    assert m.condition_number == pytest.approx(ref_cond, rel=1e-12)
+
+
+def test_fit_reduced_map_peak_memory():
+    """Traced peak allocation of a 20 x 600 sample map fit over a 70-term
+    map_2d library, against the 13.4 MB of its complex design: measured
+    4.77x when each trajectory had its own design block, stacked into a
+    second copy and scaled into a third for the pivoted QR, and 2.79x with
+    one evaluation and the row-blocked QR, which holds the design and its
+    reflectors."""
+    d = map_2d_library(5)
+    assert len(d) == 70
+    trajs = annulus_trajectories(np.random.default_rng(8), [600] * 20)
+    design_bytes = 20 * 599 * len(d) * np.dtype(complex).itemsize
+    fit.fit_reduced_map(trajs, d)
+    tracemalloc.start()
+    try:
+        fit.fit_reduced_map(trajs, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * design_bytes
+
+
 def test_integer_only_dictionary_fits_fractional_data_worse():
     spec = planar_spec()
     full = dictionary.dictionary_flow_1d(spec, K=3)
@@ -481,6 +596,41 @@ def test_fit_reduced_flow_linear_decay():
     h = ts[1] - ts[0]
     assert m.coefficients[idx, 0] == pytest.approx(-1.0, abs=10 * h ** 4)
     assert m.kind == "flow"
+
+
+def test_multi_trajectory_flow_fit_matches_stacked_blocks():
+    d = dictionary.dictionary_flow_1d(planar_spec(), K=3)
+    trajs = []
+    for amp, n in ((0.3, 61), (0.8, 45), (0.5, 80)):
+        ts = 0.05 * np.arange(n)
+        trajs.append(flow_traj(ts, amp * np.exp(-ts)
+                               + 0.4 * amp ** 2.5 * np.exp(-2.5 * ts)))
+    design, targets = [], []
+    for t in trajs:
+        vals = d.masters(t.states)
+        design.append(d.evaluate(vals[2:-2]))
+        targets.append(fit._central_differences(vals, t.uniform_step)[0])
+    ref, _, ref_cond = fit._scaled_lstsq(np.vstack(design),
+                                         np.concatenate(targets), 0.0)
+    m = fit.fit_reduced_flow(trajs, d)
+    assert np.linalg.norm(m.coefficients - ref) <= \
+        1e-12 * np.linalg.norm(ref)
+    assert m.condition_number == pytest.approx(ref_cond, rel=1e-12)
+
+
+def test_training_amplitude_counts_every_last_sample():
+    """The largest master amplitude is each trajectory's last sample, which
+    enters no design row of a map fit (the last two enter none of a flow
+    fit); it still sets the trust region."""
+    d = dictionary.integer_dictionary(1, 3)
+    maps = [map_traj(x0 * 1.05 ** np.arange(20)) for x0 in (0.2, 0.3, 0.1)]
+    m = fit.fit_reduced_map(maps, d)
+    assert m.training_amplitude == pytest.approx(0.3 * 1.05 ** 19, rel=1e-15)
+    ts = 0.05 * np.arange(40)
+    flows = [flow_traj(ts, x0 * np.exp(0.2 * ts)) for x0 in (0.2, 0.3, 0.1)]
+    m = fit.fit_reduced_flow(flows, d)
+    assert m.training_amplitude == pytest.approx(0.3 * np.exp(0.2 * ts[-1]),
+                                                 rel=1e-15)
 
 
 def test_fit_reduced_flow_coarse_sampling_raises():
