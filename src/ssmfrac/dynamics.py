@@ -265,8 +265,7 @@ def floquet(sys, periodic_point, T=None, tol=1e-10, periodicity_tol=1e-6):
 # ---------------------------------------------------------------------------
 
 def _planar(a, b, c):
-    if min(a, b, c) <= 0:
-        raise BadParams("planar testbed needs a, b, c > 0")
+    _check_planar(a, b, c)
 
     def f(t, x):
         return np.array([x[0] * (x[1] - b), c * x[1] * (x[0] - a)])
@@ -382,57 +381,109 @@ FORCED_SEEDS = {
 _BRANCH_POINT = -1.0 / math.e
 
 
+def _per_point(kernel, values):
+    """Map a float kernel over values: a float for a float or 0-d input, an
+    array of the input's shape otherwise."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        return kernel(float(arr))
+    return np.array([kernel(v) for v in arr.ravel().tolist()],
+                    dtype=float).reshape(arr.shape)
+
+
+def _lambert_w0_at(z):
+    if not math.isfinite(z):
+        raise OutOfDomain(f"Lambert W argument {z} is not finite")
+    if z < _BRANCH_POINT - 1e-14:
+        raise OutOfDomain("argument below -1/e")
+    if z <= _BRANCH_POINT:
+        return -1.0
+    w = float(lambertw(z, 0).real)
+    try:
+        resid = abs(w * math.exp(w) - z)
+    except OverflowError:
+        resid = math.inf
+    if not resid <= 1e-13 * max(1.0, abs(z)):
+        raise NoConvergence("Lambert W residual above tolerance")
+    return w
+
+
 def lambert_w0(zval):
-    """Principal real Lambert branch W0 on [-1/e, inf), from scipy.
+    """Principal real Lambert branch W0 on [-1/e, inf), from scipy, one
+    point at a time.
 
     The branch point is special-cased: float(-1/e) lies just below the true
     -1/e, where scipy's branch-point series returns NaN, so arguments at or
-    within 1e-14 below it map to W = -1 exactly.
+    within 1e-14 below it map to W = -1 exactly. A non-finite argument, or
+    one further below, raises OutOfDomain; a value whose residual
+    |w e^w - z| exceeds 1e-13 max(1, |z|) raises NoConvergence.
     """
-    z = np.asarray(zval, dtype=float)
-    if (z < _BRANCH_POINT - 1e-14).any():
-        raise OutOfDomain("argument below -1/e")
-    w = np.where(z <= _BRANCH_POINT, -1.0, lambertw(z, 0).real)
-    resid = np.abs(w * np.exp(w) - z)
-    if (resid > 1e-13 * np.maximum(1.0, np.abs(z))).any():
-        raise NoConvergence("Lambert W residual above tolerance")
-    return float(w) if w.ndim == 0 else w
+    return _per_point(_lambert_w0_at, zval)
+
+
+def _check_planar(a, b, c):
+    """The planar family's parameter rule, shared by its testbed and its
+    exact graph."""
+    if not all(math.isfinite(v) and v > 0 for v in (a, b, c)):
+        raise BadParams("planar system needs finite a, b, c > 0")
 
 
 def planar_saddle_constant(a, b, c):
     """Integration constant selecting the graph through the saddle (a, b):
     the level set y - b log y + C = c x - c a log x that contains it."""
-    return b * math.log(b * math.exp(-1.0) * a ** (-c * a / b)) + c * a
+    _check_planar(a, b, c)
+    try:
+        C = b * math.log(b * math.exp(-1.0) * a ** (-c * a / b)) + c * a
+    except (OverflowError, ValueError):
+        C = math.nan
+    if not math.isfinite(C):
+        raise BadParams(f"no finite through-saddle constant at a={a}, "
+                        f"b={b}, c={c}")
+    return C
 
 
-def _graph_constant(a, b, c, C):
+def _planar_graph(a, b, c, C):
+    """The float kernel x -> h(x) of one member of the planar graph family,
+    its constants resolved once."""
+    _check_planar(a, b, c)
     if isinstance(C, str):
         if C != "through-saddle":
             raise InputError(f"unknown constant selector {C!r}")
-        return planar_saddle_constant(a, b, c)
-    return C
+        C = planar_saddle_constant(a, b, c)
+    elif not math.isfinite(C):
+        raise BadParams(f"graph constant C={C} is not finite")
+    scale, power, shift = -(1.0 / b), c * a / b, C / b
+
+    def h(x):
+        if not math.isfinite(x):
+            raise OutOfDomain(f"graph evaluated at non-finite x={x}")
+        if x < 0:
+            raise OutOfDomain("graph evaluated at negative x")
+        # x^(ca/b) is 0 at x = 0, since ca/b > 0
+        try:
+            arg = scale * math.exp(-c * x / b + shift) * x ** power
+        except OverflowError:
+            raise OutOfDomain(f"graph argument overflows at x={x}") from None
+        if not arg >= _BRANCH_POINT - 1e-12:
+            raise OutOfDomain("x outside the heteroclinic range "
+                              "(W branch violated)")
+        return -b * lambert_w0(max(arg, _BRANCH_POINT))
+    return h
 
 
 def exact_graph_planar(a, b, c, C, x):
     """Closed-form slaved coordinate h(x) of the planar invariant graph
-    family; C = "through-saddle" picks the member containing the saddle."""
-    C = _graph_constant(a, b, c, C)
-    x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise OutOfDomain("graph evaluated at negative x")
-    # x^(ca/b) is 0 at x = 0, since ca/b > 0
-    arg = -(1.0 / b) * np.exp(-c * x / b + C / b) * x ** (c * a / b)
-    if (arg < _BRANCH_POINT - 1e-12).any():
-        raise OutOfDomain("x outside the heteroclinic range (W branch violated)")
-    return -b * lambert_w0(np.maximum(arg, _BRANCH_POINT))
+    family; C = "through-saddle" picks the member containing the saddle.
+    Evaluated point by point in float arithmetic: a float for a float or
+    0-d x, an array of x's shape otherwise."""
+    return _per_point(_planar_graph(a, b, c, C), x)
 
 
 def exact_reduced_planar(a, b, c, C="through-saddle"):
     """Exact master-coordinate vector field xdot = x (h(x) - b) on the
-    selected invariant graph."""
-    C = _graph_constant(a, b, c, C)
+    selected invariant graph, evaluated point by point."""
+    h = _planar_graph(a, b, c, C)
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return x * (exact_graph_planar(a, b, c, C, np.abs(x)) - b)
-    return f
+    def at(x):
+        return x * (h(abs(x)) - b)
+    return lambda x: _per_point(at, x)

@@ -448,3 +448,184 @@ def test_exact_reduced_planar_matches_full_flow():
         full = sys.f(0.0, np.array([x, y]))
         assert vf(x) == pytest.approx(full[0], rel=1e-12)
     assert vf(a) == pytest.approx(0.0, abs=1e-12)
+
+
+def oracle_graph(a, b, c, x):
+    """The closed-form graph as one numpy array expression, scipy's W applied
+    to the whole array: the formula the per-point kernel replaced. Returns
+    h and W's argument."""
+    C = b * math.log(b * math.exp(-1.0) * a ** (-c * a / b)) + c * a
+    arg = -(1.0 / b) * np.exp(-c * x / b + C / b) * x ** (c * a / b)
+    return -b * oracle_w0(np.maximum(arg, -1 / math.e)), arg
+
+
+def oracle_w0(z):
+    return np.where(z <= -1 / math.e, -1.0, scipy_lambertw(z).real)
+
+
+@pytest.mark.parametrize("a, b, c", [(1.0, 1.0, 2.5), (2.0, 1.0, 2.5),
+                                     (1.0, 2.0, 0.5), (0.7, 1.3, 3.0)])
+def test_exact_graph_planar_matches_array_oracle(a, b, c):
+    """1e-14 relative, times W's condition number 1/(1 + W) at the
+    argument: numpy's vectorised exp and math.exp may differ in the last
+    bit, and near the branch point W magnifies that by 1/(1 + W)."""
+    x = np.concatenate([np.linspace(0.0, a, 2001),
+                        a * (1 - np.array([1e-6, 1e-7, 1e-8, 1e-9]))])
+    ref, arg = oracle_graph(a, b, c, x)
+    assert np.min(arg[-4:] + 1 / math.e) < 1e-12    # near the branch point
+    got = dynamics.exact_graph_planar(a, b, c, "through-saddle", x)
+    assert got[0] == ref[0] == 0.0
+    cond = 1.0 / np.maximum(1.0 - ref / b, 1e-300)
+    np.testing.assert_array_less(np.abs(got - ref),
+                                 1e-14 * np.maximum(1.0, cond) * np.abs(ref)
+                                 + 1e-300)
+
+
+def test_lambert_w0_matches_array_oracle():
+    bp = -1 / math.e
+    z = np.concatenate([[bp - 1e-15, bp, 0.0, math.e],
+                        bp + np.array([1e-16, 1e-15, 1e-14, 1e-13, 1e-12]),
+                        np.linspace(bp + 1e-9, 5.0, 2001),
+                        np.logspace(1, 300, 60)])
+    ref = oracle_w0(z)
+    got = dynamics.lambert_w0(z)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+    assert got[0] == got[1] == -1.0
+
+
+@pytest.mark.parametrize("values", [0.4, np.float64(0.4), np.array(0.4),
+                                    np.array([0.2, 0.4, 0.6]),
+                                    np.array([[0.2, 0.4], [0.6, 0.8]]),
+                                    np.array([]), np.zeros((2, 0))],
+                         ids=["float", "float64", "0-d", "(n,)", "(n, m)",
+                              "empty", "(2, 0)"])
+def test_exact_planar_shape_contract(values):
+    """A float or 0-d input gives a float; an array gives an array of its
+    shape, each entry the float kernel's value at that point."""
+    vf = dynamics.exact_reduced_planar(1.0, 1.0, 2.5)
+    fns = [dynamics.lambert_w0,
+           lambda v: dynamics.exact_graph_planar(1.0, 1.0, 2.5,
+                                                 "through-saddle", v),
+           vf]
+    for fn in fns:
+        out = fn(values)
+        if np.ndim(values) == 0:
+            assert type(out) is float
+            continue
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert out.shape == np.shape(values)
+        for idx, v in np.ndenumerate(values):
+            assert out[idx] == fn(float(v))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_planar_rejects_non_finite(bad):
+    vf = dynamics.exact_reduced_planar(1.0, 1.0, 2.5)
+    calls = [lambda: dynamics.lambert_w0(bad),
+             lambda: dynamics.lambert_w0(np.array([0.5, bad])),
+             lambda: dynamics.exact_graph_planar(1.0, 1.0, 2.5,
+                                                 "through-saddle", bad),
+             lambda: dynamics.exact_graph_planar(1.0, 1.0, 2.5,
+                                                 "through-saddle",
+                                                 np.array([0.5, bad])),
+             lambda: vf(np.array([bad])),
+             lambda: vf(bad)]
+    for call in calls:
+        with pytest.raises(OutOfDomain):
+            call()
+
+
+@pytest.mark.parametrize("a, b, c, C", [
+    (1.0, -1.0, 2.5, 0.0), (1.0, 0.0, 2.5, 0.0),
+    (-1.0, 1.0, 2.5, "through-saddle"), (math.nan, 1.0, 2.5,
+                                         "through-saddle"),
+    (1.0, 1.0, 0.0, "through-saddle"), (1.0, math.inf, 2.5, 0.0),
+    (1.0, 1.0, 2.5, math.nan), (1.0, 1.0, 2.5, math.inf),
+    # the through-saddle constant underflows (a^(-ca/b) = 0) or overflows
+    (100.0, 0.01, 100.0, "through-saddle"),
+    (0.5, 0.001, 100.0, "through-saddle")])
+def test_exact_planar_bad_params_raise_when_built(a, b, c, C):
+    """BadParams from building the kernel, before any point is evaluated."""
+    with pytest.raises(BadParams):
+        dynamics.exact_reduced_planar(a, b, c, C)
+    with pytest.raises(BadParams):
+        dynamics.exact_graph_planar(a, b, c, C, np.array([]))
+    if isinstance(C, str):
+        with pytest.raises(BadParams):
+            dynamics.planar_saddle_constant(a, b, c)
+
+
+@pytest.mark.parametrize("C, x", [(800.0, 0.0), (0.0, 1e300)],
+                         ids=["exp(C/b)", "x^(ca/b)"])
+def test_exact_graph_planar_overflow_is_out_of_domain(C, x):
+    with pytest.raises(OutOfDomain):
+        dynamics.exact_graph_planar(1.0, 1.0, 2.5, C, x)
+
+
+def test_exact_graph_planar_beyond_the_branch_is_out_of_domain():
+    """Above the saddle's constant (1.5 here) the argument at x = a falls
+    below -1/e, off the principal branch."""
+    assert dynamics.exact_graph_planar(1.0, 1.0, 2.5, 2.0, 0.1) > 0
+    with pytest.raises(OutOfDomain):
+        dynamics.exact_graph_planar(1.0, 1.0, 2.5, 2.0, 1.0)
+
+
+def test_testbed_planar_rejects_non_finite_params():
+    for key in ("a", "b", "c"):
+        with pytest.raises(BadParams):
+            dynamics.testbed("planar", {key: math.inf})
+        with pytest.raises(BadParams):
+            dynamics.testbed("planar", {key: math.nan})
+
+
+@settings(deadline=None)
+@given(a=st.floats(0.3, 3.0), b=st.floats(0.3, 3.0), c=st.floats(0.3, 3.0),
+       frac=st.floats(0.01, 0.99))
+def test_exact_graph_planar_on_its_level_set(a, b, c, frac):
+    """h - b log h + C = c x - c a log x, with no use of W. The bound, 8 eps
+    of the sum of |terms|, counts the nine roundings of forming both sides
+    (eps/2 each) plus a few ulps of W; over 20,000 seeded draws the largest
+    residual measured was 1.84 eps of that sum."""
+    x = frac * a
+    C = dynamics.planar_saddle_constant(a, b, c)
+    h = dynamics.exact_graph_planar(a, b, c, "through-saddle", x)
+    terms = (h, b * math.log(h), C, c * x, c * a * math.log(x))
+    resid = (h - b * math.log(h) + C) - (c * x - c * a * math.log(x))
+    assert abs(resid) <= 8 * np.finfo(float).eps * sum(map(abs, terms))
+
+
+def test_exact_reduced_planar_calls_lambert_w0_once_per_point(monkeypatch):
+    """The field evaluates W0 through the module attribute, once per point,
+    so a wrapper of ``dynamics.lambert_w0`` sees every evaluation."""
+    calls = []
+    inner = dynamics.lambert_w0
+
+    def counting(z):
+        calls.append(z)
+        return inner(z)
+    vf = dynamics.exact_reduced_planar(1.0, 1.0, 2.5)
+    monkeypatch.setattr(dynamics, "lambert_w0", counting)
+    vf(np.array([0.4]))
+    assert len(calls) == 1
+    vf(np.linspace(0.1, 0.9, 7))
+    assert len(calls) == 8
+
+
+# error_table.csv of ``ssmfrac reproduce planar`` as recorded for the
+# benchmark: ic, fractional, integer, dmd and pod mean relative errors
+PLANAR_ERROR_TABLE = [
+    (0.3, 1.196297e-05, 3.311392e-05, 3.010347e-01, 8.284113e-02),
+    (0.45, 5.243661e-06, 2.216989e-05, 2.860584e-01, 7.806679e-02),
+    (0.6, 2.312880e-06, 1.895971e-05, 2.608112e-01, 7.546057e-02),
+    (0.75, 7.994034e-07, 1.423267e-05, 2.161654e-01, 7.580696e-02),
+    (0.9, 1.006097e-07, 1.446981e-05, 1.313165e-01, 8.543223e-02),
+]
+
+
+def test_planar_example_error_table_is_pinned():
+    """Each entry within 2e-6 relative of the recorded table, the tolerance
+    of numbers printed with 7 significant digits."""
+    _, rows = examples.planar().tables["error_table.csv"]
+    assert len(rows) == len(PLANAR_ERROR_TABLE)
+    for got, want in zip(rows, PLANAR_ERROR_TABLE):
+        np.testing.assert_allclose(got, want, rtol=2e-6, atol=0)
