@@ -3,7 +3,7 @@
 Adaptive ODE integration (the embedded Runge-Kutta 5(4) pair, RK45)
 sampled at the times the caller names, the time-T flow map with its
 variational (monodromy) matrix (the 8(5,3) pair, DOP853), which serves both
-the Newton fixed-point search on Poincare maps and Floquet analysis, the
+the Newton fixed-point search on the period map and Floquet analysis, the
 built-in testbed systems, and the Lambert-W exact planar graph used as an
 oracle for the heteroclinic example.
 """
@@ -41,7 +41,7 @@ class FlowSystem:
     dim: int
     f: object                       # f(t, x) -> dx/dt
     jac: object = None              # jac(t, x) -> (dim, dim); flow_map needs it
-    period: float = None            # forcing period for Poincare sections
+    period: float = None            # forcing period, the period map's T
     name: str = ""
     params: dict = field(default_factory=dict)
 
@@ -125,7 +125,7 @@ def integrate(sys, ic, t_span, tol=1e-9, t_eval=None):
 
 
 # ---------------------------------------------------------------------------
-# flow map with sensitivities, Poincare map, fixed points, Floquet
+# flow map with sensitivities, its period, fixed points, Floquet
 # ---------------------------------------------------------------------------
 
 def flow_map(sys, x0, T, tol=1e-10):
@@ -151,20 +151,16 @@ def flow_map(sys, x0, T, tol=1e-10):
     return yT[:n], yT[n:-1].reshape(n, n), float(yT[-1])
 
 
-class PoincareMap:
-    """Time-T flow map of a (forced) system, evaluated with its
-    variational equations for Newton and Floquet analysis."""
-
-    def __init__(self, sys, T=None, tol=1e-10):
-        self.sys = sys
-        self.T = T if T is not None else sys.period
-        if self.T is None:
-            raise InputError("system has no period and none was given")
-        self.tol = tol
-
-    def variational(self, x):
-        """``flow_map`` over one period at this map's tol."""
-        return flow_map(self.sys, x, self.T, self.tol)
+def _period(sys, T):
+    """The period of ``sys``'s time-T map: T, or ``sys.period`` when T is
+    None. A missing, non-finite or non-positive period raises InputError,
+    since the time-0 map fixes every point and a negative one runs the flow
+    backward."""
+    T = sys.period if T is None else T
+    if T is None or not (math.isfinite(T) and T > 0):
+        raise InputError(f"the period map needs a finite period T > 0, "
+                         f"got {T}")
+    return T
 
 
 @dataclass(frozen=True)
@@ -213,13 +209,19 @@ def classify_multipliers(mults, kind="map"):
     return "saddle"
 
 
-def newton_fixed_point(pmap, guess, tol=1e-10, max_iter=50):
-    """Damped Newton iteration for P(x) = x on a PoincareMap. One
-    ``pmap.variational`` integration per trial point gives the residual and
-    the exact jacobian Phi_T - I; the converged point's Phi_T is returned as
-    its Floquet monodromy."""
+def newton_fixed_point(sys, guess, T=None, tol=1e-10, flow_tol=1e-10,
+                       max_iter=50):
+    """Damped Newton iteration for P(x) = x, P the time-T map of ``sys``
+    (T defaults to its period). One ``flow_map`` integration at
+    ``flow_tol`` per trial point gives the residual and the exact jacobian
+    Phi_T - I; the converged point's Phi_T is returned as its Floquet
+    monodromy. tol must be finite and > 0; a step that 20 halvings leave
+    without a lower residual raises NoConvergence."""
+    T = _period(sys, T)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"Newton tol must be finite and > 0, got {tol}")
     x = np.asarray(guess, dtype=float)
-    fx, Phi, trace_integral = pmap.variational(x)
+    fx, Phi, trace_integral = flow_map(sys, x, T, flow_tol)
     rnorm = np.linalg.norm(fx - x)
     for it in range(max_iter + 1):
         if rnorm < tol:
@@ -233,14 +235,15 @@ def newton_fixed_point(pmap, guess, tol=1e-10, max_iter=50):
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("singular Newton system") from exc
         # damped line search: halve until the residual actually drops
-        lam = 1.0
-        for _ in range(25):
-            xn = x + lam * delta
-            fn, Phin, trn = pmap.variational(xn)
+        for halvings in range(21):
+            xn = x + 0.5 ** halvings * delta
+            fn, Phin, trn = flow_map(sys, xn, T, flow_tol)
             rn = np.linalg.norm(fn - xn)
-            if rn < rnorm or lam < 1e-6:
+            if rn < rnorm:
                 break
-            lam *= 0.5
+        else:
+            raise NoConvergence(f"Newton stalled at residual {rnorm:.3g}: "
+                                f"no decrease along the step down to 2^-20")
         x, fx, Phi, trace_integral, rnorm = xn, fn, Phin, trn, rn
     raise NoConvergence(f"Newton stalled at residual {rnorm:.3g}")
 
@@ -249,9 +252,7 @@ def floquet(sys, periodic_point, T=None, tol=1e-10, periodicity_tol=1e-6):
     """Monodromy Phi_T of ``flow_map`` at a point that returns to itself
     within ``periodicity_tol`` (relative); ``determinant_check`` is
     det(Phi_T) / exp(int tr J), 1 by Liouville's formula."""
-    T = T if T is not None else sys.period
-    if T is None:
-        raise InputError("period required")
+    T = _period(sys, T)
     x0 = np.asarray(periodic_point, dtype=float)
     xT, M, trace_integral = flow_map(sys, x0, T, tol)
     gap = np.linalg.norm(xT - x0)
@@ -432,10 +433,7 @@ def planar_saddle_constant(a, b, c):
     """Integration constant selecting the graph through the saddle (a, b):
     the level set y - b log y + C = c x - c a log x that contains it."""
     _check_planar(a, b, c)
-    try:
-        C = b * math.log(b * math.exp(-1.0) * a ** (-c * a / b)) + c * a
-    except (OverflowError, ValueError):
-        C = math.nan
+    C = b * (math.log(b) - 1.0) - c * a * math.log(a) + c * a
     if not math.isfinite(C):
         raise BadParams(f"no finite through-saddle constant at a={a}, "
                         f"b={b}, c={c}")
@@ -459,9 +457,11 @@ def _planar_graph(a, b, c, C):
             raise OutOfDomain(f"graph evaluated at non-finite x={x}")
         if x < 0:
             raise OutOfDomain("graph evaluated at negative x")
-        # x^(ca/b) is 0 at x = 0, since ca/b > 0
+        # one exp of the summed logs, so that only an argument itself out
+        # of float range overflows; x^(ca/b) is 0 at x = 0, since ca/b > 0
         try:
-            arg = scale * math.exp(-c * x / b + shift) * x ** power
+            arg = scale * (math.exp(-c * x / b + shift + power * math.log(x))
+                           if x > 0 else 0.0)
         except OverflowError:
             raise OutOfDomain(f"graph argument overflows at x={x}") from None
         if not arg >= _BRANCH_POINT - 1e-12:

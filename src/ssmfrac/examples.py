@@ -39,8 +39,11 @@ def planar():
     frac = fit.fit_reduced_flow(train, built, ridge=1e-12)
     integer = fit.fit_reduced_flow(train, dct.integer_dictionary(1, 5),
                                    ridge=1e-12)
-    dmd = fit.dmd_fit(Trajectory(times=np.arange(len(train[0]), dtype=float),
-                                 states=train[0].states, kind="map"))
+    # DMD: the one-step linear propagator, the degree-1 integer map fit
+    dmd = fit.fit_reduced_map(
+        Trajectory(times=np.arange(len(train[0]), dtype=float),
+                   states=train[0].states, kind="map"),
+        dct.integer_dictionary(1, 1)).coefficients.T
     pod = fit.pod_reduced_model_planar(a, b, c, K=0.95764)
 
     rows = []                   # ic, then each model's mean relative error
@@ -141,13 +144,13 @@ def shaw_pierre_forced():
     Floquet multipliers, from the monodromy Newton converged with; raw
     result ``orbits``, {label: (FixedPointResult, FloquetResult)}."""
     c, m, A_f, Omega = 0.03, 1.0, 0.11, 1.07
-    T = 2.0 * np.pi / Omega
     sys_ = dynamics.testbed("shaw_pierre",
                             params=dict(c=c, A=A_f, Omega=Omega))
-    pmap = dynamics.PoincareMap(sys_, T=T, tol=1e-11)
+    T = sys_.period
     found = {}
     for label, seed in dynamics.FORCED_SEEDS.items():
-        res = dynamics.newton_fixed_point(pmap, seed, tol=1e-9)
+        res = dynamics.newton_fixed_point(sys_, seed, tol=1e-9,
+                                          flow_tol=1e-11)
         found[label] = (res, res.floquet)
 
     locs = [res.location for res, _ in found.values()]

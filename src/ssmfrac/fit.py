@@ -1,6 +1,7 @@
 """Least-squares identification of invariant-graph and reduced-dynamics
 models over a monomial dictionary, prediction with fitted models, error
-metrics, and the POD/DMD baselines.
+metrics, and the POD baseline. The DMD baseline is the reduced-map fit over
+the degree-1 integer library, whose columns are the states themselves.
 
 All fits, the DMD baseline included, are plain linear least squares on a
 design matrix, solved by one routine; a fit over several trajectories
@@ -321,8 +322,8 @@ def fit_reduced_map(series, dictionary, ridge=0.0):
 
 
 def _central_differences(values, h):
-    """4th-order interior derivative estimates plus a Richardson-style error
-    bound from the 2nd-order estimates. Drops two samples at each end."""
+    """(4th-order, 2nd-order) central-difference derivative estimates at
+    the interior samples; drops two samples at each end."""
     v = values
     d4 = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
     d2 = (v[3:-1] - v[1:-3]) / (2.0 * h)
@@ -444,17 +445,6 @@ def relative_error(true, pred):
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
-
-def dmd_fit(snapshots):
-    """One-step linear propagator A with x(i+1) = A x(i), least squares
-    by the column-scaled solver of the dictionary fits."""
-    states = snapshots.states if isinstance(snapshots, Trajectory) else \
-        np.atleast_2d(np.asarray(snapshots, dtype=float))
-    n_samp, n = states.shape
-    if n_samp < n + 1:
-        raise InsufficientData(f"need at least {n + 1} snapshots, got {n_samp}")
-    return _scaled_lstsq(states[:-1], states[1:], 0.0)[0].T
-
 
 def pod_reduced_model_planar(a, b, c, K):
     """Closed-form 1D quadratic model along the leading data mode of slope K:

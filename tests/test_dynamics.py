@@ -144,10 +144,9 @@ def test_flow_map_over_zero_time_is_the_identity():
 
 @pytest.fixture(scope="module")
 def forced_fixed_points():
-    """Newton results on the forced chain's period map (tol 1e-10), by
-    seed label."""
-    pmap = dynamics.PoincareMap(forced_system())
-    return {name: dynamics.newton_fixed_point(pmap, seed, tol=1e-9)
+    """Newton results on the forced chain's period map (flow tol 1e-10),
+    by seed label."""
+    return {name: dynamics.newton_fixed_point(forced_system(), seed, tol=1e-9)
             for name, seed in dynamics.FORCED_SEEDS.items()}
 
 
@@ -165,6 +164,67 @@ def test_forced_chain_has_three_distinct_fixed_points(forced_fixed_points):
         prod = np.prod(r.multipliers).real
         assert prod == pytest.approx(math.exp(-3 * 0.03 * FORCED_T),
                                      rel=1e-3)
+
+
+def count_flow_maps(monkeypatch):
+    """The argument tuples of every ``dynamics.flow_map`` call from here
+    on."""
+    calls, solve = [], dynamics.flow_map
+    monkeypatch.setattr(dynamics, "flow_map",
+                        lambda *args, **kw: calls.append(args)
+                        or solve(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("params, T", [
+    (FORCED_PARAMS, 0.0), (FORCED_PARAMS, -1.0), (FORCED_PARAMS, math.nan),
+    (FORCED_PARAMS, math.inf), ({}, None)],
+    ids=["zero", "negative", "nan", "inf", "no-period"])
+def test_period_map_needs_a_finite_positive_period(params, T, monkeypatch):
+    """The time-0 map fixes every point and a negative T runs the flow
+    backward, so Newton and floquet refuse a missing, non-finite or
+    non-positive period as bad input (exit 2), before any integration."""
+    calls = count_flow_maps(monkeypatch)
+    sys = dynamics.testbed("shaw_pierre", params)
+    seed = dynamics.FORCED_SEEDS["middle"]
+    with pytest.raises(InputError):
+        dynamics.newton_fixed_point(sys, seed, T=T)
+    with pytest.raises(InputError):
+        dynamics.floquet(sys, seed, T=T)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_newton_refuses_a_tolerance_that_is_not_positive(tol, monkeypatch):
+    calls = count_flow_maps(monkeypatch)
+    with pytest.raises(InputError):
+        dynamics.newton_fixed_point(forced_system(),
+                                    dynamics.FORCED_SEEDS["middle"], tol=tol,
+                                    flow_tol=1e-11)
+    assert calls == []
+
+
+def test_newton_below_round_off_stops_at_a_failed_line_search(monkeypatch):
+    """tol 1e-16 lies below the middle orbit's round-off floor (a residual
+    of about 3.5e-16 at flow tol 1e-11). Newton raises NoConvergence once
+    the 21 trial points of one step, down to 2^-20 of it, find no lower
+    residual; accepting the last trial instead went on for 991 solves."""
+    calls = count_flow_maps(monkeypatch)
+    with pytest.raises(NoConvergence):
+        dynamics.newton_fixed_point(forced_system(),
+                                    dynamics.FORCED_SEEDS["middle"],
+                                    tol=1e-16, flow_tol=1e-11)
+    assert len(calls) <= 25
+
+
+def test_forced_example_newton_work(monkeypatch):
+    """Each of the forced example's orbits converges in one Newton
+    iteration from its seed, so its six flow_map solves are one at each
+    seed and one at each full step: no line search halves a step."""
+    calls = count_flow_maps(monkeypatch)
+    orbits = examples.shaw_pierre_forced().orbits
+    assert [res.iterations for res, _ in orbits.values()] == [1, 1, 1]
+    assert len(calls) == 6
 
 
 def test_unforced_linear_map_multipliers():
@@ -540,10 +600,7 @@ def test_exact_planar_rejects_non_finite(bad):
     (-1.0, 1.0, 2.5, "through-saddle"), (math.nan, 1.0, 2.5,
                                          "through-saddle"),
     (1.0, 1.0, 0.0, "through-saddle"), (1.0, math.inf, 2.5, 0.0),
-    (1.0, 1.0, 2.5, math.nan), (1.0, 1.0, 2.5, math.inf),
-    # the through-saddle constant underflows (a^(-ca/b) = 0) or overflows
-    (100.0, 0.01, 100.0, "through-saddle"),
-    (0.5, 0.001, 100.0, "through-saddle")])
+    (1.0, 1.0, 2.5, math.nan), (1.0, 1.0, 2.5, math.inf)])
 def test_exact_planar_bad_params_raise_when_built(a, b, c, C):
     """BadParams from building the kernel, before any point is evaluated."""
     with pytest.raises(BadParams):
@@ -555,11 +612,36 @@ def test_exact_planar_bad_params_raise_when_built(a, b, c, C):
             dynamics.planar_saddle_constant(a, b, c)
 
 
+@pytest.mark.parametrize("a, b, c, C", [
+    (100.0, 0.01, 100.0, -36051.757911582776),
+    (0.5, 0.001, 100.0, 84.64945127271828)],
+    ids=["100.0-0.01-100.0-through-saddle", "0.5-0.001-100.0-through-saddle"])
+def test_planar_saddle_constant_in_log_form(a, b, c, C):
+    """b (log b - 1) - c a log a + c a stays finite where the product
+    b log(b e^-1 a^(-ca/b)) under- or overflows (a^(-ca/b) = 0 or inf)."""
+    assert dynamics.planar_saddle_constant(a, b, c) == \
+        pytest.approx(C, rel=1e-15)
+    dynamics.exact_reduced_planar(a, b, c)
+
+
 @pytest.mark.parametrize("C, x", [(800.0, 0.0), (0.0, 1e300)],
                          ids=["exp(C/b)", "x^(ca/b)"])
-def test_exact_graph_planar_overflow_is_out_of_domain(C, x):
+def test_exact_graph_planar_factors_out_of_range_alone(C, x):
+    """The graph's argument is one exp of the summed logs, so factors
+    exp(C/b) or x^(ca/b) out of float range leave h = +0.0 where the
+    argument itself is 0 (at x = 0) or underflows (at x = 1e300)."""
+    h = dynamics.exact_graph_planar(1.0, 1.0, 2.5, C, x)
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
+@pytest.mark.parametrize("a, b, c, C, x", [
+    (1.0, 1.0, 2.5, 800.0, 0.5), (1000.0, 1.0, 1.0, 0.0, 1000.0)],
+    ids=["exp(C/b)", "x^(ca/b)"])
+def test_exact_graph_planar_overflow_is_out_of_domain(a, b, c, C, x):
+    """The argument itself leaves float range: exp(800 - 1.25 + 2.5 log
+    0.5), and exp(1000 log 1000 - 1000) at x = a."""
     with pytest.raises(OutOfDomain):
-        dynamics.exact_graph_planar(1.0, 1.0, 2.5, C, x)
+        dynamics.exact_graph_planar(a, b, c, C, x)
 
 
 def test_exact_graph_planar_beyond_the_branch_is_out_of_domain():

@@ -829,9 +829,23 @@ def test_graph_model_from_json_rejects_fractional_coordinates(tmp_path):
 # baselines
 # ---------------------------------------------------------------------------
 
+def dmd(states):
+    """The DMD propagator A, x(i+1) = A x(i), of a snapshot array: the
+    reduced-map fit over the degree-1 integer library, whose columns are
+    the states. Its coefficient rows follow the library's canonical term
+    order (x2 before x1), so they are picked by multi-index."""
+    n = states.shape[1]
+    d = dictionary.integer_dictionary(n, 1)
+    model = fit.fit_reduced_map(
+        Trajectory(times=np.arange(len(states), dtype=float), states=states,
+                   kind="map"), d)
+    rows = [d.multi_indices.index(tuple(np.eye(n, dtype=int)[j]))
+            for j in range(n)]
+    return model.coefficients[rows].T
+
+
 def test_dmd_linear_decay():
-    vals = 0.5 ** np.arange(8)
-    A = fit.dmd_fit(map_traj(vals))
+    A = dmd(0.5 ** np.arange(8)[:, None])
     assert A.shape == (1, 1)
     assert A[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -849,7 +863,7 @@ def linear_snapshots(scales=(1.0, 1.0)):
 def test_dmd_matches_numpy_lstsq_on_noisy_data():
     states = linear_snapshots()
     ref, _, _, _ = np.linalg.lstsq(states[:-1], states[1:], rcond=None)
-    np.testing.assert_allclose(fit.dmd_fit(states), ref.T, rtol=0,
+    np.testing.assert_allclose(dmd(states), ref.T, rtol=0,
                                atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -857,7 +871,7 @@ def test_dmd_identical_state_columns_are_rank_deficient():
     """A numerical failure, which the CLI reports with exit code 3."""
     states = linear_snapshots()[:, [0, 0]]
     with pytest.raises(RankDeficient):
-        fit.dmd_fit(states)
+        dmd(states)
     assert issubclass(RankDeficient, NumericalError)
 
 
@@ -867,15 +881,15 @@ def test_dmd_badly_scaled_full_rank_snapshots_fit():
     scales = np.array([1e-7, 1e7])
     states = linear_snapshots(scales)
     assert np.linalg.cond(states[:-1]) > fit.RANK_DEFICIENT_COND
-    got = fit.dmd_fit(states)
-    unscaled = fit.dmd_fit(linear_snapshots())
-    np.testing.assert_allclose(got / np.outer(scales, 1.0 / scales),
-                               unscaled, rtol=1e-10)
+    np.testing.assert_allclose(dmd(states) / np.outer(scales, 1.0 / scales),
+                               dmd(linear_snapshots()), rtol=1e-10)
 
 
 def test_dmd_insufficient_snapshots():
+    """Two snapshots of two states give one equation per channel for two
+    coefficients."""
     with pytest.raises(InsufficientData):
-        fit.dmd_fit(np.ones((2, 2)))
+        dmd(np.ones((2, 2)))
 
 
 def test_pod_reduced_model_planar_values():
