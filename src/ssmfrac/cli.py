@@ -152,8 +152,8 @@ def cmd_spectrum(args):
             A = read_table(args.matrix)[1]
         else:
             raise InputError("need --matrix, --testbed, or --map-logs")
-        part = spectrum.partition_spectrum(
-            A, spectrum.slowest(args.masters, args.kind), kind=args.kind)
+        part = spectrum.partition_spectrum(A, spectrum.slowest(args.masters),
+                                           kind=args.kind)
     # every number is computed before the first file is written
     ratios = spectrum.spectral_ratio_table(part)
     smooth = spectrum.smoothness_class(part)

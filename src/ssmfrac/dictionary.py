@@ -3,9 +3,8 @@
 Two layers:
 
 * the linear-system invariant graph families V (real, slaved-real channels)
-  and E (complex, slaved-pair channels) with their piecewise-constant
-  coefficient splits, evaluated as one array expression over the spectral
-  quotient matrix;
+  and E (complex, slaved-pair channels), their coefficients one matrix laid
+  out as the spectral quotient matrix, evaluated as one array expression;
 * truncated monomial dictionaries for single-master graphs and reduced
   dynamics: terms u^{k1} |u|^{rho-weighted} for a real master,
   z^{k2} zbar^{k3} |z|^{Xi} e^{i Gamma log|z|} for a complex master pair,
@@ -151,7 +150,7 @@ def _term_exponents(spec, family, indices):
 # compiled evaluation
 # ---------------------------------------------------------------------------
 
-EVAL_BLOCK_ROWS = 4096      # bounds the (samples, terms) temporaries
+EVAL_BLOCK_ROWS = 512       # bounds the (samples, terms) temporaries
 
 
 def _compile(indices, width, exponents, positive_only):
@@ -574,33 +573,36 @@ def dictionary_from_json(source):
 
 @dataclass(frozen=True)
 class LinearGraphCoeffs:
-    """Coefficients of the linear-system invariant graph families.
-
-    K (r x p real), L (r x q real), O (s x p complex), Q (s x q complex).
-    ``K_neg``/``O_neg`` optionally hold the branch used at u_j <= 0; when
+    """Coefficients of the linear-system invariant graph families: one
+    complex matrix C laid out as ``SpectralPartition.quotients``, rows kappa
+    (channel V, so real) then beta_nu, columns lam then alpha_omega.
+    ``C_neg`` optionally holds the p lam columns used at u_j <= 0; when
     None the graph is symmetric (same constant both sides).
     """
 
-    K: tuple = ()
-    L: tuple = ()
-    O: tuple = ()
-    Q: tuple = ()
-    K_neg: tuple = None
-    O_neg: tuple = None
+    C: tuple
+    C_neg: tuple = None
 
     @staticmethod
     def zeros(spec):
-        z = lambda rows, cols: tuple(tuple(0.0 for _ in range(cols))
-                                     for _ in range(rows))
-        return LinearGraphCoeffs(K=z(spec.r, spec.p), L=z(spec.r, spec.q),
-                                 O=z(spec.s, spec.p), Q=z(spec.s, spec.q))
+        return LinearGraphCoeffs(C=tuple((0.0,) * (spec.p + spec.q)
+                                         for _ in range(spec.r + spec.s)))
 
 
-def _coefficient_block(values, rows, cols):
-    """A LinearGraphCoeffs entry as a (rows, cols) complex matrix; an empty
-    entry is all zeros."""
-    return np.asarray(values if np.size(values) else np.zeros((rows, cols)),
-                      dtype=complex).reshape(rows, cols)
+def _coefficient_matrix(values, spec, cols, name):
+    """A LinearGraphCoeffs matrix as an (r + s, cols) complex array; any
+    other shape raises WrongShape, and an imaginary part in the first r
+    rows (the real channel V) InputError."""
+    rows = spec.r + spec.s
+    try:
+        c = np.asarray(values, dtype=complex)
+    except ValueError as exc:                # ragged rows, or not numbers
+        raise WrongShape(f"{name} must be a {rows} x {cols} matrix") from exc
+    if c.shape != (rows, cols) and not c.size == rows * cols == 0:
+        raise WrongShape(f"{name} must be {rows} x {cols}, got {c.shape}")
+    if c[:spec.r].imag.any():
+        raise InputError(f"the first {spec.r} rows of {name} must be real")
+    return c.reshape(rows, cols)
 
 
 def linear_graph_eval(spec, coeffs, point):
@@ -610,32 +612,29 @@ def linear_graph_eval(spec, coeffs, point):
     leading axes broadcast, so a single point gives (v in R^r, w in C^s)
     and a stack of points a stack of them. Slaved channel i carries
     c_ij |x_j|^amp[i, j] for each master x_j, with |x_j| <=
-    TINY_AMPLITUDE counted as 0 and the K_neg/O_neg coefficient where
-    u_j <= 0, times, on a slaved pair, the phase e^{i sum_j phase[i, j]
-    log|x_j|}, where (amp, phase) = spec.quotients() with the phase shared
-    among the p + q masters, so that w turns at the slaved pair's own rate
-    along the linear dynamics. Map families need kappa_l > 0. Coefficient
-    entries attached to non-positive exponent ratios must be zero; the
-    term is skipped either way, matching the constraint that forces them
-    to vanish, and so is a term with a zero coefficient.
+    TINY_AMPLITUDE counted as 0 and C_neg's entry where u_j <= 0, times,
+    on a slaved pair, the phase e^{i sum_j phase[i, j] log|x_j|}, where
+    (amp, phase) = spec.quotients() with the phase shared among the p + q
+    masters, so that w turns at the slaved pair's own rate along the
+    linear dynamics. Map families need kappa_l > 0. Coefficient entries
+    attached to non-positive exponent ratios must be zero; the term is
+    skipped either way, matching the constraint that forces them to
+    vanish, and so is a term with a zero coefficient. A point or matrix
+    of the wrong shape raises WrongShape.
     """
     u, z = point
     u = np.atleast_1d(np.asarray(u, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if u.shape[-1] != spec.p or z.shape[-1] != spec.q:
-        raise InputError("point shape does not match the partition")
+        raise WrongShape("point shape does not match the partition")
     amp, phase = _quotients(spec)
     lead = np.broadcast_shapes(u.shape[:-1], z.shape[:-1])
     x = np.concatenate([np.broadcast_to(u, lead + u.shape[-1:]),
                         np.broadcast_to(z, lead + z.shape[-1:])], axis=-1)
-    r, s, p, q = spec.r, spec.s, spec.p, spec.q
-    K_neg = coeffs.K if coeffs.K_neg is None else coeffs.K_neg
-    O_neg = coeffs.O if coeffs.O_neg is None else coeffs.O_neg
-    pos, neg = (np.block([[_coefficient_block(K, r, p),
-                           _coefficient_block(coeffs.L, r, q)],
-                          [_coefficient_block(O, s, p),
-                           _coefficient_block(coeffs.Q, s, q)]])
-                for K, O in ((coeffs.K, coeffs.O), (K_neg, O_neg)))
+    r, p, q = spec.r, spec.p, spec.q
+    pos = _coefficient_matrix(coeffs.C, spec, p + q, "C")
+    neg = pos if coeffs.C_neg is None else np.hstack(
+        [_coefficient_matrix(coeffs.C_neg, spec, p, "C_neg"), pos[:, p:]])
     # the z columns of neg are those of pos, so x.real <= 0 picks u_j <= 0
     c = np.where((x.real <= 0)[..., None, :], neg, pos)
     # |x| to within an ulp, which a large quotient amplifies

@@ -215,11 +215,14 @@ def newton_fixed_point(sys, guess, T=None, tol=1e-10, flow_tol=1e-10,
     (T defaults to its period). One ``flow_map`` integration at
     ``flow_tol`` per trial point gives the residual and the exact jacobian
     Phi_T - I; the converged point's Phi_T is returned as its Floquet
-    monodromy. tol must be finite and > 0; a step that 20 halvings leave
-    without a lower residual raises NoConvergence."""
+    monodromy. tol must be finite and > 0, max_iter an int >= 0; a step
+    that 20 halvings leave without a lower residual raises NoConvergence."""
     T = _period(sys, T)
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"Newton tol must be finite and > 0, got {tol}")
+    if isinstance(max_iter, bool) or not (
+            isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+        raise InputError(f"Newton max_iter must be an int >= 0: {max_iter!r}")
     x = np.asarray(guess, dtype=float)
     fx, Phi, trace_integral = flow_map(sys, x, T, flow_tol)
     rnorm = np.linalg.norm(fx - x)

@@ -20,7 +20,7 @@ from .dictionary import _term_exponents, family_of, linear_graph_eval
 from .errors import (InputError, NoConvergence, OutOfRadius, SmallDivisor,
                      WrongShape)
 from .jsonio import dump_json
-from .spectrum import conjugate_partners, exponent_vectors
+from .spectrum import CONJUGATE_RTOL, conjugate_partners, exponent_vectors
 
 SMALL_DIVISOR_FACTOR = 1e-8
 COEFF_DROP = 1e-14
@@ -303,9 +303,10 @@ def pullback_graph(transform, spec, coeffs, master_grid, radius=np.inf):
 
     master_grid: iterable of (u, z) master points, u a length-p real tuple
     and z a length-q complex tuple; the graph is evaluated on the whole
-    grid in one ``linear_graph_eval`` call. Coordinate order of the output
-    matches the transform: masters (reals, then pairs as z, conj z), then
-    slaved (reals, then pairs as w, conj w).
+    grid in one ``linear_graph_eval`` call. Each sample coordinate (in
+    ``spec.all_eigenvalues`` order) goes to the transform coordinate with
+    the same eigenvalue; sets that do not match one to one, within
+    CONJUGATE_RTOL times the largest modulus, raise WrongShape.
     """
     grid = list(master_grid)
     u = np.array([np.atleast_1d(u) for u, _ in grid], dtype=float)
@@ -313,9 +314,18 @@ def pullback_graph(transform, spec, coeffs, master_grid, radius=np.inf):
     v, w = linear_graph_eval(spec, coeffs, (u, z))
     # each pair as its value and its conjugate, side by side
     zz, ww = (np.stack([c, c.conj()], -1).reshape(len(c), -1) for c in (z, w))
-    y = np.hstack([u, zz, v, ww])
-    if y.shape[1] != transform.dimension:
+    samples = np.hstack([u, zz, v, ww])
+    eigs = np.asarray(transform.eigenvalues, dtype=complex)
+    if len(eigs) != samples.shape[1]:
         raise WrongShape("graph sample dimension does not match transform")
+    tol = CONJUGATE_RTOL * np.abs(eigs).max(initial=0.0)
+    y, free = np.empty_like(samples), np.ones(len(eigs), dtype=bool)
+    for col, lam in zip(samples.T, spec.all_eigenvalues()):
+        gap = np.where(free, np.abs(eigs - lam), np.inf)
+        k = int(np.argmin(gap))
+        if not gap[k] <= tol:
+            raise WrongShape(f"no transform coordinate has eigenvalue {lam}")
+        y[:, k], free[k] = col, False
     if np.max(np.abs(y)) > radius:
         raise OutOfRadius(
             f"sample amplitude {np.max(np.abs(y)):.3g} outside the "

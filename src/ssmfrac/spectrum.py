@@ -6,10 +6,10 @@ class of the generic invariant-manifold family, and runs the pseudo-unstable
 subspace test.
 
 This module is the one place that computes an eigenvalue's rate, the
-spectral quotients of a partition and the pairing of conjugate eigenvalues,
-and it holds the one enumerator of integer exponent vectors
-(``exponent_vectors``); the dictionaries, the normal forms and the command
-line read them from here.
+spectral quotients of a partition, the pairing of conjugate eigenvalues and
+a partition's layout (``all_eigenvalues``, ``quotients``), and it holds the
+one enumerator of integer exponent vectors (``exponent_vectors``); the
+dictionaries, the normal forms and the command line read them from here.
 
 Conventions
 -----------
@@ -159,23 +159,23 @@ class SpectralPartition:
 
     # -- eigenvalue access ---------------------------------------------------
 
-    def master_eigenvalues(self, conjugates=False):
+    def master_eigenvalues(self):
+        """One per column of ``quotients``: lam, then alpha + i omega."""
         vals = [complex(x) for x in self.lam]
-        vals += [complex(a, w) for a, w in self.alpha_omega]
-        if conjugates:
-            vals += [complex(a, -w) for a, w in self.alpha_omega]
-        return vals
+        return vals + [complex(a, w) for a, w in self.alpha_omega]
 
-    def slaved_eigenvalues(self, conjugates=False):
+    def slaved_eigenvalues(self):
+        """One per row of ``quotients``: kappa, then beta + i nu."""
         vals = [complex(x) for x in self.kappa]
-        vals += [complex(b, nu) for b, nu in self.beta_nu]
-        if conjugates:
-            vals += [complex(b, -nu) for b, nu in self.beta_nu]
-        return vals
+        return vals + [complex(b, nu) for b, nu in self.beta_nu]
 
-    def all_eigenvalues(self, conjugates=True):
-        return (self.master_eigenvalues(conjugates)
-                + self.slaved_eigenvalues(conjugates))
+    def all_eigenvalues(self):
+        """Every eigenvalue in state-coordinate order: the master reals, each
+        master pair as value then conjugate, then the slaved block alike."""
+        return [z for reals, pairs in ((self.lam, self.alpha_omega),
+                                       (self.kappa, self.beta_nu))
+                for z in [complex(x) for x in reals]
+                + [complex(a, im) for a, w in pairs for im in (w, -w)]]
 
     def quotients(self):
         """Spectral quotients of every slaved entry (rows: ``kappa``, then
@@ -266,13 +266,13 @@ class SpectralPartition:
 # master selectors
 # ---------------------------------------------------------------------------
 
-def slowest(n_dims, kind="flow"):
-    """Selector keeping the n_dims slowest real dimensions (a conjugate pair
-    counts as two)."""
+def slowest(n_dims):
+    """Selector keeping the n_dims slowest real dimensions by the rate of
+    the partition's kind (a conjugate pair counts as two)."""
     if n_dims < 1:
         raise InputError(f"need at least one master dimension, got {n_dims}")
 
-    def select(eigs):
+    def select(eigs, kind):
         partner = conjugate_partners(eigs)
         order = sorted(range(len(eigs)), key=lambda i: (
             abs(rate(eigs[i], kind)), abs(eigs[i].imag)))
@@ -293,13 +293,6 @@ def slowest(n_dims, kind="flow"):
     return select
 
 
-def select_where(pred):
-    """Selector from a per-eigenvalue predicate on complex eigenvalues."""
-    def select(eigs):
-        return np.array([bool(pred(z)) for z in eigs])
-    return select
-
-
 # ---------------------------------------------------------------------------
 # partitioning
 # ---------------------------------------------------------------------------
@@ -310,7 +303,7 @@ def partition_spectrum(A, master_selector, kind="flow"):
     Parameters
     ----------
     A : (n, n) array_like, real
-    master_selector : callable(eigs: complex ndarray) -> boolean mask
+    master_selector : callable(eigs: complex ndarray, kind) -> boolean mask
         The selected set must be closed under conjugation.
     kind : "flow" | "map"
     """
@@ -326,7 +319,7 @@ def partition_spectrum(A, master_selector, kind="flow"):
     scale = max(np.linalg.norm(A, 2), 1e-300)
     _check_hyperbolic(eigs, kind, scale)
 
-    mask = np.asarray(master_selector(eigs), dtype=bool)
+    mask = np.asarray(master_selector(eigs, kind), dtype=bool)
     if mask.shape != eigs.shape:
         raise InputError("master selector returned a mask of wrong length")
     partner = conjugate_partners(eigs, CONJUGATE_RTOL * scale)
@@ -388,7 +381,7 @@ def check_nonresonance(spec: SpectralPartition, max_order: int) -> ResonanceRepo
     """
     if max_order < 2:
         raise InputError("max_order must be >= 2")
-    eigs = np.array(_dedupe(spec.all_eigenvalues(conjugates=True)))
+    eigs = np.array(_dedupe(spec.all_eigenvalues()))
     # d-tuples with 2 <= sum <= max_order: C(d + max_order, d) - 1 - d
     count = math.comb(len(eigs) + max_order, len(eigs)) - 1 - len(eigs)
     if count > MAX_TERMS:
@@ -450,11 +443,6 @@ def spectral_ratio_table(spec: SpectralPartition):
 class PseudoUnstableResult:
     holds: bool
     a_interval: tuple        # open interval (lo, hi), possibly empty (lo>=hi)
-    a_below_one: bool = False
-
-    def __iter__(self):      # allow (holds, interval) unpacking
-        yield self.holds
-        yield self.a_interval if self.holds else None
 
 
 def _restriction(Df0, basis, scale):
@@ -499,7 +487,5 @@ def pseudo_unstable_check(Df0, split, r):
         raise NonInvariantSplit("Df0 restricted to U is singular") from exc
     lo = inv_norm
     hi = np.linalg.norm(M_S, 2) ** (-1.0 / r)
-    holds = lo < hi
-    return PseudoUnstableResult(holds=holds, a_interval=(lo, hi),
-                                a_below_one=holds and lo < 1.0)
+    return PseudoUnstableResult(holds=lo < hi, a_interval=(lo, hi))
 

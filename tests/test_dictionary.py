@@ -659,7 +659,7 @@ def test_linear_graph_zero_coeffs_gives_zero():
 def test_linear_graph_planar_power_law():
     spec = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
                                       kappa=(-2.5,))
-    coeffs = dictionary.LinearGraphCoeffs(K=((0.7,),))
+    coeffs = dictionary.LinearGraphCoeffs(C=((0.7,),))
     for u in (0.3, -0.8, 1.5):
         v, _ = dictionary.linear_graph_eval(spec, coeffs, ([u], []))
         assert v[0] == pytest.approx(0.7 * abs(u) ** 2.5, rel=1e-12)
@@ -669,7 +669,7 @@ def test_linear_graph_complex_channel_shaw_pierre():
     spec = shaw_pierre_spec()
     alpha, _ = spec.alpha_omega[0]
     beta, nu = spec.beta_nu[0]
-    coeffs = dictionary.LinearGraphCoeffs(Q=((1.0 + 0.0j,),))
+    coeffs = dictionary.LinearGraphCoeffs(C=((1.0 + 0.0j,),))
     z = 0.2 + 0.15j
     _, w = dictionary.linear_graph_eval(spec, coeffs, ([], [z]))
     expected = abs(z) ** (beta / alpha) * np.exp(
@@ -680,7 +680,7 @@ def test_linear_graph_complex_channel_shaw_pierre():
 def test_linear_graph_zero_at_origin():
     spec = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
                                       kappa=(-2.5,))
-    coeffs = dictionary.LinearGraphCoeffs(K=((0.7,),))
+    coeffs = dictionary.LinearGraphCoeffs(C=((0.7,),))
     v, w = dictionary.linear_graph_eval(spec, coeffs, ([0.0], []))
     np.testing.assert_array_equal(v, [0.0])
     assert w.size == 0
@@ -689,20 +689,18 @@ def test_linear_graph_zero_at_origin():
 @pytest.mark.parametrize("spec, coeffs", [
     (spectrum.SpectralPartition(kind="flow", lam=(-1.0, -1.5),
                                 beta_nu=((-3.0, 2.0),)),
-     dictionary.LinearGraphCoeffs(O=((0.4 + 0.1j, -0.2 + 0.3j),),
-                                  Q=((),))),
+     dictionary.LinearGraphCoeffs(C=((0.4 + 0.1j, -0.2 + 0.3j),))),
     (spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
                                 alpha_omega=((-0.5, 2.0),),
                                 beta_nu=((-3.0, 2.0),)),
-     dictionary.LinearGraphCoeffs(O=((0.4 + 0.1j,),), Q=((-0.2 + 0.3j,),))),
+     dictionary.LinearGraphCoeffs(C=((0.4 + 0.1j, -0.2 + 0.3j),))),
     (spectrum.SpectralPartition(kind="map", lam=(0.5, 0.4),
                                 beta_nu=((0.1, 0.05),)),
-     dictionary.LinearGraphCoeffs(O=((0.4 + 0.1j, -0.2 + 0.3j),),
-                                  Q=((),))),
+     dictionary.LinearGraphCoeffs(C=((0.4 + 0.1j, -0.2 + 0.3j),))),
     (spectrum.SpectralPartition(kind="map", lam=(0.5,),
                                 alpha_omega=((0.3, 0.4),),
                                 beta_nu=((0.1, 0.05),)),
-     dictionary.LinearGraphCoeffs(O=((0.4 + 0.1j,),), Q=((-0.2 + 0.3j,),))),
+     dictionary.LinearGraphCoeffs(C=((0.4 + 0.1j, -0.2 + 0.3j),))),
 ], ids=["flow-p2", "flow-p1q1", "map-p2", "map-p1q1"])
 def test_linear_graph_is_invariant_under_the_linear_dynamics(spec, coeffs):
     """With two masters, w(u(t), z(t)) = e^{(beta + i nu) t} w(u0, z0) for
@@ -724,8 +722,8 @@ def test_linear_graph_is_invariant_under_the_linear_dynamics(spec, coeffs):
 
 
 def test_linear_graph_two_sided_branch():
-    """K_neg (a slaved real, channel V) and O_neg (a slaved pair, channel
-    E) hold the coefficients at u <= 0: c |u|^2 e^{i theta} with c = 1 at
+    """C_neg holds the coefficients at u <= 0, for a slaved real (channel
+    V) and for a slaved pair (channel E): c |u|^2 e^{i theta} with c = 1 at
     u = 0.5 and c = -2 at u = -0.5, the same phase e^{i theta} on both
     sides."""
     real = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
@@ -733,10 +731,10 @@ def test_linear_graph_two_sided_branch():
     pair = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
                                       beta_nu=((-2.0, 3.0),))
     for spec, coeffs, channel in [
-            (real, dictionary.LinearGraphCoeffs(K=((1.0,),),
-                                                K_neg=((-2.0,),)), 0),
-            (pair, dictionary.LinearGraphCoeffs(O=((1.0,),),
-                                                O_neg=((-2.0,),)), 1)]:
+            (real, dictionary.LinearGraphCoeffs(C=((1.0,),),
+                                                C_neg=((-2.0,),)), 0),
+            (pair, dictionary.LinearGraphCoeffs(C=((1.0,),),
+                                                C_neg=((-2.0,),)), 1)]:
         pos, neg = (dictionary.linear_graph_eval(spec, coeffs, ([u], []))
                     for u in (0.5, -0.5))
         (wp,), (wn,) = pos[channel], neg[channel]
@@ -745,12 +743,48 @@ def test_linear_graph_two_sided_branch():
     assert wp.imag != 0.0               # the pair turns with log|u|
 
 
+PLANAR_GRAPH = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
+                                          kappa=(-2.5,))
+
+
+@pytest.mark.parametrize("fields, point", [
+    ({"C": ((0.7, 0.2),)}, ([0.5], [])),
+    ({"C": ((0.7,), (0.2,))}, ([0.5], [])),
+    ({"C": (0.7,)}, ([0.5], [])),
+    ({"C": ((0.7, 0.2), (0.1,))}, ([0.5], [])),
+    ({"C": ((0.7,),), "C_neg": ((0.7, 0.2),)}, ([0.5], [])),
+    ({"C": ((0.7,),), "C_neg": ()}, ([0.5], [])),
+    ({"C": ((0.7,),)}, ([0.5, 0.1], [])),
+    ({"C": ((0.7,),)}, ([0.5], [0.1j])),
+], ids=["C-1x2", "C-2x1", "C-flat", "C-ragged", "C_neg-1x2", "C_neg-empty",
+        "u-2", "z-1"])
+def test_linear_graph_rejects_the_wrong_shape(fields, point):
+    """C is (r + s) x (p + q) and C_neg (r + s) x p, here 1 x 1, and a
+    point holds p reals and q complex values, here 1 and 0; any other
+    shape is refused, not reshaped or broadcast."""
+    coeffs = dictionary.LinearGraphCoeffs(**fields)
+    with pytest.raises(WrongShape):
+        dictionary.linear_graph_eval(PLANAR_GRAPH, coeffs, point)
+
+
+@pytest.mark.parametrize("fields", [
+    {"C": ((0.7 + 0.1j,),)}, {"C": ((0.7,),), "C_neg": ((0.7 + 0.1j,),)},
+], ids=["C", "C_neg"])
+def test_linear_graph_channel_v_is_real(fields):
+    """The rows of the slaved reals (channel V) are real: an imaginary part
+    is refused rather than dropped."""
+    coeffs = dictionary.LinearGraphCoeffs(**fields)
+    with pytest.raises(InputError):
+        dictionary.linear_graph_eval(PLANAR_GRAPH, coeffs, ([0.5], []))
+
+
 @st.composite
 def graphs_on_a_grid(draw):
     """A flow or map spectrum with p + q >= 1 masters and up to two slaved
-    entries of each kind, coefficients with some zeros (two-sided with
-    K_neg/O_neg half the time), and a stack of master points with entries
-    of either sign, 0 and |x| <= TINY_AMPLITUDE."""
+    entries of each kind, coefficients with some zeros, real in the r rows
+    of channel V (two-sided with C_neg half the time), and a stack of
+    master points with entries of either sign, 0 and |x| <=
+    TINY_AMPLITUDE."""
     kind = draw(st.sampled_from(["flow", "map"]))
     p, q = draw(st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]))
     r, s = draw(st.integers(0, 2)), draw(st.integers(0, 2))
@@ -767,17 +801,14 @@ def graphs_on_a_grid(draw):
         beta_nu=draw(st.lists(pair, min_size=s, max_size=s)))
     value = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)
 
-    def block(rows, cols, complex_=False):
-        entry = st.builds(complex, value, value) if complex_ else value
+    def block(cols):
+        rows = [value] * r + [st.builds(complex, value, value)] * s
         return tuple(tuple(draw(st.lists(entry, min_size=cols,
                                          max_size=cols)))
-                     for _ in range(rows))
+                     for entry in rows)
 
-    two_sided = draw(st.booleans())
     coeffs = dictionary.LinearGraphCoeffs(
-        K=block(r, p), L=block(r, q), O=block(s, p, True),
-        Q=block(s, q, True), K_neg=block(r, p) if two_sided else None,
-        O_neg=block(s, p, True) if two_sided else None)
+        C=block(p + q), C_neg=block(p) if draw(st.booleans()) else None)
     n = draw(st.integers(1, 6))
     x = st.sampled_from([0.0, 1e-301, -1e-301]) | st.floats(-1.5, 1.5)
     u = np.array(draw(st.lists(x, min_size=n * p, max_size=n * p)))

@@ -204,6 +204,19 @@ def test_newton_refuses_a_tolerance_that_is_not_positive(tol, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("max_iter", [-1, 2.5, True])
+def test_newton_refuses_a_max_iter_that_is_not_a_count(max_iter,
+                                                       monkeypatch):
+    """A negative, fractional or boolean iteration count is bad input (exit
+    2), refused before any integration."""
+    calls = count_flow_maps(monkeypatch)
+    with pytest.raises(InputError):
+        dynamics.newton_fixed_point(forced_system(),
+                                    dynamics.FORCED_SEEDS["middle"],
+                                    max_iter=max_iter)
+    assert calls == []
+
+
 def test_newton_below_round_off_stops_at_a_failed_line_search(monkeypatch):
     """tol 1e-16 lies below the middle orbit's round-off floor (a residual
     of about 3.5e-16 at flow tol 1e-11). Newton raises NoConvergence once

@@ -212,6 +212,61 @@ def test_pullback_rejects_wrong_dimension():
                                   [(np.array([0.1]), np.array([]))])
 
 
+def linear_transform(A):
+    """The linearizing transform of x' = A x, the identity, in the
+    transform's own (slowest-first) eigenvalue order."""
+    ps, _ = normalform.PolySystem.from_real_system(A, {}, K=3)
+    return normalform.linearize(ps, 3)
+
+
+def test_pullback_places_samples_by_eigenvalue_on_the_saddle_plane():
+    """mixed3d's linear part with its saddle plane as masters, the paper's
+    mixed-mode case: the partition lists lam = (0.905, -1.105) and kappa =
+    (-0.707,), the transform -0.707, 0.905, -1.105. Each master sample
+    lands in the coordinate of its own eigenvalue and v in that of kappa."""
+    A = dynamics.testbed("mixed3d").jacobian(0.0, np.zeros(3))
+    spec = spectrum.partition_spectrum(
+        A, lambda eigs, kind: np.abs(eigs.real) > 0.8)
+    tr = linear_transform(A)
+    np.testing.assert_allclose(spec.lam + spec.kappa,
+                               [0.905, -1.105, -0.707], atol=1e-3)
+    np.testing.assert_allclose(tr.eigenvalues, [-0.707, 0.905, -1.105],
+                               atol=1e-3)
+    coeffs = dictionary.LinearGraphCoeffs(C=((0.0, 0.5),))
+    samples = normalform.pullback_graph(
+        tr, spec, coeffs, [(np.array([0.2, 0.0]), np.array([])),
+                           (np.array([0.2, 0.3]), np.array([]))])
+    v = 0.5 * 0.3 ** spec.quotients()[0][0, 1]
+    np.testing.assert_array_equal(samples, [[0.0, 0.2, 0.0], [v, 0.2, 0.3]])
+
+
+def test_pullback_places_a_master_pair_over_a_slower_slaved_real():
+    """Masters -0.5 +- 2i over the slaved -0.2, which the transform lists
+    first: z and conj z land in coordinates 1 and 2, v in coordinate 0."""
+    A = np.zeros((3, 3))
+    A[0, 0], A[1:, 1:] = -0.2, [[-0.5, 2.0], [-2.0, -0.5]]
+    spec = spectrum.partition_spectrum(A, lambda eigs, kind: eigs.imag != 0)
+    assert (spec.p, spec.q, spec.r, spec.s) == (0, 1, 1, 0)
+    tr = linear_transform(A)
+    z = 0.1 + 0.2j
+    samples = normalform.pullback_graph(
+        tr, spec, dictionary.LinearGraphCoeffs(C=((0.3,),)),
+        [(np.array([]), np.array([z]))])
+    np.testing.assert_allclose(
+        samples, [[0.3 * abs(z) ** 0.4, z, z.conjugate()]], rtol=1e-14)
+
+
+def test_pullback_rejects_a_transform_of_other_eigenvalues():
+    spec = spectrum.SpectralPartition(kind="flow", lam=(-1.0,),
+                                      kappa=(-2.5,))
+    tr = normalform.LinearizingTransform(order=3, eigenvalues=(-1.0, -3.0),
+                                         coefficients={})
+    with pytest.raises(WrongShape):
+        normalform.pullback_graph(tr, spec,
+                                  dictionary.LinearGraphCoeffs.zeros(spec),
+                                  [(np.array([0.1]), np.array([]))])
+
+
 # ---------------------------------------------------------------------------
 # extended 2D normal form
 # ---------------------------------------------------------------------------

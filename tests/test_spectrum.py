@@ -189,7 +189,7 @@ def test_partition_spectrum_shaw_pierre():
 
 def test_partition_spectrum_rejects_critical_eigenvalues():
     with pytest.raises(NotHyperbolic):
-        spectrum.partition_spectrum(np.eye(2), spectrum.slowest(1, "map"),
+        spectrum.partition_spectrum(np.eye(2), spectrum.slowest(1),
                                     kind="map")
 
 
@@ -202,7 +202,7 @@ def test_partition_spectrum_flow_zero_eigenvalue():
 def test_partition_spectrum_map_rejects_zero_multiplier():
     with pytest.raises(InputError, match="nonzero"):
         spectrum.partition_spectrum(np.diag([0.5, 0.0]),
-                                    spectrum.slowest(1, "map"), kind="map")
+                                    spectrum.slowest(1), kind="map")
 
 
 ROTATION = np.array([[-0.1, 1.0], [-1.0, -0.1]])
@@ -223,12 +223,24 @@ def test_partition_repeated_conjugate_pairs(extra, masters, q, s):
                                rtol=1e-12)
 
 
-def test_select_where():
-    A = np.diag([-1.0, -2.0, 3.0])
-    part = spectrum.partition_spectrum(
-        A, spectrum.select_where(lambda z: z.real > 0), kind="flow")
-    assert part.lam == (3.0,)
-    assert part.kappa == (-1.0, -2.0)
+def test_all_eigenvalues_in_state_coordinate_order():
+    """Master reals, then each master pair as value and conjugate side by
+    side, then the slaved block the same way."""
+    part = spectrum.SpectralPartition(
+        kind="flow", lam=(-1.0,), alpha_omega=((-0.6, 1.0), (-0.5, 2.0)),
+        kappa=(-3.0,), beta_nu=((-4.0, 1.0),))
+    assert part.all_eigenvalues() == [
+        -1.0, -0.5 + 2j, -0.5 - 2j, -0.6 + 1j, -0.6 - 1j, -3.0, -4.0 + 1j,
+        -4.0 - 1j]
+
+
+def test_slowest_ranks_by_the_partition_kind():
+    """A map's slowest multiplier is the one nearest modulus 1, 0.98, not
+    the one nearest 0, which the flow rate Re z would pick."""
+    part = spectrum.partition_spectrum(np.diag([0.98, 0.3, 0.1]),
+                                       spectrum.slowest(1), kind="map")
+    assert part.lam == (0.98,)
+    assert part.kappa == (0.3, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +339,7 @@ def test_nonresonance_violations_match_brute_force(part, max_order):
     multi-index, as a scan of one multi-index at a time, for flows and
     maps, over the deduplicated eigenvalues."""
     report = spectrum.check_nonresonance(part, max_order)
-    eigs = spectrum._dedupe(part.all_eigenvalues(conjugates=True))
+    eigs = spectrum._dedupe(part.all_eigenvalues())
     assert report.eigenvalues == tuple(eigs)
     expected = brute_force_violations(eigs, part.kind, max_order)
     assert set(report.violations) == expected
@@ -456,18 +468,17 @@ def test_pseudo_unstable_contracting_split_holds():
     Df0 = np.diag([np.exp(-2.0), np.exp(-1.0)])
     U = np.eye(2)[:, 1:]
     S = np.eye(2)[:, :1]
-    holds, interval = spectrum.pseudo_unstable_check(Df0, (S, U), r=1)
-    assert holds
-    assert interval[0] == pytest.approx(np.e, rel=1e-12)
-    assert interval[1] == pytest.approx(np.e ** 2, rel=1e-12)
+    result = spectrum.pseudo_unstable_check(Df0, (S, U), r=1)
+    assert result.holds
+    assert result.a_interval[0] == pytest.approx(np.e, rel=1e-12)
+    assert result.a_interval[1] == pytest.approx(np.e ** 2, rel=1e-12)
 
 
 def test_pseudo_unstable_classical_saddle_holds():
     Df0 = np.diag([2.0, 0.5])
     U = np.eye(2)[:, :1]
     S = np.eye(2)[:, 1:]
-    holds, _ = spectrum.pseudo_unstable_check(Df0, (S, U), r=3)
-    assert holds
+    assert spectrum.pseudo_unstable_check(Df0, (S, U), r=3).holds
 
 
 def test_pseudo_unstable_rejects_non_invariant_split():
