@@ -6,21 +6,34 @@ variational (monodromy) matrix (the 8(5,3) pair, DOP853), which serves both
 the Newton fixed-point search on the period map and Floquet analysis, the
 built-in testbed systems, and the Lambert-W exact planar graph used as an
 oracle for the heteroclinic example.
+
+scipy is imported at first use, not with the module: ``solve_ivp`` from
+``scipy.integrate`` at the first integration and ``lambertw`` from
+``scipy.special`` at the first Lambert W value (module ``__getattr__``).
+Importing ``scipy.integrate`` took 0.67-0.91 s of a 0.89-1.16 s ``import
+ssmfrac`` (``python -X importtime``, 2-core host), which every command and
+library user paid, ``ssmfrac spectrum`` included, though it integrates
+nothing; without it the import takes 0.14-0.25 s. Both names stay module
+attributes, bound to scipy's own functions from their first use on, and
+every call site reads the attribute at call time, so a caller may replace
+either (a test, or a tracer counting evaluations).
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import lambertw
 
 from .errors import (BadParams, EvaluationBudget, InputError, NoConvergence,
                      NonFinite, NotPeriodic, OutOfDomain, StepUnderflow,
-                     UnknownTestbed)
+                     UnknownTestbed, WrongShape)
 from .trajectory import Trajectory
+
+# the module attributes imported from scipy at first use, by home module
+_FROM_SCIPY = {"solve_ivp": "scipy.integrate", "lambertw": "scipy.special"}
 
 # Right-hand-side evaluations one integration may make: over 50 times the
 # most that the examples (2,684 in an ``integrate`` of the mixed-mode 3D
@@ -28,6 +41,22 @@ from .trajectory import Trajectory
 # ``integrate``, the undamped Shaw-Pierre energy test; 842 in ``flow_map``)
 # need, so only a stiff or runaway system reaches it.
 MAX_RHS_EVALS = 600_000
+
+
+def __getattr__(name):
+    """``solve_ivp`` and ``lambertw``: scipy's function, imported at the
+    first access and bound as a module attribute, so that later accesses
+    never come here."""
+    if name not in _FROM_SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(_FROM_SCIPY[name]), name)
+    return value
+
+
+def _scipy(name):
+    """The module attribute ``name`` as it stands at the call."""
+    return globals().get(name) or __getattr__(name)
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +84,11 @@ class FlowSystem:
 # integration
 # ---------------------------------------------------------------------------
 
-def _check_start(ic, tol):
+def _check_start(sys, ic, tol):
     ic = np.asarray(ic, dtype=float)
+    if not (sys.dim >= 1 and ic.shape == (sys.dim,)):
+        raise WrongShape(f"initial condition of shape {ic.shape} for the "
+                         f"{sys.dim}-dimensional system {sys.name!r}")
     if not np.all(np.isfinite(ic)):
         raise NonFinite("non-finite initial condition")
     if not (1e-12 <= tol <= 1e-3):
@@ -79,15 +111,20 @@ def _solve(rhs, t_span, y0, tol, t_eval=None, method="RK45"):
     """solve_ivp with the embedded Runge-Kutta pair ``method`` (the 5(4)
     pair RK45, or the 8(5,3) pair DOP853 for ``flow_map``) at rtol = tol,
     atol = tol * 1e-3; every integration goes through here. A span end that
-    is not finite, or ``t_eval`` empty, with entries outside the span or
-    not strictly in its direction, raise InputError. A failed or
-    non-finite result raises NonFinite or StepUnderflow (_check_solution),
-    and more than MAX_RHS_EVALS evaluations of rhs raise EvaluationBudget."""
+    is not finite, or ``t_eval`` not a 1-D array (WrongShape), empty, with
+    entries outside the span or not strictly in its direction, raise
+    InputError. A failed or non-finite result raises NonFinite or
+    StepUnderflow (_check_solution), and more than MAX_RHS_EVALS
+    evaluations of rhs raise EvaluationBudget."""
     lo, hi = sorted(t_span)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputError(f"integration span {t_span} must be finite")
     if t_eval is not None:
-        if not (np.size(t_eval) and all(lo <= t <= hi for t in t_eval)):
+        t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.ndim != 1:
+            raise WrongShape(f"sample times must be a 1-D array, got shape "
+                             f"{t_eval.shape}")
+        if not (t_eval.size and np.all((lo <= t_eval) & (t_eval <= hi))):
             raise InputError(f"sample times must be given in the span "
                              f"{t_span}")
         if np.any(np.diff(t_eval) * np.sign(t_span[1] - t_span[0]) <= 0):
@@ -107,8 +144,8 @@ def _solve(rhs, t_span, y0, tol, t_eval=None, method="RK45"):
             saw_bad = True
         return dy
 
-    sol = solve_ivp(f, t_span, y0, method=method, t_eval=t_eval, rtol=tol,
-                    atol=tol * 1e-3)
+    sol = _scipy("solve_ivp")(f, t_span, y0, method=method, t_eval=t_eval,
+                              rtol=tol, atol=tol * 1e-3)
     _check_solution(sol, saw_bad)
     return sol
 
@@ -116,11 +153,13 @@ def _solve(rhs, t_span, y0, tol, t_eval=None, method="RK45"):
 def integrate(sys, ic, t_span, tol=1e-9, t_eval=None):
     """Integrate with the embedded 5(4) Runge-Kutta pair (RK45); the
     trajectory holds the states at ``t_eval``, or at every solver step if
-    it is None. A zero-length or reversed span raises InputError before the
-    first evaluation of the vector field."""
+    it is None. A zero-length or reversed span, or an initial condition
+    that is not a vector of ``sys.dim`` entries (WrongShape), raises
+    InputError before the first evaluation of the vector field."""
     if t_span[1] <= t_span[0]:
         raise InputError(f"integration span {t_span} must run forward in time")
-    sol = _solve(sys.f, t_span, _check_start(ic, tol), tol, t_eval=t_eval)
+    sol = _solve(sys.f, t_span, _check_start(sys, ic, tol), tol,
+                 t_eval=t_eval)
     return Trajectory(times=sol.t, states=sol.y.T, kind="flow")
 
 
@@ -133,8 +172,10 @@ def flow_map(sys, x0, T, tol=1e-10):
     dPhi/dt = J Phi from Phi_0 = I (so Phi_T is the map's jacobian at x0)
     and the trace of J, integrated together on one mesh of the embedded
     8(5,3) Runge-Kutta pair (DOP853), whose order suits the tight
-    tolerances of Newton and Floquet analysis."""
-    x0 = _check_start(x0, tol)
+    tolerances of Newton and Floquet analysis. An ``x0`` that is not a
+    vector of ``sys.dim`` entries raises WrongShape before the first
+    evaluation."""
+    x0 = _check_start(sys, x0, tol)
     n = len(x0)
 
     def rhs(t, y):                  # y = (x, Phi row by row, int tr J)
@@ -402,7 +443,7 @@ def _lambert_w0_at(z):
         raise OutOfDomain("argument below -1/e")
     if z <= _BRANCH_POINT:
         return -1.0
-    w = float(lambertw(z, 0).real)
+    w = float(_scipy("lambertw")(z, 0).real)
     try:
         resid = abs(w * math.exp(w) - z)
     except OverflowError:

@@ -38,8 +38,10 @@ class NonInvariantSplit(InputError):
 # --- dictionary -------------------------------------------------------------
 
 class WrongShape(InputError):
-    """Spectral partition does not have the (p, q, r, s) shape the requested
-    dictionary family needs."""
+    """An input of the wrong shape: a spectral partition whose (p, q, r, s)
+    the requested dictionary family cannot take, or an array (samples,
+    coefficients, an initial condition, sample times) of another shape than
+    the one it is read in."""
 
 
 class DomainError(InputError):

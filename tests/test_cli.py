@@ -64,6 +64,40 @@ def write_flow_data(dirpath):
 
 
 # ---------------------------------------------------------------------------
+# start-up: the scipy modules a fresh process loads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("module", ["ssmfrac", "ssmfrac.cli"])
+def test_import_loads_no_scipy(fresh_interpreter, module):
+    """The package and its command line import with numpy alone; scipy
+    loads where a command first needs it."""
+    assert fresh_interpreter(f"import {module}") == [None, []]
+
+
+def test_spectrum_command_loads_no_scipy(fresh_interpreter, tmp_path):
+    status, loaded = fresh_interpreter(
+        "from ssmfrac import cli\n"
+        f"status = cli.main(['spectrum', '--testbed', 'mixed3d', "
+        f"'--masters', '2', '--outdir', {str(tmp_path / 'out')!r}])")
+    assert status == 0 and loaded == []
+
+
+def test_map_fit_loads_scipy_linalg_alone(fresh_interpreter, tmp_path):
+    """A map fit factors its design with scipy.linalg and neither
+    integrates nor evaluates a special function."""
+    spec_path = couette_spectrum_json(tmp_path / "spectrum.json")
+    write_model_data(tmp_path / "data")
+    status, loaded = fresh_interpreter(
+        "from ssmfrac import cli\n"
+        f"status = cli.main(['fit', '--data', {str(tmp_path / 'data')!r}, "
+        f"'--spectrum', {spec_path!r}, '--order', '5', '--prune', '0.05', "
+        f"'--kind', 'map', '--outdir', {str(tmp_path / 'out')!r}])")
+    assert status == 0 and "scipy.linalg" in loaded
+    assert [m for m in loaded
+            if m.startswith(("scipy.integrate", "scipy.special"))] == []
+
+
+# ---------------------------------------------------------------------------
 # spectrum command
 # ---------------------------------------------------------------------------
 

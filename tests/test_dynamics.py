@@ -15,7 +15,7 @@ from ssmfrac import dynamics, examples
 from ssmfrac.errors import (BadParams, EvaluationBudget, InputError,
                             NoConvergence, NonFinite, NotPeriodic,
                             NumericalError, OutOfDomain, StepUnderflow,
-                            UnknownTestbed)
+                            UnknownTestbed, WrongShape)
 
 FORCED_PARAMS = {"c": 0.03, "A": 0.11, "Omega": 1.07}
 FORCED_T = 2 * math.pi / 1.07
@@ -119,6 +119,76 @@ def test_degenerate_span_is_input_error(solve):
     bad input (CLI exit 2), raised before the solver runs."""
     with pytest.raises(InputError):
         solve()
+
+
+SYSTEMS = {"mixed3d": dynamics.testbed("mixed3d"), "forced": forced_system(),
+           "decay": DECAY}
+
+
+@pytest.mark.parametrize("name, solve", [
+    ("mixed3d", lambda sys: dynamics.integrate(sys, [0.1, 0.0], (0.0, 1.0))),
+    ("mixed3d", lambda sys: dynamics.integrate(sys, [[0.1, 0.0, 0.0]],
+                                               (0.0, 1.0))),
+    ("decay", lambda sys: dynamics.integrate(sys, [], (0.0, 1.0))),
+    ("mixed3d", lambda sys: dynamics.flow_map(sys, [0.1, 0.0], 1.0)),
+    ("forced", lambda sys: dynamics.newton_fixed_point(
+        sys, dynamics.FORCED_SEEDS["middle"][:3])),
+    ("forced", lambda sys: dynamics.floquet(
+        sys, dynamics.FORCED_SEEDS["middle"][:3])),
+    ("decay", lambda sys: dynamics.integrate(sys, [1.0], (0.0, 1.0),
+                                             t_eval=[[0.2, 0.5]])),
+    ("decay", lambda sys: dynamics.integrate(sys, [1.0], (0.0, 1.0),
+                                             t_eval=0.5))],
+    ids=["ic_too_short", "ic_2d", "ic_empty", "flow_map_x0_too_short",
+         "newton_guess_too_short", "floquet_point_too_short", "t_eval_2d",
+         "t_eval_0d"])
+def test_wrong_shape_is_refused_before_any_evaluation(name, solve):
+    """A start that is not a vector of the system's dimension, or sample
+    times that are not a 1-D array, are bad input (exit 2), raised before
+    the vector field is evaluated once."""
+    calls = []
+    sys = SYSTEMS[name]
+    counted = dataclasses.replace(
+        sys, f=lambda t, x: calls.append(t) or sys.f(t, x))
+    with pytest.raises(WrongShape):
+        solve(counted)
+    assert calls == []
+
+
+def test_every_solve_reads_solve_ivp_at_call_time(monkeypatch):
+    """integrate and flow_map call the module attribute ``solve_ivp`` as it
+    stands at the call, so a counting replacement (as the benchmark's
+    tracer installs) sees every solve, and its nfev counts every
+    evaluation of the vector field."""
+    solve, nfev = dynamics.solve_ivp, []
+
+    def counting(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    calls = []
+    sys = dataclasses.replace(DECAY, f=lambda t, x: calls.append(t) or -x)
+    dynamics.integrate(sys, [1.0], (0.0, 1.0))
+    dynamics.flow_map(sys, [1.0], 1.0)
+    dynamics.integrate(sys, [1.0], (0.0, 1.0), t_eval=[0.5, 1.0])
+    assert len(nfev) == 3 and sum(nfev) == len(calls) > 0
+
+
+def test_scipy_functions_bind_at_first_use(fresh_interpreter):
+    """``import ssmfrac`` binds neither scipy function; after a first
+    integration and a first Lambert W value both module attributes are
+    scipy's own functions, not stand-ins."""
+    status, loaded = fresh_interpreter(
+        "from ssmfrac import dynamics\n"
+        "before = sorted({'solve_ivp', 'lambertw'} & set(vars(dynamics)))\n"
+        "dynamics.integrate(dynamics.FlowSystem(dim=1, f=lambda t, x: -x),\n"
+        "                   [1.0], (0.0, 1.0))\n"
+        "dynamics.lambert_w0(0.5)\n"
+        "import scipy.integrate, scipy.special\n"
+        "status = [before, dynamics.solve_ivp is scipy.integrate.solve_ivp,\n"
+        "          dynamics.lambertw is scipy.special.lambertw]")
+    assert status == [[], True, True]
 
 
 @pytest.mark.parametrize("t_eval", [None, [0.8, 0.2]],
