@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, InputError, WrongShape
+from .errors import DomainError, InputError, OutOfDomain, WrongShape
 from .jsonio import dump_json, load_json, member, number
 from .spectrum import MAX_TERMS, SpectralPartition, exponent_vectors
 
@@ -158,8 +158,12 @@ def _compile(indices, width, exponents, positive_only):
     of the ``width`` master columns (u; z and zbar; or the integer
     variables), one row per column, and their |.| exponents e, k with the
     fractional |.| exponent added on the first; the value where |z| <=
-    TINY_AMPLITUDE (1 for the constant term); plus the distinct fractional
-    |.| exponents and phase coefficients, each with its column map."""
+    TINY_AMPLITUDE (1 for the constant term). For a master pair, the
+    distinct (k2, k3) pairs (the columns of ``pairs``) and the distinct
+    (frac, phase) combinations (the columns of ``combos``: indices into the
+    distinct fractional |.| exponents ``fracs`` and phase coefficients
+    ``phases``), each with its column map, ``pair_col`` and ``combo_col``;
+    the pair and factor tables of ``_evaluate`` are built over them."""
     k = np.array([i[:width] for i in indices],
                  dtype=np.int64).reshape(len(indices), width).T
     frac = exponents.amp.astype(float)
@@ -168,9 +172,13 @@ def _compile(indices, width, exponents, positive_only):
     fracs, frac_col = np.unique(frac, return_inverse=True)
     phases, phase_col = np.unique(exponents.phase.astype(float),
                                   return_inverse=True)
+    pairs, pair_col = np.unique(k.T, axis=0, return_inverse=True)
+    combos, combo_col = np.unique(np.column_stack([frac_col, phase_col]),
+                                  axis=0, return_inverse=True)
     return SimpleNamespace(
-        k=k, e=e, fracs=fracs,
-        frac_col=frac_col, phases=phases, phase_col=phase_col,
+        k=k, e=e, fracs=fracs, phases=phases,
+        pairs=pairs.T, pair_col=pair_col.ravel(),
+        combos=combos.T, combo_col=combo_col.ravel(),
         kmax=int(k.max(initial=0)),
         const=((k.sum(axis=0) == 0) & (frac == 0)).astype(float),
         positive_only=positive_only)
@@ -192,7 +200,11 @@ def _evaluate(x, ex):
     """Columns at real samples x, (n,) or (n, width), prod_j sign(x_j)^k_j
     |x_j|^e_j with each |x_j| <= TINY_AMPLITUDE set to 0, or at complex
     samples z, z^{k2} zbar^{k3} |z|^{frac} e^{i phase log|z|}; computed
-    EVAL_BLOCK_ROWS samples at a time."""
+    EVAL_BLOCK_ROWS samples at a time. At complex samples, a pair table
+    z^{k2} zbar^{k3} over the distinct (k2, k3) and a fractional-factor
+    table |z|^{frac} e^{i phase log|z|} over the distinct (frac, phase) are
+    made first, each a few columns wide, and every column is one product
+    of a gather from each: three passes over the (samples, terms) block."""
     if ex.positive_only and np.any(x < -TINY_AMPLITUDE):
         raise DomainError("positive-only monomial evaluated at negative u")
     out = np.empty((len(x), len(ex.const)), dtype=x.dtype)
@@ -213,10 +225,12 @@ def _evaluate(x, ex):
         powers[:, 0] = 1.0
         powers[:, 1:] = xb[:, None]
         np.cumprod(powers, axis=1, out=powers)
-        np.multiply(powers[:, ex.k[0]], powers.conj()[:, ex.k[1]], out=blk)
-        blk *= (amp ** ex.fracs)[:, ex.frac_col]
+        pair = powers[:, ex.pairs[0]] * powers.conj()[:, ex.pairs[1]]
+        factor = (amp ** ex.fracs)[:, ex.combos[0]].astype(x.dtype)
         if ex.phases.any():
-            blk *= np.exp(1j * (np.log(amp) * ex.phases))[:, ex.phase_col]
+            factor *= np.exp(1j * (np.log(amp) * ex.phases))[:, ex.combos[1]]
+        np.multiply(np.take(pair, ex.pair_col, axis=1),
+                    np.take(factor, ex.combo_col, axis=1), out=blk)
         if not ok.all():
             blk[~ok] = ex.const
     return out
@@ -620,7 +634,10 @@ def linear_graph_eval(spec, coeffs, point):
     attached to non-positive exponent ratios must be zero; the term is
     skipped either way, matching the constraint that forces them to
     vanish, and so is a term with a zero coefficient. A point or matrix
-    of the wrong shape raises WrongShape.
+    of the wrong shape raises WrongShape, and a live term that is not
+    finite in double precision (|x_j|^amp[i, j] overflows once the
+    quotient is large) raises OutOfDomain, naming its amplitude and
+    quotient.
     """
     u, z = point
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -641,7 +658,15 @@ def linear_graph_eval(spec, coeffs, point):
     ax = np.hypot(x.real, x.imag)
     ax = np.where(ax > TINY_AMPLITUDE, ax, 0.0)[..., None, :]
     live = (amp > 0) & (c != 0)
-    terms = c * np.where(live, ax ** np.where(amp > 0, amp, 0.0), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = c * np.where(live, ax ** np.where(amp > 0, amp, 0.0), 0.0)
+    bad = live & ~np.isfinite(terms)
+    if bad.any():
+        at = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
+        raise OutOfDomain(
+            f"linear graph term ({at[-2]}, {at[-1]}) is not finite: "
+            f"amplitude {np.broadcast_to(ax, bad.shape)[at]:.6g} to the "
+            f"quotient {amp[at[-2:]]:.6g} times {c[at]:.6g}")
     theta = (np.log(np.where(ax > 0, ax, 1.0)) * (phase / (p + q))).sum(-1)
     out = terms.sum(axis=-1) * np.exp(1j * theta)
     return out[..., :r].real, out[..., r:]

@@ -3,7 +3,9 @@
 ``HYPOTHESIS_PROFILE=ci`` draws the same examples on every run and prints a
 reproduction blob for each failure, so a failing CI run can be repeated
 locally with the same variable set; without it the default profile draws
-fresh examples."""
+fresh examples. ``HYPOTHESIS_PROFILE=random`` draws fresh examples too, and
+prints each failure's reproduction blob, which ``@reproduce_failure``
+replays."""
 
 import json
 import os
@@ -16,6 +18,7 @@ from hypothesis import settings
 import ssmfrac
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.register_profile("random", print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

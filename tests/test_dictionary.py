@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssmfrac import dictionary, spectrum
-from ssmfrac.errors import DomainError, InputError, WrongShape
+from ssmfrac.errors import DomainError, InputError, OutOfDomain, WrongShape
 from test_dictionary_format import _cases
 
 COUETTE_MASTER_LOG = -0.035068
@@ -443,6 +443,33 @@ def test_compiled_kernel_zero_at_origin_and_long_double(d, data):
                                rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("spec", [
+    spectrum.SpectralPartition(kind="flow", alpha_omega=((-1.0, 3.0),),
+                               beta_nu=((-1.3, 2.2), (-1.7, 5.1))),
+    spectrum.SpectralPartition(kind="map", alpha_omega=((0.6, 0.5),),
+                               beta_nu=((0.3, 0.4), (-0.2, 0.35)))])
+def test_compiled_2d_kernel_with_two_slaved_pairs(spec):
+    """Two slaved pairs at order 4: many terms share a (k2, k3) pair and
+    many a (frac, phase) combination, so each column is a product of two
+    shared table entries. Over 1,100 samples (three evaluation blocks, the
+    last short) every column equals the per-term closed form to 1e-14
+    relative, and a sample at the origin evaluates to 0."""
+    d = dictionary.BUILDERS[dictionary.family_of(spec)](spec, 4)
+    ex = d._kernel
+    assert np.bincount(ex.pair_col).max() > 1
+    assert np.bincount(ex.combo_col).max() > 1
+    assert ex.pairs.shape[1] < len(d) and ex.combos.shape[1] < len(d)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.05, 1.5, 1100) * np.exp(1j * rng.uniform(-np.pi, np.pi,
+                                                               1100))
+    values = d.evaluate(x)
+    for j, m in enumerate(d.monomials):
+        np.testing.assert_allclose(values[:, j], closed_form(d, m, x),
+                                   rtol=1e-14, atol=0)
+    x[700] = 0.0
+    np.testing.assert_array_equal(d.evaluate(x)[700], np.zeros(len(d)))
+
+
 @pytest.mark.parametrize("d, width", [
     (dictionary.dictionary_flow_1d(planar_spec(), K=3), 1),
     (dictionary.dictionary_flow_2d(shaw_pierre_spec(), K=3), 2),
@@ -822,15 +849,48 @@ def graphs_on_a_grid(draw):
 def test_linear_graph_on_a_stack_equals_each_point(case):
     """One call on a stack of master points gives, row by row, what one
     call per point gives: (n, r) and (n, s) for n points, (r,) and (s,)
-    for one."""
+    for one. The stack raises OutOfDomain exactly when one of its points
+    does (a term that overflows under a large quotient)."""
     spec, coeffs, u, z = case
+    points = []
+    for i in range(len(u)):
+        try:
+            points.append(dictionary.linear_graph_eval(spec, coeffs,
+                                                       (u[i], z[i])))
+        except OutOfDomain:
+            points.append(None)
+    if None in points:
+        with pytest.raises(OutOfDomain):
+            dictionary.linear_graph_eval(spec, coeffs, (u, z))
+        return
     v, w = dictionary.linear_graph_eval(spec, coeffs, (u, z))
     assert v.shape == (len(u), spec.r) and w.shape == (len(u), spec.s)
-    for i in range(len(u)):
-        vi, wi = dictionary.linear_graph_eval(spec, coeffs, (u[i], z[i]))
+    for i, (vi, wi) in enumerate(points):
         assert vi.shape == (spec.r,) and wi.shape == (spec.s,)
         np.testing.assert_array_equal(v[i], vi)
         np.testing.assert_array_equal(w[i], wi)
+
+
+def test_linear_graph_overflowing_term_is_out_of_domain():
+    """A map pair at modulus 0.999 puts slaved quotients of 346.8 and
+    1969.4 on it; 1.5^1969.4 overflows, and a live term that does raises
+    OutOfDomain naming its amplitude and quotient instead of returning NaN.
+    The same term with a zero coefficient, or at |z| = 0.5, is finite."""
+    spec = spectrum.SpectralPartition(
+        kind="map", alpha_omega=((0.9, 0.43359375),),
+        beta_nu=((0.5, 0.5), (0.125, 0.0625)))
+    coeffs = dictionary.LinearGraphCoeffs(C=((0j,), (1j,)))
+    with pytest.raises(OutOfDomain, match=r"amplitude 1\.5 to the quotient "
+                                          r"1969\.39"):
+        dictionary.linear_graph_eval(spec, coeffs, ([], [1.5j]))
+    with pytest.raises(OutOfDomain):
+        dictionary.linear_graph_eval(spec, coeffs, (np.zeros((2, 0)),
+                                                    [[0.5j], [1.5j]]))
+    _, w = dictionary.linear_graph_eval(
+        spec, dictionary.LinearGraphCoeffs(C=((1j,), (0j,))), ([], [1.5j]))
+    assert np.isfinite(w).all() and w[1] == 0.0
+    _, w = dictionary.linear_graph_eval(spec, coeffs, ([], [0.5j]))
+    assert np.isfinite(w).all() and w[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,11 @@ def test_scaled_lstsq_non_finite_values_are_input_errors(problem, data):
 @settings(max_examples=60, deadline=None)
 def test_scaled_lstsq_row_blocks_match_one_block(problem, block_rows, ridge):
     """Row blocks of a few rows, the last often shorter than the design is
-    wide, give the one-block solve and the scipy oracle."""
+    wide, give the one-block solve and the scipy oracle. The per-channel
+    RMS residuals agree to what a backward-stable solve promises, a small
+    multiple of eps * cond * RMS(targets) (Higham, Accuracy and Stability,
+    Thm. 20.1, whose residual bound is linear in cond): on a square design
+    both residuals are round-off, so no fixed absolute tolerance holds."""
     design, targets, scale, scaled, cond = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fit, "BLOCK_ROWS", block_rows)
@@ -234,7 +238,9 @@ def test_scaled_lstsq_row_blocks_match_one_block(problem, block_rows, ridge):
     aug_cond = np.linalg.cond(aug)
     assert_close_lstsq(got * scale[:, None], ref * scale[:, None], aug_cond)
     assert_close_lstsq(got * scale[:, None], oracle, aug_cond)
-    np.testing.assert_allclose(got_rms, ref_rms, rtol=1e-8, atol=1e-14)
+    rms_targets = np.sqrt(np.mean(np.abs(targets) ** 2, axis=0))
+    promised = 8 * np.finfo(float).eps * aug_cond * rms_targets
+    assert np.all(np.abs(got_rms - ref_rms) <= promised)
     assert got_cond == pytest.approx(ref_cond, rel=1e-10)
     assert got_cond == pytest.approx(cond, rel=1e-10)
 
@@ -271,6 +277,54 @@ def test_scaled_lstsq_row_blocks_long_double(monkeypatch, cplx, ridge):
         with pytest.raises(RankDeficient):
             fit._scaled_lstsq(np.insert(design_ld, 4, 1e3 * design_ld[:, 9],
                                         axis=1), targets_ld, ridge)
+
+
+@st.composite
+def residual_problems(draw):
+    """A design of 1-12 columns, real, complex or real under complex
+    targets, in double or long double; 1-3 target channels; a long-double
+    solution x; and row blocks whose last one is short."""
+    block = draw(st.integers(2, 9))
+    m = draw(st.integers(0, 5)) * block + draw(st.integers(1, block - 1))
+    n, channels = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["real", "complex", "real design"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    design = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3, 3, n)
+    targets = rng.normal(size=(m, channels))
+    x = rng.normal(size=(n, channels))
+    if mode != "real":
+        targets = targets + 1j * rng.normal(size=targets.shape)
+        x = x + 1j * rng.normal(size=x.shape)
+    if mode == "complex":
+        design = design + 1j * rng.normal(size=design.shape)
+    ld = np.clongdouble if mode != "real" else np.longdouble
+    if draw(st.booleans()):
+        design = design.astype(ld) * (
+            1.0 + np.longdouble(1e-17) * rng.normal(size=design.shape))
+        targets = targets.astype(ld)
+    blocks = [slice(lo, lo + block) for lo in range(0, m, block)]
+    return design, targets, x.astype(ld), blocks
+
+
+@given(residual_problems())
+@settings(max_examples=100, deadline=None)
+def test_long_double_residual_is_numpys(problem):
+    """The refinement residual, formed channel by channel with einsum over
+    the row blocks, is numpy's long-double targets - design @ x: bit for
+    bit when x is complex, and for real data within the difference of two
+    summation orders, (n - 1) ulps of sum_j |a_ij| |x_j| plus one of the
+    result, since einsum's real loop adds in its own order."""
+    design, targets, x, blocks = problem
+    got = fit._long_double_residual(design, targets, x, blocks)
+    ref = targets.astype(x.dtype) - design.astype(x.dtype) @ x
+    assert got.dtype == ref.dtype == x.dtype
+    if np.iscomplexobj(x):
+        np.testing.assert_array_equal(got, ref)
+        return
+    eps = np.finfo(np.longdouble).eps
+    bound = (design.shape[1] - 1) * eps * (np.abs(design) @ np.abs(x)) + \
+        eps * np.abs(ref)
+    assert np.all(np.abs(got - ref) <= bound)
 
 
 # ---------------------------------------------------------------------------
