@@ -36,6 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._rows import map_blocks
 from .errors import DomainError, InputError, OutOfDomain, WrongShape
 from .jsonio import dump_json, load_json, member, number
 from .spectrum import MAX_TERMS, SpectralPartition, exponent_vectors
@@ -204,11 +205,13 @@ def _evaluate(x, ex):
     z^{k2} zbar^{k3} over the distinct (k2, k3) and a fractional-factor
     table |z|^{frac} e^{i phase log|z|} over the distinct (frac, phase) are
     made first, each a few columns wide, and every column is one product
-    of a gather from each: three passes over the (samples, terms) block."""
+    of a gather from each: three passes over the (samples, terms) block.
+    The blocks are split over worker threads (``_rows.map_blocks``)."""
     if ex.positive_only and np.any(x < -TINY_AMPLITUDE):
         raise DomainError("positive-only monomial evaluated at negative u")
     out = np.empty((len(x), len(ex.const)), dtype=x.dtype)
-    for lo in range(0, len(x), EVAL_BLOCK_ROWS):
+
+    def block(lo):
         xb, blk = x[lo:lo + EVAL_BLOCK_ROWS], out[lo:lo + EVAL_BLOCK_ROWS]
         if not np.iscomplexobj(xb):
             xb = xb.reshape(len(xb), -1, 1)
@@ -216,7 +219,7 @@ def _evaluate(x, ex):
             amp[amp <= TINY_AMPLITUDE] = 0.0
             np.multiply.reduce(np.sign(xb) ** ex.k * amp ** ex.e, axis=1,
                                out=blk)
-            continue
+            return
         amp = np.abs(xb)
         ok = amp > TINY_AMPLITUDE
         amp = np.where(ok, amp, 1.0)[:, None]
@@ -233,6 +236,8 @@ def _evaluate(x, ex):
                     np.take(factor, ex.combo_col, axis=1), out=blk)
         if not ok.all():
             blk[~ok] = ex.const
+
+    map_blocks(block, range(0, len(x), EVAL_BLOCK_ROWS))
     return out
 
 

@@ -21,6 +21,11 @@ precision gives back no forward accuracy on an ill-conditioned consistent
 fit; only the extra precision of the residual does (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 12).
 
+The row blocks of the refinement residual and of the reflector solves are
+split over worker threads by ``_rows.map_blocks`` (one per usable CPU, at
+most one per block; bit-identical to the serial loop); the block QR stays
+in the calling thread, where BLAS already uses the cores.
+
 ``scipy.linalg``, whose QR, reflector application and triangular solve the
 factorization uses, is imported by the solver when it runs, not with the
 module, so that ``import ssmfrac`` and the commands that fit nothing load
@@ -34,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import map_blocks
 from .dictionary import Dictionary, dictionary_from_json
 from .errors import (BadFitSettings, BadParams, Diverged, InputError,
                      InsufficientData, LengthMismatch, NonFiniteData,
@@ -56,17 +62,51 @@ DIVERGENCE_NORM = 1e6
 def _long_double_residual(design, targets, x, blocks):
     """targets - design @ x, in the long-double type of x, formed over the
     row slices ``blocks`` one target channel at a time by einsum's
-    sum-of-products loop. numpy has no BLAS path for long double; on a
+    sum-of-products loop, the blocks split over worker threads
+    (``_rows.map_blocks``). numpy has no BLAS path for long double; on a
     99,900 x 70 complex design (2-core host) the einsum loop takes
-    0.07-0.08 s where the long-double matmul takes 0.13 s, and gives the
-    same bits for complex operands. Its real loop adds in another order, so a real residual
-    differs from the matmul one by a few ulps of sum_j |a_ij| |x_j|."""
+    0.07-0.08 s on one thread where the long-double matmul takes 0.13 s,
+    and gives the same bits for complex operands. Its real loop adds in
+    another order, so a real residual differs from the matmul one by a few
+    ulps of sum_j |a_ij| |x_j|."""
     resid = np.empty(targets.shape, dtype=x.dtype)
-    for rows in blocks:
+
+    def block(rows):
         for c in range(targets.shape[1]):
             resid[rows, c] = targets[rows, c] - np.einsum(
                 "ij,j->i", design[rows], x[:, c])
+
+    map_blocks(block, blocks)
     return resid
+
+
+def _sum_squares(a):
+    """Per-column sums of squared magnitudes, one einsum over the real view
+    of ``a`` (which skips the hypot of ``np.abs``)."""
+    a = np.ascontiguousarray(a)
+    if not np.iscomplexobj(a):
+        return np.einsum("ij,ij->j", a, a)
+    parts = a.view(a.real.dtype)
+    return np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
+
+
+def _column_scale(design):
+    """RMS of each design column. A column whose sum of squares is not a
+    finite normal number (its squares overflowed or underflowed) is divided
+    by its largest magnitude first, so every finite column gets its RMS;
+    one holding NaN or inf gets a scale that is not finite."""
+    sumsq = _sum_squares(design)
+    scale = np.sqrt(sumsq / len(design))
+    info = np.finfo(sumsq.dtype)
+    odd = np.flatnonzero(~((sumsq >= info.tiny) & (sumsq <= info.max)))
+    if len(odd):
+        peak = np.max(np.abs(design[:, odd]), axis=0)
+        live = np.isfinite(peak) & (peak >= info.tiny)
+        scale[odd] = peak
+        cols, peak = odd[live], peak[live]
+        scale[cols] = peak * np.sqrt(
+            _sum_squares(design[:, cols] / peak) / len(design))
+    return scale
 
 
 def _scaled_lstsq(design, targets, ridge):
@@ -100,7 +140,7 @@ def _scaled_lstsq(design, targets, ridge):
         raise InsufficientData(
             f"{n_samp} samples for {n_cols} dictionary terms")
 
-    scale = np.sqrt(np.mean(np.abs(design) ** 2, axis=0))
+    scale = _column_scale(design)
     cplx = np.iscomplexobj(design) or np.iscomplexobj(targets)
     b = np.asarray(targets, dtype=complex if cplx else float)
     # a design column holds NaN or inf exactly when its scale is not finite;
@@ -108,7 +148,8 @@ def _scaled_lstsq(design, targets, ridge):
     if not (np.isfinite(scale).all() and np.isfinite(b).all()):
         raise NonFiniteData("design matrix or targets hold values that are "
                             "NaN or infinite in double precision")
-    scale[scale == 0.0] = 1.0
+    # a zero column, or one too small to invert, is left unscaled
+    scale[scale < np.finfo(scale.dtype).tiny] = 1.0
     import scipy.linalg
     # unit-RMS columns put A in double range for long-double data too; each
     # block of A is made once, in Fortran order, and geqrf overwrites it
@@ -123,7 +164,7 @@ def _scaled_lstsq(design, targets, ridge):
                                                                    copy=False)
         (qr, tau), r = scipy.linalg.qr(a, mode="raw", overwrite_a=True,
                                        check_finite=False)
-        factors.append((qr[:, :len(tau)], tau))
+        factors.append((rows, qr[:, :len(tau)], tau))
         r_factors.append(r)
     q0, R, perm = scipy.linalg.qr(np.vstack(r_factors), pivoting=True,
                                   mode="economic", check_finite=False)
@@ -146,9 +187,12 @@ def _scaled_lstsq(design, targets, ridge):
         """Scaled c minimizing |A c - top|^2 + |D c - bottom|^2, D the
         ridge penalty. The minimal workspace selects the unblocked
         reflector application, cheaper for a few target channels."""
-        y = np.vstack([unmqr("L", "C" if cplx else "T", qr, tau, top[rows],
-                             top.shape[1])[0][:len(tau)]
-                       for rows, (qr, tau) in zip(blocks, factors)])
+        def reflect(factor):
+            rows, qr, tau = factor
+            return unmqr("L", "C" if cplx else "T", qr, tau, top[rows],
+                         top.shape[1])[0][:len(tau)]
+
+        y = np.vstack(map_blocks(reflect, factors))
         y = q0.conj().T @ y
         if ridge > 0.0:
             y = q_ridge.conj().T @ np.vstack([y, bottom[perm]])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssmfrac import dictionary, spectrum
+from ssmfrac import _rows, dictionary, spectrum
 from ssmfrac.errors import DomainError, InputError, OutOfDomain, WrongShape
 from test_dictionary_format import _cases
 
@@ -441,6 +441,34 @@ def test_compiled_kernel_zero_at_origin_and_long_double(d, data):
     assert values.dtype == wide
     np.testing.assert_allclose(values.astype(x.dtype), d.evaluate(x),
                                rtol=1e-12, atol=0)
+
+
+# no samples, one, and the counts around one, two and eight row blocks
+SPLIT_ROWS = [0, 1, 511, 512, 513, 4095, 4097, 2 * 4096 + 1]
+
+
+@given(dictionaries(FRACTIONAL + ["integer"]), st.sampled_from(SPLIT_ROWS),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_evaluate_on_one_or_two_workers_is_bit_identical(d, rows, wide,
+                                                         seed):
+    """The row blocks of evaluate, run inline or split over two worker
+    threads, give identical arrays, in double and in long double; a tenth
+    of the samples sit at the origin, where columns take their constant."""
+    assert dictionary.EVAL_BLOCK_ROWS == 512
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, size=(rows, d.width))
+    x[rng.random(rows) < 0.1] = 0.0
+    if d.family == "map_1d":
+        x = np.abs(x)
+    x = d.masters(x.astype(np.longdouble) if wide else x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_rows, "_usable_cpus", lambda: 1)
+        one = d.evaluate(x)
+        mp.setattr(_rows, "_usable_cpus", lambda: 2)
+        two = d.evaluate(x)
+    assert one.shape == (rows, len(d))
+    np.testing.assert_array_equal(one, two, strict=True)
 
 
 @pytest.mark.parametrize("spec", [

@@ -2,6 +2,7 @@
 error metrics and the POD/DMD baselines."""
 
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,11 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ssmfrac import dictionary, dynamics, fit, spectrum
+from ssmfrac import _rows, dictionary, dynamics, fit, spectrum
 from ssmfrac.errors import (BadParams, Diverged, InputError, InsufficientData,
-                            LengthMismatch, NumericalError, OutOfRadius,
-                            RankDeficient, StepTooCoarse, WrongShape)
+                            LengthMismatch, NonFiniteData, NumericalError,
+                            OutOfRadius, RankDeficient, StepTooCoarse,
+                            WrongShape)
 from ssmfrac.trajectory import Trajectory
 
 COUETTE_MASTER_LOG = -0.035068
@@ -221,7 +223,8 @@ def test_scaled_lstsq_non_finite_values_are_input_errors(problem, data):
 @settings(max_examples=60, deadline=None)
 def test_scaled_lstsq_row_blocks_match_one_block(problem, block_rows, ridge):
     """Row blocks of a few rows, the last often shorter than the design is
-    wide, give the one-block solve and the scipy oracle. The per-channel
+    wide, give the one-block solve and the scipy oracle, and the same bits
+    whether they run inline or on two worker threads. The per-channel
     RMS residuals agree to what a backward-stable solve promises, a small
     multiple of eps * cond * RMS(targets) (Higham, Accuracy and Stability,
     Thm. 20.1, whose residual bound is linear in cond): on a square design
@@ -229,9 +232,15 @@ def test_scaled_lstsq_row_blocks_match_one_block(problem, block_rows, ridge):
     design, targets, scale, scaled, cond = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fit, "BLOCK_ROWS", block_rows)
+        mp.setattr(_rows, "_usable_cpus", lambda: 2)
         got, got_rms, got_cond = fit._scaled_lstsq(design, targets, ridge)
+        mp.setattr(_rows, "_usable_cpus", lambda: 1)
+        inline = fit._scaled_lstsq(design, targets, ridge)
         mp.setattr(fit, "BLOCK_ROWS", len(design))
         ref, ref_rms, ref_cond = fit._scaled_lstsq(design, targets, ridge)
+    # the blocks split over two worker threads give the inline loop's bits
+    for a, b in zip((got, got_rms, got_cond), inline):
+        np.testing.assert_array_equal(a, b, strict=True)
     aug = np.vstack([scaled, np.sqrt(ridge) * np.diag(1.0 / scale)])
     rhs = np.vstack([targets, np.zeros((len(scale), targets.shape[1]))])
     oracle, _, _, _ = scipy.linalg.lstsq(aug, rhs)
@@ -283,9 +292,11 @@ def test_scaled_lstsq_row_blocks_long_double(monkeypatch, cplx, ridge):
 def residual_problems(draw):
     """A design of 1-12 columns, real, complex or real under complex
     targets, in double or long double; 1-3 target channels; a long-double
-    solution x; and row blocks whose last one is short."""
+    solution x; and row blocks whose last one is short, or no rows."""
     block = draw(st.integers(2, 9))
     m = draw(st.integers(0, 5)) * block + draw(st.integers(1, block - 1))
+    if draw(st.integers(0, 9)) == 0:
+        m = 0
     n, channels = draw(st.integers(1, 12)), draw(st.integers(1, 3))
     mode = draw(st.sampled_from(["real", "complex", "real design"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -313,9 +324,15 @@ def test_long_double_residual_is_numpys(problem):
     the row blocks, is numpy's long-double targets - design @ x: bit for
     bit when x is complex, and for real data within the difference of two
     summation orders, (n - 1) ulps of sum_j |a_ij| |x_j| plus one of the
-    result, since einsum's real loop adds in its own order."""
+    result, since einsum's real loop adds in its own order. Split over
+    two worker threads, the blocks give the inline loop's bits."""
     design, targets, x, blocks = problem
-    got = fit._long_double_residual(design, targets, x, blocks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_rows, "_usable_cpus", lambda: 2)
+        got = fit._long_double_residual(design, targets, x, blocks)
+        mp.setattr(_rows, "_usable_cpus", lambda: 1)
+        inline = fit._long_double_residual(design, targets, x, blocks)
+    np.testing.assert_array_equal(got, inline, strict=True)
     ref = targets.astype(x.dtype) - design.astype(x.dtype) @ x
     assert got.dtype == ref.dtype == x.dtype
     if np.iscomplexobj(x):
@@ -325,6 +342,58 @@ def test_long_double_residual_is_numpys(problem):
     bound = (design.shape[1] - 1) * eps * (np.abs(design) @ np.abs(x)) + \
         eps * np.abs(ref)
     assert np.all(np.abs(got - ref) <= bound)
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e-170])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_column_scale_spans_the_double_range(factor, cplx):
+    """A finite column whose squares overflow (1e160) or underflow
+    (1e-170) gets its RMS as scale: the fit recovers the coefficients and
+    reports the condition number of the design before that column was
+    multiplied; a NaN or inf cell beside it is still refused."""
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(50, 3))
+    if cplx:
+        base = base + 1j * rng.normal(size=base.shape)
+    truth = np.array([[0.5], [-1.25], [2.0]])
+    targets = base @ truth
+    design = base.copy()
+    design[:, 1] *= factor
+    coeffs, rms, cond = fit._scaled_lstsq(design, targets, ridge=0.0)
+    _, _, ref_cond = fit._scaled_lstsq(base, targets, ridge=0.0)
+    np.testing.assert_allclose(coeffs * [[1.0], [factor], [1.0]], truth,
+                               rtol=1e-12)
+    assert cond == pytest.approx(ref_cond, rel=1e-12)
+    assert np.all(rms <= 1e-13)
+    for bad in (np.nan, np.inf):
+        spoiled = design.copy()
+        spoiled[7, 1] = bad
+        with pytest.raises(NonFiniteData):
+            fit._scaled_lstsq(spoiled, targets, ridge=0.0)
+
+
+@pytest.mark.parametrize("rows", [4095, 4097, 2 * 4096 + 1])
+def test_multi_block_fit_on_two_workers_is_inline_and_joins(rows):
+    """Around one and two blocks of BLOCK_ROWS rows, the fit on two worker
+    threads gives the inline fit's bits, and leaves no thread running."""
+    assert fit.BLOCK_ROWS == 4096
+    d = dictionary.dictionary_flow_2d(spectrum.SpectralPartition(
+        kind="flow", alpha_omega=((-1.0, 3.0),), beta_nu=((-1.3, 2.2),)),
+        K=4)
+    rng = np.random.default_rng(rows)
+    z = 0.5 * rng.random(rows) * np.exp(2j * np.pi * rng.random(rows))
+    design = d.evaluate(z)
+    targets = design @ rng.normal(size=(len(d), 2)) + \
+        1e-3 * rng.normal(size=(rows, 2))
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_rows, "_usable_cpus", lambda: 2)
+        split = fit._scaled_lstsq(design, targets, ridge=1e-9)
+        assert threading.active_count() == before
+        mp.setattr(_rows, "_usable_cpus", lambda: 1)
+        inline = fit._scaled_lstsq(design, targets, ridge=1e-9)
+    for a, b in zip(split, inline):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 # ---------------------------------------------------------------------------
