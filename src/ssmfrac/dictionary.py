@@ -147,6 +147,36 @@ def _term_exponents(spec, family, indices):
     return SimpleNamespace(amp=frac, phase=turn, order=degree + frac)
 
 
+def conjugation(s):
+    """The positions that conjugate a 2D multi-index (k2, k3, k5_1..k5_s,
+    k6_1..k6_s) over s slaved pairs: the conjugate of z^k2 zbar^k3
+    |z|^frac e^{i phase log|z|} swaps k2 with k3 and each k5_m with k6_m,
+    keeping its order, so ``index[conjugation(s)]`` is the conjugate
+    term's multi-index. It is an involution."""
+    return np.concatenate([[1, 0], 2 + s + np.arange(s), 2 + np.arange(s)])
+
+
+def _conjugate_pairs(indices, s):
+    """The terms of a 2D library, multi-indices ``indices``, as conjugate
+    pairs: positions ``first`` and ``second`` (first < second) of the two
+    terms of each pair, and ``real``, those of the self-conjugate terms
+    (k2 = k3, k5 = k6), whose values are real. A term whose conjugate is
+    not in the library raises InputError."""
+    index = np.array(indices, dtype=np.int64).reshape(len(indices), 2 + 2 * s)
+    at = {key: i for i, key in enumerate(map(tuple, index.tolist()))}
+    partner = np.array([at.get(key, -1) for key in
+                        map(tuple, index[:, conjugation(s)].tolist())],
+                       dtype=np.int64)
+    if np.any(partner < 0):
+        missing = tuple(index[np.argmin(partner)].tolist())
+        raise InputError(f"the conjugate of term {missing} is not in the "
+                         "library")
+    pos = np.arange(len(index))
+    return SimpleNamespace(first=pos[pos < partner],
+                           second=partner[pos < partner],
+                           real=pos[pos == partner])
+
+
 # ---------------------------------------------------------------------------
 # compiled evaluation
 # ---------------------------------------------------------------------------
@@ -154,35 +184,43 @@ def _term_exponents(spec, family, indices):
 EVAL_BLOCK_ROWS = 512       # bounds the (samples, terms) temporaries
 
 
-def _compile(indices, width, exponents, positive_only):
+def _compile(indices, width, exponents, positive_only, conjugates=None):
     """Exponent arrays, read from the multi-indices ``indices``: powers k
     of the ``width`` master columns (u; z and zbar; or the integer
     variables), one row per column, and their |.| exponents e, k with the
     fractional |.| exponent added on the first; the value where |z| <=
-    TINY_AMPLITUDE (1 for the constant term). For a master pair, the
-    distinct (k2, k3) pairs (the columns of ``pairs``) and the distinct
-    (frac, phase) combinations (the columns of ``combos``: indices into the
-    distinct fractional |.| exponents ``fracs`` and phase coefficients
-    ``phases``), each with its column map, ``pair_col`` and ``combo_col``;
-    the pair and factor tables of ``_evaluate`` are built over them."""
+    TINY_AMPLITUDE (1 for the constant term). For a master pair, whose
+    terms come as ``conjugates`` (``_conjugate_pairs``), only the first
+    term of each pair and the self-conjugate terms are computed, in that
+    order (``cols``): the distinct (k2, k3) pairs among them (the columns
+    of ``pairs``) and the distinct (frac, phase) combinations (the columns
+    of ``combos``: indices into the distinct fractional |.| exponents
+    ``fracs`` and phase coefficients ``phases``), each with its column
+    map, ``pair_col`` and ``combo_col``; the pair and factor tables of
+    ``_evaluate`` are built over them."""
     k = np.array([i[:width] for i in indices],
                  dtype=np.int64).reshape(len(indices), width).T
     frac = exponents.amp.astype(float)
     e = k.astype(float)
     e[:1] += frac
-    fracs, frac_col = np.unique(frac, return_inverse=True)
-    phases, phase_col = np.unique(exponents.phase.astype(float),
+    const = ((k.sum(axis=0) == 0) & (frac == 0)).astype(float)
+    ex = SimpleNamespace(k=k, e=e, kmax=int(k.max(initial=0)), const=const,
+                         positive_only=positive_only)
+    if conjugates is None:
+        return ex
+    cols = np.concatenate([conjugates.first, conjugates.real])
+    fracs, frac_col = np.unique(frac[cols], return_inverse=True)
+    phases, phase_col = np.unique(exponents.phase[cols].astype(float),
                                   return_inverse=True)
-    pairs, pair_col = np.unique(k.T, axis=0, return_inverse=True)
+    pairs, pair_col = np.unique(k.T[cols], axis=0, return_inverse=True)
     combos, combo_col = np.unique(np.column_stack([frac_col, phase_col]),
                                   axis=0, return_inverse=True)
-    return SimpleNamespace(
-        k=k, e=e, fracs=fracs, phases=phases,
-        pairs=pairs.T, pair_col=pair_col.ravel(),
+    ex.__dict__.update(
+        fracs=fracs, phases=phases, pairs=pairs.T, pair_col=pair_col.ravel(),
         combos=combos.T, combo_col=combo_col.ravel(),
-        kmax=int(k.max(initial=0)),
-        const=((k.sum(axis=0) == 0) & (frac == 0)).astype(float),
-        positive_only=positive_only)
+        n_pairs=len(conjugates.first), first=conjugates.first,
+        second=conjugates.second, real=conjugates.real)
+    return ex
 
 
 def _samples(points, complex_):
@@ -197,19 +235,27 @@ def _samples(points, complex_):
     return np.ravel(x if x.dtype == np.clongdouble else x.astype(complex))
 
 
-def _evaluate(x, ex):
+def _evaluate(x, ex, real_form=False):
     """Columns at real samples x, (n,) or (n, width), prod_j sign(x_j)^k_j
     |x_j|^e_j with each |x_j| <= TINY_AMPLITUDE set to 0, or at complex
     samples z, z^{k2} zbar^{k3} |z|^{frac} e^{i phase log|z|}; computed
     EVAL_BLOCK_ROWS samples at a time. At complex samples, a pair table
     z^{k2} zbar^{k3} over the distinct (k2, k3) and a fractional-factor
     table |z|^{frac} e^{i phase log|z|} over the distinct (frac, phase) are
-    made first, each a few columns wide, and every column is one product
-    of a gather from each: three passes over the (samples, terms) block.
-    The blocks are split over worker threads (``_rows.map_blocks``)."""
+    made first, each a few columns wide, and every computed column (the
+    first term of each conjugate pair, then the self-conjugate terms) is
+    one product of a gather from each. The second term of a pair is then
+    written as the conjugate of the first and a self-conjugate term as the
+    real part of its product, so conjugate columns are exact conjugates.
+    With ``real_form``, the output is real: the Re and Im columns of each
+    pair's first term, interleaved, which the product writes in place as
+    the complex view of the output, then the self-conjugate terms. The
+    blocks are split over worker threads (``_rows.map_blocks``)."""
     if ex.positive_only and np.any(x < -TINY_AMPLITUDE):
         raise DomainError("positive-only monomial evaluated at negative u")
-    out = np.empty((len(x), len(ex.const)), dtype=x.dtype)
+    width = 2 * ex.n_pairs + len(ex.real) if real_form else len(ex.const)
+    out = np.empty((len(x), width),
+                   dtype=x.real.dtype if real_form else x.dtype)
 
     def block(lo):
         xb, blk = x[lo:lo + EVAL_BLOCK_ROWS], out[lo:lo + EVAL_BLOCK_ROWS]
@@ -232,10 +278,22 @@ def _evaluate(x, ex):
         factor = (amp ** ex.fracs)[:, ex.combos[0]].astype(x.dtype)
         if ex.phases.any():
             factor *= np.exp(1j * (np.log(amp) * ex.phases))[:, ex.combos[1]]
-        np.multiply(np.take(pair, ex.pair_col, axis=1),
-                    np.take(factor, ex.combo_col, axis=1), out=blk)
+        n = ex.n_pairs
+        head = blk[:, :2 * n].view(x.dtype) if real_form else \
+            np.empty((len(xb), n), dtype=x.dtype)
+        np.multiply(np.take(pair, ex.pair_col[:n], axis=1),
+                    np.take(factor, ex.combo_col[:n], axis=1), out=head)
+        own = (np.take(pair, ex.pair_col[n:], axis=1)
+               * np.take(factor, ex.combo_col[n:], axis=1)).real
         if not ok.all():
-            blk[~ok] = ex.const
+            head[~ok] = ex.const[ex.first]
+            own[~ok] = ex.const[ex.real]
+        if real_form:
+            blk[:, 2 * n:] = own
+        else:
+            blk[:, ex.first] = head
+            blk[:, ex.second] = head.conj()
+            blk[:, ex.real] = own
 
     map_blocks(block, range(0, len(x), EVAL_BLOCK_ROWS))
     return out
@@ -271,6 +329,10 @@ class Dictionary:
                            tuple(self.monomials[i] for i in rank))
         object.__setattr__(self, "exponents", SimpleNamespace(
             **{name: v[rank] for name, v in vars(ex).items()}))
+        if self.family.endswith("2d"):
+            # found now, so that a library missing a term's conjugate is
+            # refused when it is made
+            self.conjugates
 
     @cached_property
     def family(self):
@@ -288,9 +350,19 @@ class Dictionary:
         return self.exponents.order.tolist()
 
     @cached_property
+    def conjugates(self):
+        """A 2D library's terms as conjugate pairs (``_conjugate_pairs``):
+        index arrays ``first`` and ``second``, whose columns are exact
+        conjugates, and ``real``, the self-conjugate terms; None for other
+        families."""
+        if not self.family.endswith("2d"):
+            return None
+        return _conjugate_pairs(self.multi_indices, self.spec.s)
+
+    @cached_property
     def _kernel(self):
         return _compile(self.multi_indices, self.width, self.exponents,
-                        self.family == "map_1d")
+                        self.family == "map_1d", self.conjugates)
 
     @property
     def width(self):
@@ -323,6 +395,18 @@ class Dictionary:
         else:
             x = _samples(points, self.family.endswith("2d"))
         return _evaluate(x, self._kernel)
+
+    def evaluate_real(self, points):
+        """A 2D library's real form at complex master samples: (n_samples,
+        2 P + S) real columns, the Re and Im parts of the first term of
+        each of the P conjugate pairs (``conjugates.first``), interleaved,
+        then the S self-conjugate terms (``conjugates.real``); each equals
+        the corresponding part of ``evaluate`` bit for bit, and the second
+        term of a pair is the first's conjugate. Other families raise
+        WrongShape."""
+        if self.conjugates is None:
+            raise WrongShape(f"a {self.family} library has no real form")
+        return _evaluate(_samples(points, True), self._kernel, real_form=True)
 
     def _entries(self, monomials, exponents, pruned):
         branch = "positive_only" if self.family == "map_1d" else "symmetric"

@@ -5,31 +5,38 @@ the degree-1 integer library, whose columns are the states themselves.
 
 All fits, the DMD baseline included, are plain linear least squares on a
 design matrix, solved by one routine; a fit over several trajectories
-evaluates the dictionary once, over all their samples. Columns are rescaled
-to unit RMS before solving (fractional high-order columns are otherwise
-tiny). The scaled design is factored in double precision by a row-blocked,
-tall-skinny QR: a Householder QR of each block of rows, then one
-column-pivoted QR of the blocks' stacked R factors. That gives the condition
-number (from R), the solve, a ridge (folded into R) and one step of
-iterative refinement. The refinement residual is accumulated in long
-double, in the same row blocks and one target channel at a time by einsum
-(numpy has no BLAS path for long double, and its einsum loop is faster than
-its long-double matmul), so long-double data enters the fit there at full
-precision; coefficients are reported in the original scale. The residual
-stays in long double because one refinement step with a residual in working
-precision gives back no forward accuracy on an ill-conditioned consistent
-fit; only the extra precision of the residual does (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 12).
+evaluates the dictionary once, over all their samples. A 2D library is
+fitted in its real form (``_fit_library``): its terms come in conjugate
+pairs whose columns are exact conjugates, so the design holds the Re and Im
+columns of one term of each pair and the real columns of the
+self-conjugate terms, the targets' real and imaginary parts are separate
+channels, and the complex coefficients follow from the real ones; the
+factorization then does a quarter of the complex flops in half the memory.
+Columns are rescaled to unit RMS before solving (fractional high-order
+columns are otherwise tiny). The scaled design is factored in double
+precision by a row-blocked, tall-skinny QR: a Householder QR of each block
+of rows, then one column-pivoted QR of the blocks' stacked R factors. That
+gives the condition number (from R's singular values), the solve, a ridge
+(folded into R) and one step of iterative refinement. The refinement
+residual is accumulated in long double, in the same row blocks and one
+target channel at a time by einsum (numpy has no BLAS path for long double,
+and its einsum loop is faster than its long-double matmul), so long-double
+data enters the fit there at full precision; coefficients are reported in
+the original scale. The residual stays in long double because one
+refinement step with a residual in working precision gives back no forward
+accuracy on an ill-conditioned consistent fit; only the extra precision of
+the residual does (Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 12).
 
 The row blocks of the refinement residual and of the reflector solves are
 split over worker threads by ``_rows.map_blocks`` (one per usable CPU, at
 most one per block; bit-identical to the serial loop); the block QR stays
 in the calling thread, where BLAS already uses the cores.
 
-``scipy.linalg``, whose QR, reflector application and triangular solve the
-factorization uses, is imported by the solver when it runs, not with the
-module, so that ``import ssmfrac`` and the commands that fit nothing load
-no scipy: after numpy, ``import scipy.linalg`` takes 0.28-0.36 s
+``scipy.linalg``, whose QR, reflector application, triangular solve and
+singular values the factorization uses, is imported by the solver when it
+runs, not with the module, so that ``import ssmfrac`` and the commands that
+fit nothing load no scipy: after numpy, ``import scipy.linalg`` takes 0.28-0.36 s
 (``python -X importtime``, 2-core host).
 """
 
@@ -49,8 +56,11 @@ from .trajectory import Trajectory
 
 RANK_DEFICIENT_COND = 1e12
 # rows per block of the factorization and of the refinement residual; a
-# complex double block of 70 columns takes 4.6 MB
-BLOCK_ROWS = 4096
+# real double block of 70 columns takes 9.2 MB. On the 99,900 x 70 real
+# form of a map_2d fit (2-core host), 4096 / 8192 / 16384 / 32768 rows
+# took 0.57 / 0.48 / 0.40 / 0.38-0.43 s with two BLAS threads and
+# 0.38 / 0.41-0.43 / 0.43-0.44 / 0.43-0.44 s on one CPU
+BLOCK_ROWS = 16384
 TRUST_FACTOR = 1.2
 DIVERGENCE_NORM = 1e6
 
@@ -109,29 +119,10 @@ def _column_scale(design):
     return scale
 
 
-def _scaled_lstsq(design, targets, ridge):
-    """Column-scaled least squares with optional ridge on the unscaled
-    coefficients; returns (coefficients, per-channel RMS residual, cond).
-
-    The scaled design A is factored once, in double precision, by a
-    row-blocked (tall-skinny) QR: a Householder QR A_i = Q_i R_i of each
-    block of BLOCK_ROWS rows, then one column-pivoted QR of the stacked
-    R_i, so that A P = diag(Q_i) Q0 R. cond(A) is taken from R, a ridge is
-    folded into R by a small QR of [R; sqrt(ridge) diag(1/scale) P], and the
-    solve and one refinement step reuse the factors. The refinement residual
-    targets - design (c / scale) is formed in long double, block by block
-    and one channel at a time by einsum (``_long_double_residual``), from
-    the design and targets as given, so long-double data enters there at
-    full precision and consistent ill-conditioned round trips are recovered
-    beyond plain double forward accuracy, which a working-precision residual
-    would not give. Long-double targets must lie in double range; the design
-    is scaled into it.
-    """
-    design = np.asarray(design)
-    targets = np.asarray(targets)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    n_samp, n_cols = design.shape
+def _check_problem(shape, ridge):
+    """A design of ``shape`` and a ridge that a least-squares fit accepts:
+    ridge finite and >= 0, at least one column and as many rows."""
+    n_samp, n_cols = shape
     if not (np.isfinite(ridge) and ridge >= 0):
         raise BadFitSettings(f"ridge must be finite and >= 0, got {ridge}")
     if n_cols == 0:
@@ -140,7 +131,43 @@ def _scaled_lstsq(design, targets, ridge):
         raise InsufficientData(
             f"{n_samp} samples for {n_cols} dictionary terms")
 
-    scale = _column_scale(design)
+
+def _scaled_lstsq(design, targets, ridge):
+    """Column-scaled least squares with optional ridge on the unscaled
+    coefficients; returns (coefficients, per-channel RMS residual, cond).
+    Each column is scaled to unit RMS (``_column_scale``) and the ridge
+    weighs every coefficient alike; ``_factor_lstsq`` solves.
+    """
+    design = np.asarray(design)
+    _check_problem(design.shape, ridge)
+    return _factor_lstsq(design, targets, ridge, _column_scale(design), 1.0)
+
+
+def _factor_lstsq(design, targets, ridge, scale, weights):
+    """Least squares of ``targets`` on the columns of ``design`` divided by
+    ``scale``, with the penalty ridge * sum_j weights_j |c_j|^2 on the
+    unscaled coefficients c; returns (c, per-channel RMS residual, cond of
+    the scaled design). The shape and ridge are checked by the caller.
+
+    The scaled design A is factored once, in double precision, by a
+    row-blocked (tall-skinny) QR: a Householder QR A_i = Q_i R_i of each
+    block of BLOCK_ROWS rows, then one column-pivoted QR of the stacked
+    R_i, so that A P = diag(Q_i) Q0 R. cond(A) is the ratio of R's extreme
+    singular values, a ridge is folded into R by a small QR of
+    [R; sqrt(ridge weights) diag(1/scale) P], and the solve and one
+    refinement step reuse the factors. The refinement residual targets -
+    design (c / scale) is formed in long double, block by block and one
+    channel at a time by einsum (``_long_double_residual``), from the
+    design and targets as given, so long-double data enters there at full
+    precision and consistent ill-conditioned round trips are recovered
+    beyond plain double forward accuracy, which a working-precision
+    residual would not give. Long-double targets must lie in double range;
+    the design is scaled into it.
+    """
+    targets = np.asarray(targets)
+    if targets.ndim == 1:
+        targets = targets[:, None]
+    n_samp, n_cols = design.shape
     cplx = np.iscomplexobj(design) or np.iscomplexobj(targets)
     b = np.asarray(targets, dtype=complex if cplx else float)
     # a design column holds NaN or inf exactly when its scale is not finite;
@@ -168,7 +195,10 @@ def _scaled_lstsq(design, targets, ridge):
         r_factors.append(r)
     q0, R, perm = scipy.linalg.qr(np.vstack(r_factors), pivoting=True,
                                   mode="economic", check_finite=False)
-    cond = np.linalg.cond(R)
+    # the singular values from scipy's LAPACK, which the QR used: numpy's
+    # own would wake a second OpenBLAS and its thread pool
+    sv = scipy.linalg.svdvals(R, check_finite=False)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if ridge == 0.0 and cond > RANK_DEFICIENT_COND:
         raise RankDeficient(
             f"design matrix condition number {cond:.3e} exceeds "
@@ -177,7 +207,7 @@ def _scaled_lstsq(design, targets, ridge):
     ld = np.clongdouble if cplx else np.longdouble
     # penalty acts on the unscaled coefficients c = c_scaled / scale; it
     # joins the double factors, so it is rounded to double
-    penalty = (np.sqrt(ridge) * inv_scale).astype(float)
+    penalty = (np.sqrt(ridge * weights) * inv_scale).astype(float)
     if ridge > 0.0:
         q_ridge, R = np.linalg.qr(np.vstack([R, np.diag(penalty[perm])]))
     unmqr, = scipy.linalg.get_lapack_funcs(
@@ -212,6 +242,48 @@ def _scaled_lstsq(design, targets, ridge):
     resid = targets - design @ coeffs
     rms = np.sqrt(np.mean(np.abs(resid) ** 2, axis=0))
     return coeffs, rms, float(cond)
+
+
+def _fit_library(dictionary, samples, targets, ridge):
+    """``_scaled_lstsq`` of ``targets`` on ``dictionary`` at the master
+    ``samples``: (coefficients, per-channel RMS residual, cond).
+
+    A 2D library is fitted in its real form (``Dictionary.evaluate_real``):
+    a real column for the Re and the Im part of the first term of each
+    conjugate pair, one per self-conjugate term, and the real and imaginary
+    parts of complex targets as separate channels. A pair's coefficients
+    come back as c = (y_Re -/+ i y_Im) / 2 from those of its Re and Im
+    columns, and a self-conjugate term's as its column's. Both pair columns
+    are scaled by the RMS of the complex column over sqrt(2) and their ridge
+    weighs 1/2, so the penalty stays ridge * sum |c_t|^2 and the scaled
+    real form is the complex scaled design times a unitary matrix: the
+    condition number is the complex design's. The factorization then works
+    on real blocks, a quarter of the complex flops in half the memory.
+    """
+    pairs = dictionary.conjugates
+    if pairs is None:
+        return _scaled_lstsq(dictionary.evaluate(samples), targets, ridge)
+    design = dictionary.evaluate_real(samples)
+    _check_problem(design.shape, ridge)
+    n = 2 * len(pairs.first)
+    scale = _column_scale(design)
+    scale[:n] = np.repeat(np.hypot(scale[:n:2], scale[1:n:2]), 2) / np.sqrt(2)
+    weights = np.ones(len(scale))
+    weights[:n] = 0.5
+    targets = np.asarray(targets)
+    cplx = np.iscomplexobj(targets)
+    if cplx:
+        targets = np.ascontiguousarray(targets).view(targets.real.dtype)
+    y, rms, cond = _factor_lstsq(design, targets, ridge, scale, weights)
+    ctype = np.result_type(y, 1j)
+    if cplx:
+        y = np.ascontiguousarray(y).view(ctype)
+        rms = np.hypot(rms[::2], rms[1::2])
+    coeffs = np.empty((len(dictionary), y.shape[1]), dtype=ctype)
+    coeffs[pairs.first] = (y[:n:2] - 1j * y[1:n:2]) / 2
+    coeffs[pairs.second] = (y[:n:2] + 1j * y[1:n:2]) / 2
+    coeffs[pairs.real] = y[n:]
+    return coeffs, rms, cond
 
 
 def _coeffs_to_jsonable(coeffs):
@@ -287,10 +359,9 @@ def fit_graph(data, dictionary, master_coords, slaved_coords, ridge=0.0):
     if set(master_coords) & set(slaved_coords):
         raise InputError("master and slaved coordinate selectors overlap")
     states = np.vstack([traj.states for traj in _trajectories(data)])
-    design = dictionary.evaluate(
-        dictionary.masters(states[:, list(master_coords)]))
-    targets = states[:, list(slaved_coords)]
-    coeffs, rms, cond = _scaled_lstsq(design, targets, ridge)
+    coeffs, rms, cond = _fit_library(
+        dictionary, dictionary.masters(states[:, list(master_coords)]),
+        states[:, list(slaved_coords)], ridge)
     return GraphFit(dictionary=dictionary, coefficients=coeffs,
                     residuals=rms, condition_number=cond,
                     master_coords=master_coords, slaved_coords=slaved_coords)
@@ -386,8 +457,8 @@ def fit_reduced_map(series, dictionary, ridge=0.0):
         targets.append(vals[1:].reshape(len(vals) - 1, -1))
         # the last sample enters no design row but bounds the trust region
         amp = max(amp, float(np.max(np.abs(vals))))
-    design = dictionary.evaluate(np.concatenate(samples))
-    coeffs, rms, cond = _scaled_lstsq(design, np.vstack(targets), ridge)
+    coeffs, rms, cond = _fit_library(dictionary, np.concatenate(samples),
+                                     np.vstack(targets), ridge)
     return ReducedFit(dictionary=dictionary, coefficients=coeffs, kind="map",
                       residuals=rms, condition_number=cond,
                       training_amplitude=amp)
@@ -427,8 +498,8 @@ def fit_reduced_flow(data, dictionary, ridge=0.0):
         err2_sq += float(np.sum(np.abs(d4 - d2) ** 2))
         dot_sq += float(np.sum(np.abs(d4) ** 2))
         n_rows += len(d4)
-    design = dictionary.evaluate(np.concatenate(samples))
-    coeffs, rms, cond = _scaled_lstsq(design, np.vstack(targets), ridge)
+    coeffs, rms, cond = _fit_library(dictionary, np.concatenate(samples),
+                                     np.vstack(targets), ridge)
     # the 2nd-order scheme errs like (wh)^2/6 and the 4th like (wh)^4/30 on
     # a signal of frequency w, so bound4 ~ 1.2 * err2^2 / |udot|
     err2 = np.sqrt(err2_sq / max(n_rows, 1))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import _term_exponents, family_of, linear_graph_eval
+from .dictionary import (_term_exponents, conjugation, family_of,
+                         linear_graph_eval)
 from .errors import (InputError, NoConvergence, OutOfRadius, SmallDivisor,
                      WrongShape)
 from .jsonio import dump_json
@@ -359,9 +360,9 @@ class _Lattice:
     Gamma_m) / 2 the |.| exponent and phase coefficient of the k5_m = 1
     term (``dictionary._term_exponents``; one master pair, slaved pairs
     only), which are never rounded. Keys add as exponents add, conjugation
-    swaps k2 with k3 and k5 with k6, and a - b = k2 - k3 is the rotational
-    index. A series is a pair (keys, coeffs): an (n, dim) integer array and
-    an (n,) complex array.
+    swaps k2 with k3 and k5 with k6 (``dictionary.conjugation``), and
+    a - b = k2 - k3 is the rotational index. A series is a pair (keys,
+    coeffs): an (n, dim) integer array and an (n,) complex array.
     """
 
     def __init__(self, spec):
@@ -374,8 +375,7 @@ class _Lattice:
         ex = _term_exponents(spec, family, np.eye(self.dim, dtype=np.int64))
         self.theta = (ex.amp[2:] + 1j * ex.phase[2:]) / 2.0
         self.weight = ex.order
-        self.swap = np.concatenate([[1, 0], 2 + s + np.arange(s),
-                                    2 + np.arange(s)])
+        self.swap = conjugation(s)
 
     def key(self, k2, k3):
         """The one-row key array of the integer monomial xi^k2 conj(xi)^k3."""

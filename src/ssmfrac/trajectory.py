@@ -8,6 +8,8 @@ lists) is parsed by ``read_table``. Trajectory schema: header
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,13 @@ def _is_number(text):
     return True
 
 
+# the whitespace of a line that it leaves blank or comment-only, after its
+# newline; once that is gone, a line that is neither starts with neither '#'
+# nor a newline. Compiled at first use (``re`` caches them), not at import.
+_BLANK = r"\n[^\S\n]+(?=[#\n]|$)"
+_CONTENT = r"(?m)^[^#\n].*"
+
+
 def read_table(path):
     """(header, rows) of a comma-separated table of finite numbers.
 
@@ -30,19 +39,22 @@ def read_table(path):
     first remaining line is a header, returned as its list of fields, only
     when none of its fields is a number; otherwise header is None. A NaN or
     infinite cell raises NonFiniteData; any other cell that is not a
-    number, ragged rows or no rows at all raise InputError.
+    number, ragged rows or no rows at all raise InputError. The rows are
+    parsed by numpy's C reader, from the first one on.
     """
     try:
         with open(path) as fh:
-            lines = [text for text in (line.split("#", 1)[0] for line in fh)
-                     if text.strip()]
-        fields = lines[0].split(",") if lines else []
+            text = re.sub(_BLANK, "\n", "\n" + fh.read())
+        content = re.compile(_CONTENT)
+        first = content.search(text)
+        fields = first.group().split("#", 1)[0].split(",") if first else []
         header = [f.strip() for f in fields] \
             if fields and not any(map(_is_number, fields)) else None
-        rows = lines[header is not None:]
-        if not rows:
+        rows = first if header is None else content.search(text, first.end())
+        if rows is None:
             raise InputError(f"{path}: no numeric rows")
-        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+        table = np.loadtxt(io.StringIO(text[rows.start():]), delimiter=",",
+                           comments="#", ndmin=2)
     except ValueError as exc:            # a bad cell, ragged rows, encoding
         raise InputError(f"{path}: not a numeric CSV table ({exc})") from None
     if not np.isfinite(table).all():

@@ -265,6 +265,18 @@ def test_csv_comments_are_skipped(tmp_path):
     assert (part.lam, part.kappa) == ((-0.5,), (-2.0,))
 
 
+def test_csv_blank_and_indented_comment_lines_are_skipped(tmp_path):
+    """Lines of whitespace alone, or of whitespace before a comment, are
+    blank or comment-only lines too, before the header and between rows."""
+    csv = tmp_path / "traj.csv"
+    csv.write_text("  \n\t# written by hand\nt,x1\n \t\n0.0,1.0\n"
+                   "   # between rows\n\f\n0.5,2.0\n  \n")
+    traj = Trajectory.read_csv(csv)
+    assert traj.kind == "flow"
+    np.testing.assert_array_equal(traj.times, [0.0, 0.5])
+    np.testing.assert_array_equal(traj.states[:, 0], [1.0, 2.0])
+
+
 @pytest.mark.parametrize("first", ["nan", "inf"])
 def test_non_finite_first_row_is_input_error(tmp_path, capsys, first):
     """A non-finite first row is data, not a header, and exits 2."""
@@ -437,6 +449,46 @@ def test_fit_integer_only_reads_every_master_column(tmp_path, capsys):
                          str(spec_path), "--order", "2", "--integer-only",
                          "--outdir", str(tmp_path / f"out{width}")]) == code
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_fit_map_2d_recovers_the_generating_model(tmp_path):
+    """``ssmfrac fit`` over a map_2d library, which it fits in its real
+    form, recovers the coefficients of data iterated from a model in the
+    library's span, and reports the condition number of the column-scaled
+    complex design."""
+    mu, sigma = 0.9 * np.exp(0.7j), 0.9 ** 1.3 * np.exp(1.9j)
+    part = spectrum.SpectralPartition(kind="map",
+                                      alpha_omega=((mu.real, mu.imag),),
+                                      beta_nu=((sigma.real, sigma.imag),))
+    spec_path = tmp_path / "spectrum.json"
+    part.to_json(spec_path)
+    d = dictionary.dictionary_map_2d(part, 3)
+    rng = np.random.default_rng(11)
+    truth = 0.02 * (rng.normal(size=len(d)) + 1j * rng.normal(size=len(d)))
+    truth[d.multi_indices.index((1, 0, 0, 0))] = mu
+    data = tmp_path / "data"
+    data.mkdir()
+    samples = []
+    for j in range(6):
+        z = [(0.1 + 0.2 * rng.random()) * np.exp(2j * np.pi * rng.random())]
+        for _ in range(60):
+            z.append(d.evaluate(z[-1:])[0] @ truth)
+        z = np.array(z)
+        samples.append(z[:-1])
+        Trajectory(times=np.arange(61.0), states=np.column_stack(
+            [z.real, z.imag]), kind="map").write_csv(data / f"traj{j}.csv")
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--data", str(data), "--spectrum",
+                     str(spec_path), "--order", "3", "--kind", "map",
+                     "--outdir", str(out)]) == 0
+    model = fit.model_from_json(out / "model.json")
+    np.testing.assert_allclose(model.coefficients[:, 0], truth, rtol=0,
+                               atol=1e-12)
+    design = d.evaluate(np.concatenate(samples))
+    scaled = design / np.sqrt(np.mean(np.abs(design) ** 2, axis=0))
+    report = json.loads((out / "report.json").read_text())
+    assert report["condition_number"] == pytest.approx(
+        np.linalg.cond(scaled), rel=1e-9)
 
 
 def test_fit_empty_data_dir_is_input_error(tmp_path):

@@ -1029,3 +1029,98 @@ def test_library_above_max_terms_is_input_error(build, K):
     once."""
     with pytest.raises(InputError, match="more than"):
         build(K)
+
+
+# ---------------------------------------------------------------------------
+# conjugate pairs and the real form
+# ---------------------------------------------------------------------------
+
+@st.composite
+def libraries_2d(draw):
+    """A flow_2d or map_2d library truncated at an order in [0, 5] over a
+    drawn spectrum with one or two slaved pairs of either sign, some at a
+    near-integer ratio, include_linear either way, pruned half the time."""
+    family = draw(st.sampled_from(["flow_2d", "map_2d"]))
+    ratios = draw(st.lists(st.floats(0.7, 4.0) | st.floats(-4.0, -0.7)
+                           | st.sampled_from([1.0, 1.02, 2.0]),
+                           min_size=1, max_size=2))
+    d = dictionary.BUILDERS[family](draw_spectrum(draw, family, ratios),
+                                    draw(st.floats(0.0, 5.0)),
+                                    draw(st.booleans()))
+    if draw(st.booleans()):
+        d = dictionary.prune_near_integer(
+            d, draw(st.sampled_from([0.01, 0.05, 0.3])))
+    return d
+
+
+@given(libraries_2d())
+@settings(max_examples=100, deadline=None)
+def test_conjugation_is_an_involution_that_pairs_every_2d_term(d):
+    """Conjugation swaps k2 with k3 and k5 with k6, twice gives the
+    identity, keeps the order, and maps the library onto itself: its terms
+    split into pairs (first before second) and self-conjugate terms."""
+    width = 2 + 2 * d.spec.s
+    perm = dictionary.conjugation(d.spec.s)
+    np.testing.assert_array_equal(perm[perm], np.arange(width))
+    index = np.array(d.multi_indices, dtype=np.int64).reshape(len(d), width)
+    assert sorted(map(tuple, index[:, perm].tolist())) == \
+        sorted(d.multi_indices)
+    c = d.conjugates
+    assert sorted(np.concatenate([c.first, c.second, c.real]).tolist()) == \
+        list(range(len(d)))
+    assert np.all(c.first < c.second)
+    np.testing.assert_array_equal(index[c.first][:, perm], index[c.second])
+    np.testing.assert_array_equal(index[c.real][:, perm], index[c.real])
+    orders = np.array(d.orders)
+    np.testing.assert_array_equal(orders[c.first], orders[c.second])
+
+
+@given(libraries_2d(), st.sampled_from([0, 1, 513, 1100]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_real_form_is_evaluate_bit_for_bit(d, rows, wide, seed):
+    """The second term of each pair evaluates to the exact conjugate of the
+    first, a self-conjugate term to a real value, and the real form's
+    columns are the Re and Im parts of the first terms, then the
+    self-conjugate values, bit for bit, in double and long double, inline
+    and on two worker threads; a tenth of the samples sit at the origin."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.0, 1.5, rows) * np.exp(1j * rng.uniform(-np.pi, np.pi,
+                                                              rows))
+    z[rng.random(rows) < 0.1] = 0.0
+    if wide:
+        z = z.astype(np.clongdouble)
+    values = d.evaluate(z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_rows, "_usable_cpus", lambda: 1)
+        real = d.evaluate_real(z)
+        mp.setattr(_rows, "_usable_cpus", lambda: 2)
+        np.testing.assert_array_equal(d.evaluate_real(z), real, strict=True)
+    c = d.conjugates
+    n = 2 * len(c.first)
+    assert real.dtype == values.real.dtype
+    assert real.shape == (rows, n + len(c.real))
+    np.testing.assert_array_equal(values[:, c.second],
+                                  values[:, c.first].conj(), strict=True)
+    np.testing.assert_array_equal(values[:, c.real].imag, 0.0)
+    np.testing.assert_array_equal(real[:, :n:2], values[:, c.first].real,
+                                  strict=True)
+    np.testing.assert_array_equal(real[:, 1:n:2], values[:, c.first].imag,
+                                  strict=True)
+    np.testing.assert_array_equal(real[:, n:], values[:, c.real].real,
+                                  strict=True)
+
+
+def test_real_form_needs_a_2d_library_closed_under_conjugation():
+    """Only 2D libraries have a real form, and a 2D library missing the
+    conjugate of one of its terms is refused."""
+    d = dictionary.dictionary_flow_2d(shaw_pierre_spec(), 3)
+    gone = d.monomials[d.conjugates.second[0]]
+    with pytest.raises(InputError, match="conjugate"):
+        dictionary.Dictionary(tuple(m for m in d.monomials if m != gone),
+                              d.spec, d.truncation)
+    for other in (dictionary.dictionary_flow_1d(planar_spec(), 3),
+                  dictionary.integer_dictionary(2, 3)):
+        assert other.conjugates is None
+        with pytest.raises(WrongShape):
+            other.evaluate_real(np.ones(3))

@@ -372,11 +372,11 @@ def test_column_scale_spans_the_double_range(factor, cplx):
             fit._scaled_lstsq(spoiled, targets, ridge=0.0)
 
 
-@pytest.mark.parametrize("rows", [4095, 4097, 2 * 4096 + 1])
+@pytest.mark.parametrize("rows", [fit.BLOCK_ROWS - 1, fit.BLOCK_ROWS + 1,
+                                  2 * fit.BLOCK_ROWS + 1])
 def test_multi_block_fit_on_two_workers_is_inline_and_joins(rows):
     """Around one and two blocks of BLOCK_ROWS rows, the fit on two worker
     threads gives the inline fit's bits, and leaves no thread running."""
-    assert fit.BLOCK_ROWS == 4096
     d = dictionary.dictionary_flow_2d(spectrum.SpectralPartition(
         kind="flow", alpha_omega=((-1.0, 3.0),), beta_nu=((-1.3, 2.2),)),
         K=4)
@@ -394,6 +394,121 @@ def test_multi_block_fit_on_two_workers_is_inline_and_joins(rows):
         inline = fit._scaled_lstsq(design, targets, ridge=1e-9)
     for a, b in zip(split, inline):
         np.testing.assert_array_equal(a, b, strict=True)
+
+
+def flow_2d_library(K):
+    return dictionary.dictionary_flow_2d(spectrum.SpectralPartition(
+        kind="flow", alpha_omega=((-1.0, 3.0),), beta_nu=((-1.3, 2.2),)), K)
+
+
+# (library, rows, ridge, long double, real targets): every combination on
+# one block of 200 rows, and a few around one and two blocks of BLOCK_ROWS
+REAL_FORM_CASES = [
+    (family, 200, ridge, wide, real)
+    for family in ("map_2d", "flow_2d") for ridge in (0.0, 1e-6)
+    for wide in (False, True) for real in (False, True)] + [
+    ("map_2d", fit.BLOCK_ROWS - 1, 0.0, False, False),
+    ("flow_2d", fit.BLOCK_ROWS + 1, 1e-6, True, True),
+    ("map_2d", 2 * fit.BLOCK_ROWS + 1, 1e-6, False, True),
+    ("flow_2d", 2 * fit.BLOCK_ROWS + 1, 0.0, True, False)]
+
+
+@pytest.mark.parametrize("family, rows, ridge, wide, real_targets",
+                         REAL_FORM_CASES)
+def test_real_form_fit_matches_the_complex_solve(family, rows, ridge, wide,
+                                                  real_targets):
+    """A 2D library fitted in its real form gives what the complex solve of
+    its evaluated design gives: coefficients within eps * cond of the
+    scaled solution, the same condition number, and per-channel RMS
+    residuals within 8 eps * cond * RMS(targets), in double and long
+    double, for complex targets and real (graph) ones, over one, two and
+    three row blocks. Real targets give conjugate coefficients on the two
+    terms of a pair. Split over two worker threads, the fit gives the
+    inline fit's bits."""
+    d = map_2d_library(4) if family == "map_2d" else flow_2d_library(4)
+    rng = np.random.default_rng(rows)
+    z = (0.05 + 0.45 * rng.random(rows)) * np.exp(2j * np.pi * rng.random(rows))
+    truth = rng.normal(size=(len(d), 2)) + 1j * rng.normal(size=(len(d), 2))
+    targets = d.evaluate(z) @ truth
+    if real_targets:
+        targets = targets.real.copy()
+    if wide:
+        z = z.astype(np.clongdouble)
+        targets = targets.astype(np.longdouble if real_targets
+                                 else np.clongdouble)
+    design = d.evaluate(z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_rows, "_usable_cpus", lambda: 2)
+        got, rms, cond = fit._fit_library(d, z, targets, ridge)
+        mp.setattr(_rows, "_usable_cpus", lambda: 1)
+        inline = fit._fit_library(d, z, targets, ridge)
+    for a, b in zip((got, rms, cond), inline):
+        np.testing.assert_array_equal(a, b, strict=True)
+    ref, ref_rms, ref_cond = fit._scaled_lstsq(design, targets, ridge)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    eps = np.finfo(float).eps
+    scale = np.sqrt(np.mean(np.abs(design.astype(complex)) ** 2, axis=0))
+    scaled = np.asarray(got, dtype=complex) * scale[:, None]
+    ref_scaled = np.asarray(ref, dtype=complex) * scale[:, None]
+    assert np.linalg.norm(scaled - ref_scaled) <= \
+        eps * cond * np.linalg.norm(ref_scaled)
+    assert cond == pytest.approx(ref_cond, rel=eps * cond)
+    rms_targets = np.sqrt(np.mean(np.abs(targets.astype(complex)) ** 2,
+                                  axis=0))
+    assert np.all(np.abs(np.asarray(rms - ref_rms, dtype=float))
+                  <= 8 * eps * cond * rms_targets)
+    if real_targets:
+        pairs = d.conjugates
+        np.testing.assert_array_equal(got[pairs.second],
+                                      got[pairs.first].conj())
+
+
+@pytest.mark.parametrize("family", ["flow_1d", "integer", "flow_2d",
+                                    "map_2d"])
+def test_library_fits_call_the_solver_with_three_arguments(family,
+                                                           monkeypatch):
+    """The benchmark's tracer replaces ``_scaled_lstsq`` by a wrapper of
+    (design, targets, ridge) alone, so the graph, map and flow fits must
+    call it with exactly those three; a 2D library's real form factors
+    through ``_factor_lstsq`` and does not call it."""
+    calls = []
+    solver = fit._scaled_lstsq
+
+    def strict(design, targets, ridge, /):
+        calls.append(design.shape)
+        return solver(design, targets, ridge)
+
+    monkeypatch.setattr(fit, "_scaled_lstsq", strict)
+    rng = np.random.default_rng(5)
+    t = 0.05 * np.arange(120)
+    if family == "flow_1d":
+        d = dictionary.dictionary_flow_1d(planar_spec(), K=3)
+        x = np.concatenate([a * np.exp(-t) for a in (0.3, -0.6)])
+        states = np.column_stack([x, 0.7 * np.abs(x) ** 2.5])
+    else:
+        z = np.concatenate([a * np.exp((-0.1 + 1.0j) * t)
+                            for a in (0.3, 0.2 + 0.4j)])
+        states = np.column_stack([z.real, z.imag, z.real * z.imag])
+        if family == "integer":
+            d = dictionary.integer_dictionary(2, 2)
+        elif family == "flow_2d":
+            d = dictionary.dictionary_flow_2d(spectrum.SpectralPartition(
+                kind="flow", alpha_omega=((-0.1, 1.0),),
+                beta_nu=((-0.37, 1.7),)), K=2)
+        else:
+            d = map_2d_library(2)
+    graphs = [Trajectory(times=t, states=states[i:i + len(t)])
+              for i in (0, len(t))]
+    flows = [Trajectory(times=t, states=g.states[:, :d.width])
+             for g in graphs]
+    maps = annulus_trajectories(rng, [80, 90])
+    fits = [fit.fit_graph(graphs, d, range(d.width), [states.shape[1] - 1],
+                          ridge=1e-10)]
+    if family != "map_2d":
+        fits.append(fit.fit_reduced_flow(flows, d, ridge=1e-10))
+    if family in ("integer", "map_2d"):
+        fits.append(fit.fit_reduced_map(maps, d, ridge=1e-10))
+    assert len(calls) == (0 if family.endswith("2d") else len(fits))
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +714,10 @@ def test_fit_reduced_map_peak_memory():
     """Traced peak allocation of a 20 x 600 sample map fit over a 70-term
     map_2d library, against the 13.4 MB of its complex design: measured
     4.77x when each trajectory had its own design block, stacked into a
-    second copy and scaled into a third for the pivoted QR, and 2.79x with
-    one evaluation and the row-blocked QR, which holds the design and its
-    reflectors."""
+    second copy and scaled into a third for the pivoted QR, 2.79x with one
+    evaluation and the row-blocked QR, which holds the design and its
+    reflectors, and 1.12x with the real form, whose design and reflectors
+    are real, each half the complex design's size."""
     d = map_2d_library(5)
     assert len(d) == 70
     trajs = annulus_trajectories(np.random.default_rng(8), [600] * 20)
@@ -613,7 +729,7 @@ def test_fit_reduced_map_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.2 * design_bytes
+    assert peak < 1.25 * design_bytes
 
 
 def test_integer_only_dictionary_fits_fractional_data_worse():
